@@ -20,7 +20,7 @@ import numpy as np
 
 from .acceptance import selftest
 from .conditions import ParamTuple
-from .config import ConfigError, load_config
+from .config import COMMANDS, ConfigError, load_config
 from .experiments import (boundary_sweep, dirichlet_norm_test,
                           frequency_block_test, rescaled_bump_test,
                           shifted_bump_test)
@@ -32,8 +32,7 @@ from .output import OpTimer, RunManifest, config_hash, write_csv
 from .rng import stream
 from .series import (SeriesSpec, _linfit, hs_gamma_norm_exact, mc_gamma_norm,
                      sq_function_gamma_norm)
-from .spde import (DiagonalNoise, SpdeConfig, simulate, spacetime_norm,
-                   trajectory_norms)
+from .spde import DiagonalNoise, SpdeConfig, simulate, spacetime_norm
 from .systems import (Coloring, FourierSystem, HaarSystem, ShiftedBumpSystem,
                       bump_values, haar_lattice_sums)
 
@@ -44,11 +43,11 @@ EXIT_PARTIAL = 3
 
 
 def build_grid(block: dict) -> Grid:
-    return Grid(block.get("dim", 1), block.get("n", 1024), block.get("length", 1.0))
+    return Grid(block["dim"], block["n"], block["length"])
 
 
 def build_system(block: dict, dim: int):
-    kind = block.get("kind", "fourier")
+    kind = block["kind"]
     if kind == "fourier":
         return FourierSystem(dim)
     if kind == "haar":
@@ -59,15 +58,15 @@ def build_system(block: dict, dim: int):
 
 
 def build_coloring(block: dict, dim: int, n_terms: int) -> Coloring:
-    kind = block.get("kind", "matern")
+    kind = block["kind"]
     if kind == "matern":
-        return Coloring.matern(block.get("alpha", 0.5))
+        return Coloring.matern(block["alpha"])
     if kind == "power_law":
-        return Coloring.power_law(block.get("alpha", 0.5))
+        return Coloring.power_law(block["alpha"])
     if kind == "block":
         return Coloring.block_indicator(block.get("level", 3))
     if kind == "haar":
-        return Coloring.haar(block.get("alpha", 0.5), block.get("beta", 1.0), dim)
+        return Coloring.haar(block["alpha"], block.get("beta", 1.0), dim)
     if kind == "constant":
         return Coloring.constant(block.get("value", 1.0), n_terms)
     if kind == "explicit":
@@ -98,14 +97,15 @@ def _params_from(block: dict) -> ParamTuple:
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns (records, columns, verdicts, exit_code)
+# subcommand runners: each returns (records, verdicts, exit_code); the CSV
+# columns are declared in config.COMMANDS
 
 
-def run_series_norm(cfg, seed, workers):
+def run_series_norm(cfg, seed, workers, timer):
     grid = build_grid(cfg["grid"])
-    system = build_system(cfg.get("system", {}), grid.dim)
+    system = build_system(cfg["system"], grid.dim)
     blk = cfg["series"]
-    coloring = build_coloring(cfg.get("coloring", {}), grid.dim, blk["n_terms"])
+    coloring = build_coloring(cfg["coloring"], grid.dim, blk["n_terms"])
     g = build_g(cfg.get("g", {}), grid)
     spec = SeriesSpec(grid, system, coloring, blk["n_terms"], blk["s"], blk["q"], g=g)
     est = mc_gamma_norm(spec, blk["samples"], seed=seed, workers=workers,
@@ -115,10 +115,10 @@ def run_series_norm(cfg, seed, workers):
            "stderr": est.stderr, "mean_norm": est.mean_norm,
            "sq_function": sq_function_gamma_norm(spec, oversample=cfg["run"]["oversample"]),
            "hs_exact": hs_gamma_norm_exact(spec) if blk["q"] == 2 else math.nan}
-    return [row], list(row.keys()), {}, EXIT_OK
+    return [row], {}, EXIT_OK
 
 
-def run_sweep(cfg, seed, workers):
+def run_sweep(cfg, seed, workers, timer):
     blk = cfg["sweep"]
     tuples = [ParamTuple(blk["d"], s, blk["q"], blk["eta"],
                          blk["zeta"] if blk["zeta"] > 0 else math.inf)
@@ -134,12 +134,7 @@ def run_sweep(cfg, seed, workers):
                      "exponent": c.exponent, "r2": c.r2, "status": c.status})
         failed += c.status == "failed"
     code = EXIT_PARTIAL if failed else EXIT_OK
-    return rows, list(rows[0].keys()) if rows else _sweep_columns(), {"failed_cells": failed}, code
-
-
-def _sweep_columns():
-    return ["d", "s", "q", "eta", "zeta", "construction", "slack",
-            "classification", "label", "exponent", "r2", "status"]
+    return rows, {"failed_cells": failed}, code
 
 
 def _two_sided_rows(records, fit):
@@ -152,48 +147,47 @@ def _two_sided_rows(records, fit):
     return rows
 
 
-def run_freq_block(cfg, seed, workers):
+def run_freq_block(cfg, seed, workers, timer):
     params = _params_from(cfg["params"])
     blk = cfg["freq_block"]
     records, fit = frequency_block_test(params, range(blk["n_min"], blk["n_max"] + 1),
                                         oversample=cfg["run"]["oversample"])
-    rows = _two_sided_rows(records, fit)
-    return rows, list(rows[0].keys()), {"fitted_exponent": fit.exponent}, EXIT_OK
+    return _two_sided_rows(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
-def run_rescaled_bump(cfg, seed, workers):
+def run_rescaled_bump(cfg, seed, workers, timer):
     params = _params_from(cfg["params"])
     blk = cfg["rescaled_bump"]
     records, fit = rescaled_bump_test(params, range(blk["m_min"], blk["m_max"] + 1),
                                       n=blk["n"], width=blk["width"],
                                       oversample=cfg["run"]["oversample"])
-    rows = _two_sided_rows(records, fit)
-    return rows, list(rows[0].keys()), {"fitted_exponent": fit.exponent}, EXIT_OK
+    return _two_sided_rows(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
-def run_shifted_bump(cfg, seed, workers):
+def run_shifted_bump(cfg, seed, workers, timer):
     params = _params_from(cfg["params"])
     blk = cfg["shifted_bump"]
     records, fit, _ = shifted_bump_test(params, blk["extents"],
                                         resolution=blk["resolution"],
                                         width=blk["width"],
                                         oversample=cfg["run"]["oversample"])
-    rows = _two_sided_rows(records, fit)
-    return rows, list(rows[0].keys()), {"fitted_exponent": fit.exponent}, EXIT_OK
+    return _two_sided_rows(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
-def run_dirichlet(cfg, seed, workers):
+def run_dirichlet(cfg, seed, workers, timer):
     blk = cfg["dirichlet"]
+    if len(blk["n_values"]) < 2:
+        raise ConfigError("dirichlet.n_values needs at least 2 values to fit an exponent")
     rows_raw, fit = dirichlet_norm_test(blk["eta"], blk["n_values"],
                                         oversample=cfg["run"]["oversample"])
     rows = [{"N": N, "terms": terms, "norm": val, "eta": blk["eta"],
              "fitted_exponent": fit.exponent, "predicted_exponent": fit.predicted,
              "r2": fit.r2}
             for N, terms, val in rows_raw]
-    return rows, list(rows[0].keys()), {"fitted_exponent": fit.exponent}, EXIT_OK
+    return rows, {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
-def run_gamma_young(cfg, seed, workers):
+def run_gamma_young(cfg, seed, workers, timer):
     grid = build_grid(cfg["grid"])
     blk = cfg["gamma_young"]
     s, q = blk["s"], blk["q"]
@@ -209,11 +203,10 @@ def run_gamma_young(cfg, seed, workers):
         rows.append({"trial": i, "s": s, "q": q, "r": r, "eta": eta,
                      "lhs": lhs, "rhs": rhs, "ratio": ratio})
     ratios = [row["ratio"] for row in rows]
-    verdicts = {"ratio_spread": max(ratios) / min(ratios)}
-    return rows, list(rows[0].keys()), verdicts, EXIT_OK
+    return rows, {"ratio_spread": max(ratios) / min(ratios)}, EXIT_OK
 
 
-def run_mg_sobolev(cfg, seed, workers):
+def run_mg_sobolev(cfg, seed, workers, timer):
     grid = build_grid(cfg["grid"])
     blk = cfg["mg_sobolev"]
     coords = [np.broadcast_to(x, grid.shape) for x in grid.coords()]
@@ -228,37 +221,39 @@ def run_mg_sobolev(cfg, seed, workers):
                      "gamma_norm": val, "g_eta_norm": g_eta,
                      "constant": val / g_eta})
     consts = [r["constant"] for r in rows]
-    return rows, list(rows[0].keys()), {"constant_spread": max(consts) / min(consts)}, EXIT_OK
+    return rows, {"constant_spread": max(consts) / min(consts)}, EXIT_OK
 
 
-def run_schatten_heat(cfg, seed, workers):
+def run_schatten_heat(cfg, seed, workers, timer):
     blk = cfg["schatten"]
+    if not blk["witness"]:
+        raise ConfigError("schatten.witness=false is not supported: "
+                          "the norm_witness column is always written")
+    if blk["points"] < 2:
+        raise ConfigError("schatten.points must be >= 2 to fit the witness exponent")
     grid = Grid(blk["d"], blk["n"])
     one = constant_field(grid, 1.0)
     ts = np.geomspace(blk["t_min"], blk["t_max"], blk["points"])
     rows = []
     for t in ts:
         val = schatten_heat_norm(one, float(t))
-        row = {"d": blk["d"], "t": float(t), "norm_g1": val,
-               "scaled_g1": float(t) ** (blk["d"] / 4.0) * val}
-        if blk.get("witness", True):
-            kern = heat_kernel_field(grid, float(t))
-            gt = forward_transform(grid, np.sqrt(np.maximum(kern.values(), 0.0)))
-            row["norm_witness"] = schatten_heat_norm(gt, float(t))
-        rows.append(row)
-    verdicts = {}
-    if blk.get("witness", True):
-        slope, _ = _linfit(np.log(ts), np.log([r["norm_witness"] for r in rows]))
-        verdicts["witness_exponent"] = slope
-    return rows, list(rows[0].keys()), verdicts, EXIT_OK
+        kern = heat_kernel_field(grid, float(t))
+        gt = forward_transform(grid, np.sqrt(np.maximum(kern.values(), 0.0)))
+        rows.append({"d": blk["d"], "t": float(t), "norm_g1": val,
+                     "scaled_g1": float(t) ** (blk["d"] / 4.0) * val,
+                     "norm_witness": schatten_heat_norm(gt, float(t))})
+    slope, _ = _linfit(np.log(ts), np.log([r["norm_witness"] for r in rows]))
+    return rows, {"witness_exponent": slope}, EXIT_OK
 
 
-def run_heat_sim(cfg, seed, workers):
+def run_heat_sim(cfg, seed, workers, timer):
     grid = build_grid(cfg["grid"])
     blk = cfg["heat"]
+    if blk["trajectories"] < 1:
+        raise ConfigError(f"heat.trajectories must be >= 1, got {blk['trajectories']}")
     kind = blk["noise"]
     if kind == "matern":
-        noise = DiagonalNoise.matern(grid, blk.get("alpha", 0.5))
+        noise = DiagonalNoise.matern(grid, blk["alpha"])
     elif kind == "white":
         noise = DiagonalNoise.white(grid, blk.get("cutoff"))
     elif kind == "single_mode":
@@ -267,22 +262,21 @@ def run_heat_sim(cfg, seed, workers):
     else:
         raise ConfigError(f"unknown noise kind {kind!r}")
     config = SpdeConfig(grid, noise, T=blk["t_horizon"], dt=blk["dt"],
-                        integrator=blk.get("integrator", "exact_ou"))
+                        integrator=blk["integrator"])
     rows = []
     dump = blk.get("dump_states")
     for i in range(blk["trajectories"]):
         traj = simulate(config, seed=seed, traj_index=i)
-        norms = trajectory_norms(traj, blk["s"], blk["q"])
-        st = spacetime_norm(traj, blk.get("p", 2.0), blk["s"], blk["q"])
-        for t, h in zip(traj.times, norms):
+        st = spacetime_norm(traj, blk["p"], blk["s"], blk["q"])
+        for t, h in zip(traj.times, st.norms):
             rows.append({"trajectory": i, "time": float(t), "h_norm": float(h),
                          "lp_spacetime": st.lp, "max_in_time": st.max_h})
         if dump and i == 0:
             dump_states(traj, dump)
-    return rows, list(rows[0].keys()), {"trajectories": blk["trajectories"]}, EXIT_OK
+    return rows, {"trajectories": blk["trajectories"]}, EXIT_OK
 
 
-def run_scaling(cfg, seed, workers):
+def run_scaling(cfg, seed, workers, timer):
     from .spde import scaling_diagnostic
     grid = build_grid(cfg["grid"])
     blk = cfg["scaling"]
@@ -296,10 +290,10 @@ def run_scaling(cfg, seed, workers):
              "fitted_exponent": rep.exponent, "predicted_exponent": rep.predicted,
              "r2": rep.r2}
             for m, lhs, rhs in rep.points]
-    return rows, list(rows[0].keys()), {"fitted_exponent": rep.exponent}, EXIT_OK
+    return rows, {"fitted_exponent": rep.exponent}, EXIT_OK
 
 
-def run_haar_divergence(cfg, seed, workers):
+def run_haar_divergence(cfg, seed, workers, timer):
     blk = cfg["haar"]
     js = list(range(2, blk["j_max"] + 1))
     rows = []
@@ -309,14 +303,15 @@ def run_haar_divergence(cfg, seed, workers):
         for J, val in zip(js, sums):
             rows.append({"zeta": zeta, "J": J, "partial_sum": float(val),
                          "critical": crit})
-    return rows, list(rows[0].keys()), {}, EXIT_OK
+    return rows, {}, EXIT_OK
 
 
-def run_selftest(cfg, seed, workers):
+def run_selftest(cfg, seed, workers, timer):
     records, timings = selftest(seed, workers=workers)
+    timer.timings.update(timings)
     verdicts = {r["name"]: bool(r["passed"]) for r in records}
     code = EXIT_OK if all(verdicts.values()) else EXIT_HARD
-    return records, ["criterion", "name", "passed", "metrics"], verdicts, code, timings
+    return records, verdicts, code
 
 
 RUNNERS = {
@@ -362,7 +357,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gammanoise",
         description="Spectral laboratory for colored Gaussian noise on the torus")
-    parser.add_argument("command", choices=sorted(RUNNERS))
+    parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="INI configuration file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
     parser.add_argument("--out", help="output CSV path (overrides config)")
@@ -387,7 +382,7 @@ def main(argv=None) -> int:
 
     timer = OpTimer()
     try:
-        result = RUNNERS[args.command](cfg, seed, workers)
+        records, verdicts, code = RUNNERS[args.command](cfg, seed, workers, timer)
     except (ConfigError, ValueError) as exc:
         # domain validation failures are configuration problems
         json.dump({"error": "config", "detail": str(exc)}, sys.stderr)
@@ -398,19 +393,12 @@ def main(argv=None) -> int:
         sys.stderr.write("\n")
         return EXIT_HARD
 
-    if len(result) == 5:
-        records, columns, verdicts, code, op_timings = result
-    else:
-        records, columns, verdicts, code = result
-        op_timings = {}
-
     chash = config_hash(args.command, cfg, seed)
     rows = [{**r, "manifest": chash} for r in records]
-    write_csv(rows, out, columns=list(columns) + ["manifest"])
+    write_csv(rows, out, columns=[*COMMANDS[args.command].columns, "manifest"])
 
     manifest = RunManifest(command=args.command, config_hash=chash, seed=seed,
-                           wall_time_s=timer.total(),
-                           op_timings=op_timings or timer.timings,
+                           wall_time_s=timer.total(), op_timings=timer.timings,
                            artifacts=[os.path.basename(out)], verdicts=verdicts)
     manifest.write(_manifest_path(out, chash))
     if args.command == "selftest":

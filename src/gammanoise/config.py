@@ -1,23 +1,38 @@
-"""Experiment configuration: INI dialect, schemas, defaults, overrides.
+"""Experiment configuration: one command table, INI files, overrides.
 
 Configs are INI files read by ``configparser``: one section per parameter
-block, scalar values, comma-separated lists.  Every subcommand declares a
-schema of allowed sections and typed keys; unknown sections or keys are
-rejected before any computation runs.
+block, scalar values, comma-separated lists.  ``COMMANDS`` declares every
+subcommand once: its sections, each key's type and default, and the columns
+of its CSV.  A key written as a bare type name is accepted but has no
+default, so it stays out of the loaded config (and out of its hash) unless
+a file or override sets it; a section left with no keys is dropped.  The
+``run`` section is shared: ``seed``, ``workers``, ``out`` (default: the
+command name with ``_`` for ``-``, plus ``.csv``) and ``oversample``, whose
+default is the command's own.  Unknown sections or keys are rejected before
+any computation runs, and so are NaN and infinite floats.
 """
 
 from __future__ import annotations
 
 import configparser
 import copy
+import math
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
+def _float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _floats(text):
-    return [float(x) for x in str(text).split(",") if str(x).strip() != ""]
+    return [_float(x) for x in str(text).split(",") if str(x).strip() != ""]
 
 
 def _ints(text):
@@ -33,165 +48,121 @@ def _bool(text):
     raise ConfigError(f"not a boolean: {text!r}")
 
 
-TYPES = {"int": int, "float": float, "str": str, "floats": _floats,
+TYPES = {"int": int, "float": _float, "str": str, "floats": _floats,
          "ints": _ints, "bool": _bool}
 
-RUN_SCHEMA = {"seed": "int", "workers": "int", "out": "str", "oversample": "int"}
 
-SCHEMAS = {
-    "series-norm": {
-        "run": RUN_SCHEMA,
-        "grid": {"dim": "int", "n": "int", "length": "float"},
-        "system": {"kind": "str", "j_min": "int", "j_max": "int",
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its ``run.oversample`` default, sections and CSV columns.
+
+    Each section maps a key to ``(type, default)``, or to a bare type name
+    for a key without a default.
+    """
+
+    oversample: int
+    sections: dict
+    columns: tuple
+
+
+def _grid(n):
+    return {"dim": ("int", 1), "n": ("int", n), "length": ("float", 1.0)}
+
+
+def _params(s, q, eta):
+    return {"d": ("int", 1), "s": ("float", s), "q": ("float", q),
+            "eta": ("float", eta), "zeta": ("float", 4.0)}
+
+
+TWO_SIDED_COLUMNS = ("construction", "scale_index", "lhs", "rhs", "ratio",
+                     "fitted_exponent", "predicted_exponent", "r2")
+
+COMMANDS = {
+    "series-norm": Command(4, {
+        "grid": _grid(1024),
+        "system": {"kind": ("str", "fourier"), "j_min": "int", "j_max": "int",
                    "extent": "int", "width": "float"},
-        "coloring": {"kind": "str", "alpha": "float", "beta": "float",
-                     "level": "int", "value": "float", "values": "floats"},
-        "series": {"n_terms": "int", "s": "float", "q": "float", "samples": "int"},
+        "coloring": {"kind": ("str", "matern"), "alpha": ("float", 0.5),
+                     "beta": "float", "level": "int", "value": "float",
+                     "values": "floats"},
+        "series": {"n_terms": ("int", 128), "s": ("float", 0.6), "q": ("float", 2.0),
+                   "samples": ("int", 400)},
         "g": {"kind": "str", "width": "float", "value": "float"},
-    },
-    "sweep": {
-        "run": RUN_SCHEMA,
-        "sweep": {"construction": "str", "scales": "ints", "s_values": "floats",
-                  "q": "float", "eta": "float", "zeta": "float", "d": "int"},
-    },
-    "freq-block": {
-        "run": RUN_SCHEMA,
-        "params": {"d": "int", "s": "float", "q": "float", "eta": "float", "zeta": "float"},
-        "freq_block": {"n_min": "int", "n_max": "int"},
-    },
-    "rescaled-bump": {
-        "run": RUN_SCHEMA,
-        "params": {"d": "int", "s": "float", "q": "float", "eta": "float", "zeta": "float"},
-        "rescaled_bump": {"m_min": "int", "m_max": "int", "n": "int", "width": "float"},
-    },
-    "shifted-bump": {
-        "run": RUN_SCHEMA,
-        "params": {"d": "int", "s": "float", "q": "float", "eta": "float", "zeta": "float"},
-        "shifted_bump": {"extents": "ints", "resolution": "int", "width": "float"},
-    },
-    "dirichlet": {
-        "run": RUN_SCHEMA,
-        "dirichlet": {"eta": "float", "n_values": "ints"},
-    },
-    "gamma-young": {
-        "run": RUN_SCHEMA,
-        "grid": {"dim": "int", "n": "int", "length": "float"},
-        "gamma_young": {"s": "float", "q": "float", "trials": "int"},
-    },
-    "mg-sobolev": {
-        "run": RUN_SCHEMA,
-        "grid": {"dim": "int", "n": "int", "length": "float"},
-        "mg_sobolev": {"s": "float", "q": "float", "eta": "float",
-                       "levels": "int", "width": "float"},
-    },
-    "schatten-heat": {
-        "run": RUN_SCHEMA,
-        "schatten": {"d": "int", "n": "int", "t_min": "float", "t_max": "float",
-                     "points": "int", "witness": "bool"},
-    },
-    "heat-sim": {
-        "run": RUN_SCHEMA,
-        "grid": {"dim": "int", "n": "int", "length": "float"},
-        "heat": {"noise": "str", "alpha": "float", "cutoff": "float",
-                 "mode": "int", "amplitude": "float", "t_horizon": "float",
-                 "dt": "float", "integrator": "str", "trajectories": "int",
-                 "s": "float", "q": "float", "p": "float", "dump_states": "str"},
-    },
-    "scaling": {
-        "run": RUN_SCHEMA,
-        "grid": {"dim": "int", "n": "int", "length": "float"},
-        "scaling": {"alpha": "float", "beta": "float", "levels": "int",
-                    "m_min": "int", "m_max": "int", "s": "float", "q": "float",
-                    "eta": "float"},
-    },
-    "haar-divergence": {
-        "run": RUN_SCHEMA,
-        "haar": {"d": "int", "alpha": "float", "beta": "float",
-                 "zeta_values": "floats", "j_max": "int"},
-    },
-    "selftest": {
-        "run": RUN_SCHEMA,
-    },
-}
-
-DEFAULTS = {
-    "series-norm": {
-        "run": {"seed": 7, "workers": 1, "out": "series_norm.csv", "oversample": 4},
-        "grid": {"dim": 1, "n": 1024, "length": 1.0},
-        "system": {"kind": "fourier"},
-        "coloring": {"kind": "matern", "alpha": 0.5},
-        "series": {"n_terms": 128, "s": 0.6, "q": 2.0, "samples": 400},
-    },
-    "sweep": {
-        "run": {"seed": 7, "workers": 1, "out": "sweep.csv", "oversample": 2},
-        "sweep": {"construction": "freq_block", "scales": [3, 4, 5, 6],
-                  "s_values": [0.2, 0.5, 0.9], "q": 4.0, "eta": 2.0,
-                  "zeta": 4.0, "d": 1},
-    },
-    "freq-block": {
-        "run": {"seed": 7, "workers": 1, "out": "freq_block.csv", "oversample": 2},
-        "params": {"d": 1, "s": 0.9, "q": 4.0, "eta": 2.0, "zeta": 4.0},
-        "freq_block": {"n_min": 3, "n_max": 7},
-    },
-    "rescaled-bump": {
-        "run": {"seed": 7, "workers": 1, "out": "rescaled_bump.csv", "oversample": 4},
-        "params": {"d": 1, "s": 0.5, "q": 4.0, "eta": 2.0, "zeta": 4.0},
-        "rescaled_bump": {"m_min": 0, "m_max": 5, "n": 2**14, "width": 0.25},
-    },
-    "shifted-bump": {
-        "run": {"seed": 7, "workers": 1, "out": "shifted_bump.csv", "oversample": 2},
-        "params": {"d": 1, "s": 0.6, "q": 2.0, "eta": 4.0, "zeta": 4.0},
-        "shifted_bump": {"extents": [2, 4, 8, 16], "resolution": 64, "width": 0.5},
-    },
-    "dirichlet": {
-        "run": {"seed": 7, "workers": 1, "out": "dirichlet.csv", "oversample": 4},
-        "dirichlet": {"eta": 4.0, "n_values": [8, 16, 32, 64, 128, 256]},
-    },
-    "gamma-young": {
-        "run": {"seed": 7, "workers": 1, "out": "gamma_young.csv", "oversample": 4},
-        "grid": {"dim": 1, "n": 1024, "length": 1.0},
-        "gamma_young": {"s": 0.75, "q": 8.0, "trials": 100},
-    },
-    "mg-sobolev": {
-        "run": {"seed": 7, "workers": 1, "out": "mg_sobolev.csv", "oversample": 4},
-        "grid": {"dim": 1, "n": 8192, "length": 1.0},
-        "mg_sobolev": {"s": 0.75, "q": 4.0, "eta": 8.0 / 3.0, "levels": 6, "width": 0.25},
-    },
-    "schatten-heat": {
-        "run": {"seed": 7, "workers": 1, "out": "schatten_heat.csv", "oversample": 1},
-        "schatten": {"d": 1, "n": 512, "t_min": 1e-3, "t_max": 1e-1,
-                     "points": 9, "witness": True},
-    },
-    "heat-sim": {
-        "run": {"seed": 7, "workers": 1, "out": "heat_sim.csv", "oversample": 1},
-        "grid": {"dim": 1, "n": 256, "length": 1.0},
-        "heat": {"noise": "matern", "alpha": 0.3, "t_horizon": 0.1, "dt": 1e-3,
-                 "integrator": "exact_ou", "trajectories": 100, "s": 0.9,
-                 "q": 2.0, "p": 2.0},
-    },
-    "scaling": {
-        "run": {"seed": 7, "workers": 1, "out": "scaling.csv", "oversample": 2},
-        "grid": {"dim": 1, "n": 8192, "length": 1.0},
-        "scaling": {"alpha": 0.5, "beta": 1.0, "levels": 3, "m_min": 0,
-                    "m_max": 5, "s": 0.25, "q": 4.0, "eta": 2.0},
-    },
-    "haar-divergence": {
-        "run": {"seed": 7, "workers": 1, "out": "haar_divergence.csv", "oversample": 1},
-        "haar": {"d": 1, "alpha": 0.5, "beta": 1.0,
-                 "zeta_values": [1.8, 2.0, 2.5], "j_max": 12},
-    },
-    "selftest": {
-        "run": {"seed": 7, "workers": 1, "out": "selftest.csv", "oversample": 4},
-    },
+    }, ("n_terms", "s", "q", "samples", "seed", "mean_sq", "stderr", "mean_norm",
+        "sq_function", "hs_exact")),
+    "sweep": Command(2, {
+        "sweep": {"construction": ("str", "freq_block"), "scales": ("ints", [3, 4, 5, 6]),
+                  "s_values": ("floats", [0.2, 0.5, 0.9]), "q": ("float", 4.0),
+                  "eta": ("float", 2.0), "zeta": ("float", 4.0), "d": ("int", 1)},
+    }, ("d", "s", "q", "eta", "zeta", "construction", "slack", "classification",
+        "label", "exponent", "r2", "status")),
+    "freq-block": Command(2, {
+        "params": _params(0.9, 4.0, 2.0),
+        "freq_block": {"n_min": ("int", 3), "n_max": ("int", 7)},
+    }, TWO_SIDED_COLUMNS),
+    "rescaled-bump": Command(4, {
+        "params": _params(0.5, 4.0, 2.0),
+        "rescaled_bump": {"m_min": ("int", 0), "m_max": ("int", 5), "n": ("int", 2**14),
+                          "width": ("float", 0.25)},
+    }, TWO_SIDED_COLUMNS),
+    "shifted-bump": Command(2, {
+        "params": _params(0.6, 2.0, 4.0),
+        "shifted_bump": {"extents": ("ints", [2, 4, 8, 16]), "resolution": ("int", 64),
+                         "width": ("float", 0.5)},
+    }, TWO_SIDED_COLUMNS),
+    "dirichlet": Command(4, {
+        "dirichlet": {"eta": ("float", 4.0), "n_values": ("ints", [8, 16, 32, 64, 128, 256])},
+    }, ("N", "terms", "norm", "eta", "fitted_exponent", "predicted_exponent", "r2")),
+    "gamma-young": Command(4, {
+        "grid": _grid(1024),
+        "gamma_young": {"s": ("float", 0.75), "q": ("float", 8.0), "trials": ("int", 100)},
+    }, ("trial", "s", "q", "r", "eta", "lhs", "rhs", "ratio")),
+    "mg-sobolev": Command(4, {
+        "grid": _grid(8192),
+        "mg_sobolev": {"s": ("float", 0.75), "q": ("float", 4.0), "eta": ("float", 8.0 / 3.0),
+                       "levels": ("int", 6), "width": ("float", 0.25)},
+    }, ("level", "s", "q", "eta", "gamma_norm", "g_eta_norm", "constant")),
+    "schatten-heat": Command(1, {
+        "schatten": {"d": ("int", 1), "n": ("int", 512), "t_min": ("float", 1e-3),
+                     "t_max": ("float", 1e-1), "points": ("int", 9),
+                     "witness": ("bool", True)},
+    }, ("d", "t", "norm_g1", "scaled_g1", "norm_witness")),
+    "heat-sim": Command(1, {
+        "grid": _grid(256),
+        "heat": {"noise": ("str", "matern"), "alpha": ("float", 0.3), "cutoff": "float",
+                 "mode": "int", "amplitude": "float", "t_horizon": ("float", 0.1),
+                 "dt": ("float", 1e-3), "integrator": ("str", "exact_ou"),
+                 "trajectories": ("int", 100), "s": ("float", 0.9), "q": ("float", 2.0),
+                 "p": ("float", 2.0), "dump_states": "str"},
+    }, ("trajectory", "time", "h_norm", "lp_spacetime", "max_in_time")),
+    "scaling": Command(2, {
+        "grid": _grid(8192),
+        "scaling": {"alpha": ("float", 0.5), "beta": ("float", 1.0), "levels": ("int", 3),
+                    "m_min": ("int", 0), "m_max": ("int", 5), "s": ("float", 0.25),
+                    "q": ("float", 4.0), "eta": ("float", 2.0)},
+    }, ("m", "lhs", "rhs", "ratio", "fitted_exponent", "predicted_exponent", "r2")),
+    "haar-divergence": Command(1, {
+        "haar": {"d": ("int", 1), "alpha": ("float", 0.5), "beta": ("float", 1.0),
+                 "zeta_values": ("floats", [1.8, 2.0, 2.5]), "j_max": ("int", 12)},
+    }, ("zeta", "J", "partial_sum", "critical")),
+    "selftest": Command(4, {}, ("criterion", "name", "passed", "metrics")),
 }
 
 
 def load_config(command: str, path=None, overrides=None) -> dict:
     """Defaults, overlaid with an INI file and key=value overrides, validated."""
-    if command not in SCHEMAS:
+    if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    schema = SCHEMAS[command]
-    config = copy.deepcopy(DEFAULTS[command])
+    run = {"seed": ("int", 7), "workers": ("int", 1),
+           "out": ("str", command.replace("-", "_") + ".csv"),
+           "oversample": ("int", COMMANDS[command].oversample)}
+    sections = {"run": run, **COMMANDS[command].sections}
+    config = {}
+    for section, keys in sections.items():
+        block = {key: copy.deepcopy(spec[1]) for key, spec in keys.items()
+                 if isinstance(spec, tuple)}
+        if block:
+            config[section] = block
 
     if path is not None:
         parser = configparser.ConfigParser()
@@ -200,7 +171,7 @@ def load_config(command: str, path=None, overrides=None) -> dict:
             raise ConfigError(f"cannot read config file {path}")
         for section in parser.sections():
             for key, raw in parser.items(section):
-                _apply(config, schema, command, section, key, raw)
+                _apply(config, sections, command, section, key, raw)
 
     for item in overrides or []:
         if "=" not in item:
@@ -209,16 +180,17 @@ def load_config(command: str, path=None, overrides=None) -> dict:
         if "." not in dotted:
             raise ConfigError(f"override key must be section.key, got {dotted!r}")
         section, key = dotted.split(".", 1)
-        _apply(config, schema, command, section, key, raw)
+        _apply(config, sections, command, section, key, raw)
     return config
 
 
-def _apply(config: dict, schema: dict, command: str, section: str, key: str, raw) -> None:
-    if section not in schema:
+def _apply(config: dict, sections: dict, command: str, section: str, key: str, raw) -> None:
+    if section not in sections:
         raise ConfigError(f"unknown section [{section}] for command {command!r}")
-    if key not in schema[section]:
+    if key not in sections[section]:
         raise ConfigError(f"unknown key {key!r} in section [{section}] for command {command!r}")
-    caster = TYPES[schema[section][key]]
+    spec = sections[section][key]
+    caster = TYPES[spec[0] if isinstance(spec, tuple) else spec]
     try:
         value = caster(raw)
     except (TypeError, ValueError) as exc:

@@ -19,7 +19,7 @@ from .grid import Grid, SpectralField, forward_transform, mode_field
 from .norms import hsq_norm, lq_norm
 from .series import _linfit, sq_function_from_terms
 from .systems import (ShiftedBumpSystem, bump_values, frequency_block,
-                      plateau_values)
+                      plateau_values, rank_one_mu_norm)
 
 FIT_R2_MIN = 0.9
 MARGINAL_EXPONENT = 0.05
@@ -155,11 +155,7 @@ def rescaled_bump_test(params: ParamTuple, m_range, n: int = 2**14,
         g_field = forward_transform(grid, gv)
         h_field = forward_transform(grid, hv)
         h2 = lq_norm(h_field, 2)
-        hsup = float(np.max(np.abs(hv)))
-        if math.isinf(params.zeta):
-            mu_norm = h2
-        else:
-            mu_norm = h2 ** (1.0 - 2.0 / params.zeta) * hsup ** (2.0 / params.zeta)
+        mu_norm = rank_one_mu_norm(h2, float(np.max(np.abs(hv))), params.zeta)
         rhs = lq_norm(g_field, params.eta, oversample=oversample) * mu_norm
         records.append(SweepRecord("rescaled_bump", m, lhs, rhs))
     fit = fit_ratio_exponent(records, predicted_exponent(params, "rescaled_bump"))

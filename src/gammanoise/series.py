@@ -67,7 +67,7 @@ def term_values(spec: SeriesSpec) -> np.ndarray:
     if spec._terms is not None:
         return spec._terms
     idxs = spec.system.indices(spec.N)
-    mus = np.array([spec.coloring.value(idx, i + 1) for i, idx in enumerate(idxs)])
+    mus = spec.coloring.weights(idxs)
     dtype = float if spec.system.real else complex
     terms = np.empty((spec.N,) + spec.grid.shape, dtype=dtype)
     for i, idx in enumerate(idxs):

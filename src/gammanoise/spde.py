@@ -10,7 +10,7 @@ diagonal noise, both for the continuous-time law and for the Euler scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -177,7 +177,7 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
 
 def term_values_for_system(noise: SystemNoise, grid: Grid) -> np.ndarray:
     idxs = noise.system.indices(noise.N)
-    mus = np.array([noise.coloring.value(idx, i + 1) for i, idx in enumerate(idxs)])
+    mus = noise.coloring.weights(idxs)
     dtype = float if noise.system.real else complex
     out = np.empty((noise.N,) + grid.shape, dtype=dtype)
     for i, idx in enumerate(idxs):
@@ -233,6 +233,7 @@ class SpaceTimeNorm:
     lp: float       # left-endpoint L^p(0, T) quadrature of the spatial norm
     max_h: float    # max-in-time spatial norm (crude sup-norm substitute,
                     # not equivalent to the endpoint Besov bound)
+    norms: np.ndarray = field(compare=False)    # spatial norm at every stored time
 
 
 def trajectory_norms(traj: Trajectory, s: float, q: float,
@@ -250,7 +251,7 @@ def spacetime_norm(traj: Trajectory, p: float, s: float, q: float,
     norms = trajectory_norms(traj, s, q, oversample=oversample)
     dts = np.diff(traj.times)
     lp = float(np.sum(norms[:-1] ** p * dts) ** (1.0 / p))
-    return SpaceTimeNorm(lp=lp, max_h=float(np.max(norms)))
+    return SpaceTimeNorm(lp=lp, max_h=float(np.max(norms)), norms=norms)
 
 
 # ---------------------------------------------------------------------------

@@ -359,8 +359,8 @@ class Coloring:
             return vals[ordinal - 1]
         raise ValueError(f"unknown coloring kind {self.kind!r}")
 
-    def weights(self, system, N: int) -> np.ndarray:
-        idxs = system.indices(N)
+    def weights(self, idxs) -> np.ndarray:
+        """Weights of the structured indices ``idxs``, taken in order."""
         return np.array([self.value(idx, i + 1) for i, idx in enumerate(idxs)])
 
 
@@ -398,7 +398,7 @@ def ell_zeta_weighted_norm(mu: Coloring, system, zeta: float, N: int) -> float:
     if N < 1:
         raise ValueError("truncation N must be >= 1")
     idxs = system.indices(N)
-    mus = np.array([mu.value(idx, i + 1) for i, idx in enumerate(idxs)])
+    mus = mu.weights(idxs)
     if math.isinf(zeta):
         return float(np.max(np.abs(mus)))
     w = np.array([system.sup_norm(idx) for idx in idxs])

@@ -1,13 +1,14 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from gammanoise.cli import dump_states, load_states, main
-from gammanoise.config import ConfigError, load_config
+from gammanoise.cli import RUNNERS, dump_states, load_states, main
+from gammanoise.config import COMMANDS, ConfigError, load_config
 from gammanoise.grid import Grid
 from gammanoise.output import (canonical_config, config_hash, csv_bytes, read_csv,
                                write_csv)
@@ -159,6 +160,29 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "config"
 
+    @pytest.mark.parametrize("command,override", [
+        ("series-norm", "series.s=nan"),
+        ("haar-divergence", "haar.zeta_values=2.0,nan"),
+        ("sweep", "sweep.s_values=0.5,inf"),
+        ("heat-sim", "heat.trajectories=0"),
+        ("schatten-heat", "schatten.witness=false"),
+        ("schatten-heat", "schatten.points=1"),
+        ("dirichlet", "dirichlet.n_values=8"),
+    ])
+    def test_rejected_value_exit_code(self, tmp_path, capsys, command, override):
+        out = tmp_path / "x.csv"
+        assert main([command, "--override", override, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert override.split("=")[0] in err["detail"]
+        assert not out.exists()
+
+    def test_command_table_matches_runners_and_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        choices = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
+        assert set(COMMANDS) == set(RUNNERS) == set(choices.split(","))
+
     def test_manifest_written_and_referenced(self, tmp_path):
         out = tmp_path / "d.csv"
         assert main(["dirichlet", "--out", str(out), "--seed", "5"]) == 0
@@ -230,6 +254,10 @@ class TestCliCommands:
                       "heat.noise=single_mode", "heat.mode=2",
                       "heat.amplitude=1.5"]),
         ("scaling", ["scaling.m_max=2", "grid.n=1024"]),
+        ("series-norm", ["series.n_terms=16", "series.samples=16", "grid.n=128"]),
+        ("sweep", ["sweep.scales=3,4,5", "sweep.s_values=0.9"]),
+        ("dirichlet", ["dirichlet.n_values=8,16,32"]),
+        ("haar-divergence", ["haar.j_max=6"]),
     ])
     def test_subcommand_smoke(self, tmp_path, command, overrides):
         out = tmp_path / "out.csv"
@@ -238,6 +266,8 @@ class TestCliCommands:
             args += ["--override", ov]
         assert main(args) == 0
         assert read_csv(out)
+        header = out.read_text().split("\n", 1)[0].split(",")
+        assert header == [*COMMANDS[command].columns, "manifest"]
 
     def test_heat_sim_state_dump(self, tmp_path):
         out = tmp_path / "h.csv"
