@@ -214,9 +214,13 @@ def run_mg_sobolev(cfg, seed, workers, timer):
     for m in range(blk["levels"]):
         w = blk["width"] * 2.0**-m
         g = forward_transform(grid, bump_values(coords, w / 2.0, w))
+        g_eta = lq_norm(g, blk["eta"], oversample=cfg["run"]["oversample"])
+        if not (g_eta > 0 and math.isfinite(g_eta)):
+            raise ConfigError(f"mg_sobolev.levels={blk['levels']} and mg_sobolev.width="
+                              f"{blk['width']:g} give a level-{m} bump of width {w:g} whose "
+                              f"L^eta norm on grid.n={grid.n} is {g_eta:g}")
         val = mg_sobolev_gamma_norm(g, blk["s"], blk["q"],
                                     oversample=cfg["run"]["oversample"])
-        g_eta = lq_norm(g, blk["eta"], oversample=cfg["run"]["oversample"])
         rows.append({"level": m, "s": blk["s"], "q": blk["q"], "eta": blk["eta"],
                      "gamma_norm": val, "g_eta_norm": g_eta,
                      "constant": val / g_eta})

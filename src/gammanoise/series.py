@@ -5,19 +5,27 @@ multiplier field g, a truncation N and the target smoothness/integrability
 (s, q).  Three estimators are provided: Monte Carlo averaging of squared
 norms, the deterministic square-function surrogate, and the exact
 Hilbert-Schmidt value at q = 2.
+
+Samples are built in coefficient space by ``series_coeffs``.  For the
+Fourier system each term ``mu_n f_n`` is a single lattice coefficient, so a
+batch of draws is scattered onto the lattice and g, if set, is applied by one
+batched inverse/forward transform pair; no (N, *grid) term stack is built.
+Other systems multiply the draws into their physical term stack
+(``term_values``), which the square-function and Hilbert-Schmidt estimators
+use for every system.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, SpectralField, forward_transform, upsampled_values
+from .grid import Grid, SpectralField, upsampled_values
 from .norms import DEFAULT_OVERSAMPLE, bessel_multiplier, lq_norm
 from .rng import complex_standard_normal, stream
-from .systems import Coloring
+from .systems import Coloring, FourierSystem
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -34,6 +42,8 @@ class SeriesSpec:
     q: float
     g: SpectralField = None
     _terms: np.ndarray = None   # cached term samples, filled lazily
+    _lattice: tuple = field(default=None, init=False, repr=False,
+                            compare=False)   # cached Fourier (positions, mu_n), filled lazily
 
     def __post_init__(self) -> None:
         if self.N < 1:
@@ -79,12 +89,37 @@ def term_values(spec: SeriesSpec) -> np.ndarray:
     return terms
 
 
+def series_coeffs(spec: SeriesSpec, gam: np.ndarray) -> np.ndarray:
+    """Coefficients of ``g sum_n gam[b, n] mu_n f_n`` for a batch of draws.
+
+    ``gam`` has shape (batch, N); the result has shape (batch, *grid).  A
+    Fourier term is one lattice coefficient, so the draws are scattered
+    straight onto the lattice and g, if set, is applied by one batched
+    transform pair; other systems go through their physical term stack.
+    """
+    grid = spec.grid
+    axes = tuple(range(1, grid.dim + 1))
+    if isinstance(spec.system, FourierSystem):
+        if spec._lattice is None:   # worker threads may both fill it, with equal values
+            idxs = spec.system.indices(spec.N)
+            spec._lattice = (spec.system.lattice_positions(idxs, grid),
+                             spec.coloring.weights(idxs))
+        positions, mus = spec._lattice
+        coeffs = np.zeros((gam.shape[0], grid.n**grid.dim), dtype=np.complex128)
+        coeffs[:, positions] = gam * mus
+        coeffs = coeffs.reshape((-1,) + grid.shape)
+        if spec.g is None:
+            return coeffs
+        return np.fft.fftn(np.fft.ifftn(coeffs, axes=axes) * spec.g.values(), axes=axes)
+    flat = term_values(spec).reshape(spec.N, -1)
+    vals = (gam @ flat).reshape((-1,) + grid.shape)
+    return np.fft.fftn(vals, axes=axes) / grid.n**grid.dim
+
+
 def sample_series(spec: SeriesSpec, rng: np.random.Generator) -> SpectralField:
     """One realization of the series; complex Gaussians unless the system is real."""
-    terms = term_values(spec)
     gam = _draw_gammas(rng, spec.N, real=spec.system.real)
-    vals = np.tensordot(gam, terms, axes=(0, 0))
-    return forward_transform(spec.grid, vals)
+    return SpectralField(spec.grid, series_coeffs(spec, gam[None])[0], real=spec.real)
 
 
 def _draw_gammas(rng: np.random.Generator, n: int, real: bool) -> np.ndarray:
@@ -103,8 +138,7 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
     """
     if M < 2:
         raise ValueError("need at least M = 2 samples")
-    terms = term_values(spec)
-    flat = terms.reshape(spec.N, -1)
+    mult = bessel_multiplier(spec.grid, -spec.s)
     norms_sq = np.empty(M)
     chunk = 256
 
@@ -112,10 +146,8 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
         hi = min(lo + chunk, M)
         gam = np.stack([_draw_gammas(stream(seed, i), spec.N, spec.system.real)
                         for i in range(lo, hi)])
-        vals = (gam @ flat).reshape((hi - lo,) + spec.grid.shape)
-        coeffs = np.fft.fftn(vals, axes=tuple(range(1, spec.grid.dim + 1)))
-        coeffs /= spec.grid.n ** spec.grid.dim
-        coeffs *= bessel_multiplier(spec.grid, -spec.s)
+        coeffs = series_coeffs(spec, gam)
+        coeffs *= mult
         norms_sq[lo:hi] = _batch_lq_norm(spec.grid, coeffs, spec.q, oversample) ** 2
 
     starts = list(range(0, M, chunk))

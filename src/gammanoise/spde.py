@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid, SpectralField, forward_transform
-from .norms import bessel_multiplier, hsq_norm, lq_norm
+from .norms import bessel_multiplier, lq_norm
 from .rng import complex_standard_normal, stream
-from .series import _linfit, sq_function_from_terms
+from .series import (SeriesSpec, _batch_lq_norm, _draw_gammas, _linfit, series_coeffs,
+                     sq_function_from_terms, term_values)
 from .systems import Coloring, HaarSystem, bump_values
 from .conditions import ParamTuple, predicted_exponent
 
@@ -59,6 +60,7 @@ class SystemNoise:
     system: object
     coloring: Coloring
     N: int
+    _specs: dict = field(default_factory=dict, repr=False, compare=False)   # grid -> SeriesSpec
 
 
 @dataclass
@@ -137,10 +139,9 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
     else:
         if isinstance(config.noise, DiagonalNoise):
             mu_lattice = config.noise.mu
-            terms_flat = None
+            spec = None
         else:
-            terms = term_values_for_system(config.noise, grid)
-            terms_flat = terms.reshape(config.noise.N, -1)
+            spec = _noise_spec(config.noise, grid)
 
     u = np.zeros(grid.shape, dtype=np.complex128)
     states = [SpectralField(grid, u.copy())]
@@ -151,20 +152,15 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
             gam = complex_standard_normal(gen, grid.shape)
             u = decay * u + sigma * gam
         else:
-            if terms_flat is None:
+            if spec is None:
                 gam = complex_standard_normal(gen, grid.shape)
                 incr_coeffs = mu_lattice * gam * math.sqrt(dt)
-                incr_vals = np.fft.ifftn(incr_coeffs) * grid.n**grid.dim
             else:
-                if config.noise.system.real:
-                    gam = gen.standard_normal(config.noise.N)
-                else:
-                    gam = complex_standard_normal(gen, (config.noise.N,))
-                incr_vals = (gam @ terms_flat).reshape(grid.shape) * math.sqrt(dt)
+                gam = _draw_gammas(gen, spec.N, real=spec.system.real)
+                incr_coeffs = series_coeffs(spec, gam[None])[0] * math.sqrt(dt)
             gv = config.g_values_at(m - 1)
             if gv is not None:
-                incr_vals = incr_vals * gv
-            incr_coeffs = np.fft.fftn(incr_vals) / grid.n**grid.dim
+                incr_coeffs = np.fft.fftn(np.fft.ifftn(incr_coeffs) * gv)
             u = decay * (u + incr_coeffs)
         times.append(m * dt)
         if keep_states:
@@ -175,14 +171,19 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
                       states, seed)
 
 
+def _noise_spec(noise: SystemNoise, grid: Grid) -> SeriesSpec:
+    """The series ``sum_n mu_n f_n`` of ``noise`` on ``grid``; cached per grid.
+
+    Only its sampling is used, so s and q are placeholders.
+    """
+    if grid not in noise._specs:
+        noise._specs[grid] = SeriesSpec(grid, noise.system, noise.coloring, noise.N, s=0.0, q=2.0)
+    return noise._specs[grid]
+
+
 def term_values_for_system(noise: SystemNoise, grid: Grid) -> np.ndarray:
-    idxs = noise.system.indices(noise.N)
-    mus = noise.coloring.weights(idxs)
-    dtype = float if noise.system.real else complex
-    out = np.empty((noise.N,) + grid.shape, dtype=dtype)
-    for i, idx in enumerate(idxs):
-        out[i] = noise.system.render(idx, grid).values()
-    return out * mus.reshape((-1,) + (1,) * grid.dim)
+    """Stacked samples of ``mu_n f_n`` on ``grid``, shape (N, *grid); cached per grid."""
+    return term_values(_noise_spec(noise, grid))
 
 
 def _ou_step_variance(mu: np.ndarray, lam: np.ndarray, dt: float) -> np.ndarray:
@@ -238,9 +239,13 @@ class SpaceTimeNorm:
 
 def trajectory_norms(traj: Trajectory, s: float, q: float,
                      oversample: int = 1) -> np.ndarray:
-    """Smoothness 1 - s spatial norm at every stored time."""
-    return np.array([hsq_norm(st, 1.0 - s, q, oversample=oversample)
-                     for st in traj.states])
+    """Smoothness 1 - s spatial norm at every stored time, in one batched pass."""
+    if not (1 < q < math.inf):
+        raise ValueError(f"q must lie in (1, inf), got {q}")
+    grid = traj.states[0].grid
+    coeffs = np.stack([st.coeffs for st in traj.states])
+    coeffs *= bessel_multiplier(grid, 1.0 - s)
+    return _batch_lq_norm(grid, coeffs, q, oversample)
 
 
 def spacetime_norm(traj: Trajectory, p: float, s: float, q: float,

@@ -121,11 +121,20 @@ class FourierSystem:
         return 1.0
 
     def render(self, idx, grid: Grid) -> SpectralField:
+        self._check_grid(grid)
+        return mode_field(grid, idx)
+
+    def lattice_positions(self, idxs, grid: Grid) -> np.ndarray:
+        """Flat positions of the frequencies ``idxs`` in the grid's coefficient array."""
+        self._check_grid(grid)
+        rows = np.array([grid.index_of_freq(k) for k in idxs], dtype=np.intp)
+        return np.ravel_multi_index(tuple(rows.T), grid.shape)
+
+    def _check_grid(self, grid: Grid) -> None:
         if grid.dim != self.dim:
             raise ValueError("grid dimension does not match system")
         if grid.length != 1.0:
             raise ValueError("Fourier modes are orthonormal on the unit torus only")
-        return mode_field(grid, idx)
 
 
 class HaarSystem:

@@ -168,10 +168,14 @@ class TestCliCommands:
         ("schatten-heat", "schatten.witness=false"),
         ("schatten-heat", "schatten.points=1"),
         ("dirichlet", "dirichlet.n_values=8"),
+        ("mg-sobolev", "mg_sobolev.levels=12"),
+        ("mg-sobolev", "mg_sobolev.width=0.25013 mg_sobolev.levels=12"),
     ])
     def test_rejected_value_exit_code(self, tmp_path, capsys, command, override):
+        # several space-separated overrides are passed in order; the first key is named
         out = tmp_path / "x.csv"
-        assert main([command, "--override", override, "--out", str(out)]) == 2
+        args = [arg for o in override.split() for arg in ("--override", o)]
+        assert main([command, *args, "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert override.split("=")[0] in err["detail"]

@@ -7,7 +7,8 @@ from gammanoise.grid import Grid, forward_transform, mode_field
 from gammanoise.norms import hsq_norm
 from gammanoise.rng import stream
 from gammanoise.series import (SeriesSpec, classify_growth, hs_gamma_norm_exact,
-                               mc_gamma_norm, sample_series, sq_function_gamma_norm)
+                               mc_gamma_norm, sample_series, series_coeffs,
+                               sq_function_gamma_norm, term_values)
 from gammanoise.systems import Coloring, FourierSystem, HaarSystem, SyntheticGrowthSystem
 
 
@@ -64,6 +65,36 @@ class TestSampleSeries:
         spec = SeriesSpec(grid, SyntheticGrowthSystem(1), Coloring.power_law(1.0), 8, 0.5, 2.0)
         with pytest.raises(TypeError):
             sample_series(spec, stream(9, 0))
+
+
+class TestSeriesCoeffs:
+    @pytest.mark.parametrize("dim,n,N", [(1, 128, 40), (2, 32, 60)])
+    @pytest.mark.parametrize("with_g", [False, True])
+    def test_fourier_matches_dense_term_stack(self, dim, n, N, with_g):
+        grid = Grid(dim, n)
+        gen = stream(13, dim)
+        g = forward_transform(grid, gen.standard_normal(grid.shape)) if with_g else None
+        spec = SeriesSpec(grid, FourierSystem(dim), Coloring.matern(0.6), N, 0.5, 2.0, g=g)
+        gam = gen.standard_normal((5, N)) + 1j * gen.standard_normal((5, N))
+        got = series_coeffs(spec, gam)
+        assert spec._terms is None
+        flat = term_values(spec).reshape(N, -1)
+        axes = tuple(range(1, dim + 1))
+        ref = np.fft.fftn((gam @ flat).reshape((5,) + grid.shape), axes=axes) / n**dim
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_mc_keeps_fourier_term_stack_unbuilt(self, fourier_spec):
+        mc_gamma_norm(fourier_spec, 20, seed=3)
+        assert fourier_spec._terms is None
+
+    def test_fourier_overflow_raises_like_term_values(self):
+        grid = Grid(1, 64)
+        mk = lambda: SeriesSpec(grid, FourierSystem(1), Coloring.matern(0.5), 100, 0.5, 2.0)
+        with pytest.raises(ValueError) as dense:
+            term_values(mk())
+        with pytest.raises(ValueError) as mc:
+            mc_gamma_norm(mk(), 4, seed=0)
+        assert str(mc.value) == str(dense.value) == "frequency -32 outside (-n/2, n/2] for n=64"
 
 
 class TestMcGammaNorm:

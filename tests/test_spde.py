@@ -9,8 +9,9 @@ from gammanoise.norms import hsq_norm, lq_norm
 from gammanoise.series import _linfit
 from gammanoise.spde import (DiagonalNoise, SpdeConfig, SystemNoise, Trajectory,
                              scaling_diagnostic, second_moment_closed_form,
-                             second_moment_exp_euler, simulate, spacetime_norm)
-from gammanoise.systems import Coloring, HaarSystem
+                             second_moment_exp_euler, simulate, spacetime_norm,
+                             term_values_for_system, trajectory_norms)
+from gammanoise.systems import Coloring, FourierSystem, HaarSystem
 
 
 @pytest.fixture
@@ -97,6 +98,43 @@ class TestSimulate:
         traj = simulate(cfg, seed=51)
         assert len(traj.states) == 6
         assert np.any(np.abs(traj.final().coeffs) > 0)
+        # the term stack is built once per noise and grid, not per trajectory
+        stack = term_values_for_system(system, small_grid)
+        simulate(cfg, seed=51, traj_index=1)
+        assert term_values_for_system(system, small_grid) is stack
+        assert list(system._specs) == [small_grid]
+
+    @pytest.mark.parametrize("with_g", [False, True])
+    def test_exp_euler_fourier_series_noise_matches_term_stack(self, small_grid, with_g):
+        # one Euler step: the lattice scatter equals the dense stack's increment
+        from gammanoise.grid import forward_transform
+        from gammanoise.rng import complex_standard_normal, stream
+        noise = SystemNoise(FourierSystem(1), Coloring.matern(0.5), 20)
+        g = forward_transform(small_grid, stream(7).standard_normal(small_grid.shape))
+        dt = 0.01
+        cfg = SpdeConfig(small_grid, noise, T=dt, dt=dt, integrator="exp_euler",
+                         g=g if with_g else None)
+        got = simulate(cfg, seed=53).final().coeffs
+        assert noise._specs[small_grid]._terms is None
+        gam = complex_standard_normal(stream(53, 0, 1), (noise.N,))
+        vals = (gam @ term_values_for_system(noise, small_grid)) * math.sqrt(dt)
+        if with_g:
+            vals = vals * g.values()
+        decay = np.exp(-4 * np.pi**2 * small_grid.k2_physical() * dt)
+        ref = decay * np.fft.fft(vals) / small_grid.n
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_exp_euler_unit_g_matches_transform_round_trip(self, small_grid):
+        # g = 1 forms the increment on the lattice; a constant field 1 sends
+        # the same draws through the inverse/forward transform pair
+        from gammanoise.grid import constant_field
+        noise = DiagonalNoise.matern(small_grid, 0.5)
+        plain = SpdeConfig(small_grid, noise, T=0.05, dt=0.01, integrator="exp_euler")
+        unit = SpdeConfig(small_grid, noise, T=0.05, dt=0.01, integrator="exp_euler",
+                          g=constant_field(small_grid, 1.0))
+        a = simulate(plain, seed=52).final().coeffs
+        b = simulate(unit, seed=52).final().coeffs
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
 class TestClosedForm:
@@ -174,6 +212,14 @@ class TestClosedForm:
 
 
 class TestSpacetimeNorm:
+    @pytest.mark.parametrize("dim,q", [(1, 2.0), (1, 4.0), (2, 2.0), (2, 3.0)])
+    def test_trajectory_norms_match_per_state_loop(self, dim, q):
+        grid = Grid(dim, 16)
+        cfg = SpdeConfig(grid, DiagonalNoise.matern(grid, 0.4), T=0.05, dt=0.01)
+        traj = simulate(cfg, seed=17)
+        ref = [hsq_norm(st, 1.0 - 0.7, q, oversample=1) for st in traj.states]
+        assert trajectory_norms(traj, 0.7, q).tolist() == ref
+
     def test_zero_trajectory(self, small_grid):
         cfg = SpdeConfig(small_grid, DiagonalNoise.zero(small_grid), T=0.1, dt=0.01)
         st = spacetime_norm(simulate(cfg, seed=0), 2.0, 0.9, 2.0)
