@@ -8,6 +8,7 @@ parameter boundaries where the sharp convergence conditions flip.
 """
 
 from .conditions import ParamTuple, predicted_exponent, sharp_condition
+from .fit import classify_growth
 from .grid import (Grid, SpectralField, constant_field, field_from_function,
                    forward_transform, inverse_transform, mode_field, product,
                    zero_field)
@@ -16,8 +17,8 @@ from .norms import (bessel_apply, bessel_kernel, hsq_norm, lp_block, lq_norm,
 from .operators import (ConvPair, afg_bruteforce_hs, afg_gamma_norm,
                         endpoint_checks, gamma_young_check,
                         mg_sobolev_gamma_norm, schatten_heat_norm)
-from .series import (MCEstimate, SeriesSpec, classify_growth, hs_gamma_norm_exact,
-                     mc_gamma_norm, sample_series, sq_function_gamma_norm)
+from .series import (MCEstimate, SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm,
+                     sample_series, sq_function_gamma_norm)
 from .spde import (DiagonalNoise, SpdeConfig, SystemNoise, Trajectory,
                    scaling_diagnostic, second_moment_closed_form, simulate,
                    spacetime_norm)

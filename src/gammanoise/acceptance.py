@@ -17,14 +17,14 @@ import numpy as np
 from .conditions import ParamTuple, sharp_condition
 from .experiments import (dirichlet_norm_test, frequency_block_test,
                           rescaled_bump_test)
+from .fit import classify_growth, linfit
 from .grid import Grid, SpectralField, constant_field, forward_transform
-from .norms import bessel_kernel, lq_norm, weak_lp_norm
+from .norms import bessel_kernel, hsq_norm, lq_norm, weak_lp_norm
 from .operators import (ConvPair, afg_bruteforce_hs, afg_gamma_norm,
                         heat_kernel_field, schatten_heat_norm)
 from .output import csv_bytes, format_value
 from .rng import stream
-from .series import (SeriesSpec, _linfit, classify_growth, hs_gamma_norm_exact,
-                     mc_gamma_norm)
+from .series import SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm
 from .spde import (DiagonalNoise, SpdeConfig, second_moment_closed_form,
                    second_moment_exp_euler, simulate)
 from .systems import Coloring, FourierSystem, haar_lattice_sums
@@ -211,7 +211,7 @@ def criterion_9(seed: int, workers: int = 1):
             kern = heat_kernel_field(grid, t)
             gt = forward_transform(grid, np.sqrt(np.maximum(kern.values(), 0.0)))
             wit.append(schatten_heat_norm(gt, t))
-        slope, _ = _linfit(np.log(ts_w), np.log(wit))
+        slope, _ = linfit(np.log(ts_w), np.log(wit))
         metrics[f"spread_d{d}"] = spread
         metrics[f"witness_exp_d{d}"] = slope
         passed = passed and spread <= 2.0 and abs(slope + d / 4.0) <= 0.05
@@ -232,7 +232,9 @@ def criterion_10(seed: int, workers: int = 1):
     noise = DiagonalNoise.matern(grid, 0.3)
     cfg = SpdeConfig(grid, noise, T=0.1, dt=1e-3)
     closed = second_moment_closed_form(cfg, s)
-    sq = _trajectory_norms_sq(cfg, s, M=500, seed=seed ^ 0xC10, workers=workers)
+    finals = (simulate(cfg, seed=seed ^ 0xC10, traj_index=i, keep_states=False).final()
+              for i in range(500))
+    sq = [hsq_norm(u, 1.0 - s, 2.0) ** 2 for u in finals]
     mean = math.fsum(sq) / len(sq)
     stderr = math.sqrt(math.fsum((x - mean) ** 2 for x in sq) / (len(sq) - 1) / len(sq))
     z = abs(mean - closed) / stderr
@@ -245,37 +247,17 @@ def criterion_10(seed: int, workers: int = 1):
     for dt in dts:
         c = SpdeConfig(grid, noise1, T=0.1, dt=dt, integrator="exp_euler")
         errs.append(abs(second_moment_exp_euler(c, s) - closed1))
-    order, r2 = _linfit(np.log(dts), np.log(errs))
+    order, r2 = linfit(np.log(dts), np.log(errs))
     passed = z <= 3.0 and order >= 0.8
     return passed, {"mc_mean": mean, "closed_form": closed, "z": z,
                     "euler_order": order, "euler_r2": r2}
-
-
-def _trajectory_norms_sq(cfg: SpdeConfig, s: float, M: int, seed: int,
-                         workers: int = 1):
-    from concurrent.futures import ThreadPoolExecutor
-    from .norms import hsq_norm
-
-    out = [0.0] * M
-
-    def one(i: int) -> None:
-        traj = simulate(cfg, seed=seed, traj_index=i, keep_states=False)
-        out[i] = hsq_norm(traj.final(), 1.0 - s, 2.0) ** 2
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, range(M)))
-    else:
-        for i in range(M):
-            one(i)
-    return out
 
 
 def criterion_11(seed: int, workers: int = 1):
     """Logarithmic divergence of the Haar coloring exactly at criticality."""
     js = list(range(2, 13))
     crit = haar_lattice_sums(0.5, 1.0, 2.0, 1, js)
-    _, affine_r2 = _linfit(np.array(js, dtype=float), crit)
+    _, affine_r2 = linfit(np.array(js, dtype=float), crit)
     inc = np.diff(crit)
     inc_spread = float(inc.max() / inc.min())
 

@@ -24,14 +24,14 @@ from .config import COMMANDS, ConfigError, load_config
 from .experiments import (boundary_sweep, dirichlet_norm_test,
                           frequency_block_test, rescaled_bump_test,
                           shifted_bump_test)
+from .fit import linfit
 from .grid import Grid, constant_field, forward_transform
 from .norms import bessel_kernel, lq_norm
 from .operators import (gamma_young_check, heat_kernel_field,
                         mg_sobolev_gamma_norm, schatten_heat_norm)
 from .output import OpTimer, RunManifest, config_hash, write_csv
 from .rng import stream
-from .series import (SeriesSpec, _linfit, hs_gamma_norm_exact, mc_gamma_norm,
-                     sq_function_gamma_norm)
+from .series import SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm, sq_function_gamma_norm
 from .spde import DiagonalNoise, SpdeConfig, simulate, spacetime_norm
 from .systems import (Coloring, FourierSystem, HaarSystem, ShiftedBumpSystem,
                       bump_values, haar_lattice_sums)
@@ -89,6 +89,49 @@ def build_g(block: dict, grid: Grid):
     raise ConfigError(f"unknown g kind {kind!r}")
 
 
+def _fit_values(cfg: dict, section: str, key: str) -> list:
+    """``cfg[section][key]``, rejected unless it gives a fit 2 distinct points."""
+    values = cfg[section][key]
+    if len(set(values)) < 2:
+        raise ConfigError(f"{section}.{key} needs at least 2 distinct values to fit an "
+                          f"exponent, got {values}")
+    return values
+
+
+def _fit_range(cfg: dict, section: str, lo: str, hi: str) -> range:
+    """``range(lo, hi + 1)`` from ``cfg[section]``, rejected unless it holds 2 points."""
+    a, b = cfg[section][lo], cfg[section][hi]
+    if b - a < 1:
+        raise ConfigError(f"{section}.{lo}={a} and {section}.{hi}={b} give fewer than 2 "
+                          "points to fit an exponent")
+    return range(a, b + 1)
+
+
+def _at_least_one(cfg: dict, section: str, key: str) -> int:
+    """``cfg[section][key]``, rejected below 1."""
+    value = cfg[section][key]
+    if value < 1:
+        raise ConfigError(f"{section}.{key} must be >= 1, got {value}")
+    return value
+
+
+def _worker_count(cfg: dict, flag) -> int:
+    """``--workers``, else ``GAMMANOISE_WORKERS``, else ``run.workers``; each given must be >= 1."""
+    given = [("--workers", flag), ("GAMMANOISE_WORKERS", os.environ.get("GAMMANOISE_WORKERS")),
+             ("run.workers", cfg["run"]["workers"])]
+    counts = []
+    for name, raw in given:
+        if raw is None:
+            continue
+        try:
+            counts.append(int(raw))
+        except ValueError:
+            raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+        if counts[-1] < 1:
+            raise ConfigError(f"{name} must be >= 1, got {counts[-1]}")
+    return counts[0]
+
+
 def _params_from(block: dict) -> ParamTuple:
     zeta = block["zeta"]
     if zeta <= 0:
@@ -123,7 +166,7 @@ def run_sweep(cfg, seed, workers, timer):
     tuples = [ParamTuple(blk["d"], s, blk["q"], blk["eta"],
                          blk["zeta"] if blk["zeta"] > 0 else math.inf)
               for s in blk["s_values"]]
-    cells = boundary_sweep(tuples, blk["construction"], blk["scales"])
+    cells = boundary_sweep(tuples, blk["construction"], _fit_values(cfg, "sweep", "scales"))
     rows = []
     failed = 0
     for c in cells:
@@ -149,8 +192,7 @@ def _two_sided_rows(records, fit):
 
 def run_freq_block(cfg, seed, workers, timer):
     params = _params_from(cfg["params"])
-    blk = cfg["freq_block"]
-    records, fit = frequency_block_test(params, range(blk["n_min"], blk["n_max"] + 1),
+    records, fit = frequency_block_test(params, _fit_range(cfg, "freq_block", "n_min", "n_max"),
                                         oversample=cfg["run"]["oversample"])
     return _two_sided_rows(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
 
@@ -158,7 +200,7 @@ def run_freq_block(cfg, seed, workers, timer):
 def run_rescaled_bump(cfg, seed, workers, timer):
     params = _params_from(cfg["params"])
     blk = cfg["rescaled_bump"]
-    records, fit = rescaled_bump_test(params, range(blk["m_min"], blk["m_max"] + 1),
+    records, fit = rescaled_bump_test(params, _fit_range(cfg, "rescaled_bump", "m_min", "m_max"),
                                       n=blk["n"], width=blk["width"],
                                       oversample=cfg["run"]["oversample"])
     return _two_sided_rows(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
@@ -167,7 +209,7 @@ def run_rescaled_bump(cfg, seed, workers, timer):
 def run_shifted_bump(cfg, seed, workers, timer):
     params = _params_from(cfg["params"])
     blk = cfg["shifted_bump"]
-    records, fit, _ = shifted_bump_test(params, blk["extents"],
+    records, fit, _ = shifted_bump_test(params, _fit_values(cfg, "shifted_bump", "extents"),
                                         resolution=blk["resolution"],
                                         width=blk["width"],
                                         oversample=cfg["run"]["oversample"])
@@ -176,9 +218,7 @@ def run_shifted_bump(cfg, seed, workers, timer):
 
 def run_dirichlet(cfg, seed, workers, timer):
     blk = cfg["dirichlet"]
-    if len(blk["n_values"]) < 2:
-        raise ConfigError("dirichlet.n_values needs at least 2 values to fit an exponent")
-    rows_raw, fit = dirichlet_norm_test(blk["eta"], blk["n_values"],
+    rows_raw, fit = dirichlet_norm_test(blk["eta"], _fit_values(cfg, "dirichlet", "n_values"),
                                         oversample=cfg["run"]["oversample"])
     rows = [{"N": N, "terms": terms, "norm": val, "eta": blk["eta"],
              "fitted_exponent": fit.exponent, "predicted_exponent": fit.predicted,
@@ -195,7 +235,7 @@ def run_gamma_young(cfg, seed, workers, timer):
     eta = 1.0 / (1.0 / q + 0.5 - 1.0 / r)
     kernel = bessel_kernel(grid, s)
     rows = []
-    for i in range(blk["trials"]):
+    for i in range(_at_least_one(cfg, "gamma_young", "trials")):
         gen = stream(seed, i)
         g = forward_transform(grid, gen.standard_normal(grid.shape))
         lhs, rhs, ratio = gamma_young_check(kernel, g, q, r, eta,
@@ -211,7 +251,7 @@ def run_mg_sobolev(cfg, seed, workers, timer):
     blk = cfg["mg_sobolev"]
     coords = [np.broadcast_to(x, grid.shape) for x in grid.coords()]
     rows = []
-    for m in range(blk["levels"]):
+    for m in range(_at_least_one(cfg, "mg_sobolev", "levels")):
         w = blk["width"] * 2.0**-m
         g = forward_transform(grid, bump_values(coords, w / 2.0, w))
         g_eta = lq_norm(g, blk["eta"], oversample=cfg["run"]["oversample"])
@@ -233,8 +273,9 @@ def run_schatten_heat(cfg, seed, workers, timer):
     if not blk["witness"]:
         raise ConfigError("schatten.witness=false is not supported: "
                           "the norm_witness column is always written")
-    if blk["points"] < 2:
-        raise ConfigError("schatten.points must be >= 2 to fit the witness exponent")
+    if blk["points"] < 2 or blk["t_min"] == blk["t_max"]:
+        raise ConfigError("schatten.points must be >= 2 and schatten.t_min != schatten.t_max "
+                          "to fit the witness exponent")
     grid = Grid(blk["d"], blk["n"])
     one = constant_field(grid, 1.0)
     ts = np.geomspace(blk["t_min"], blk["t_max"], blk["points"])
@@ -246,15 +287,14 @@ def run_schatten_heat(cfg, seed, workers, timer):
         rows.append({"d": blk["d"], "t": float(t), "norm_g1": val,
                      "scaled_g1": float(t) ** (blk["d"] / 4.0) * val,
                      "norm_witness": schatten_heat_norm(gt, float(t))})
-    slope, _ = _linfit(np.log(ts), np.log([r["norm_witness"] for r in rows]))
+    slope, _ = linfit(np.log(ts), np.log([r["norm_witness"] for r in rows]))
     return rows, {"witness_exponent": slope}, EXIT_OK
 
 
 def run_heat_sim(cfg, seed, workers, timer):
     grid = build_grid(cfg["grid"])
     blk = cfg["heat"]
-    if blk["trajectories"] < 1:
-        raise ConfigError(f"heat.trajectories must be >= 1, got {blk['trajectories']}")
+    _at_least_one(cfg, "heat", "trajectories")
     kind = blk["noise"]
     if kind == "matern":
         noise = DiagonalNoise.matern(grid, blk["alpha"])
@@ -287,7 +327,7 @@ def run_scaling(cfg, seed, workers, timer):
     zeta = 1.0 / blk["alpha"] * grid.dim
     params = ParamTuple(grid.dim, blk["s"], blk["q"], blk["eta"], zeta)
     rep = scaling_diagnostic(blk["alpha"], zeta, params,
-                             range(blk["m_min"], blk["m_max"] + 1), grid=grid,
+                             _fit_range(cfg, "scaling", "m_min", "m_max"), grid=grid,
                              levels=blk["levels"], beta=blk["beta"],
                              oversample=cfg["run"]["oversample"])
     rows = [{"m": m, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
@@ -373,6 +413,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.command, args.config, args.override)
+        workers = _worker_count(cfg, args.workers)
     except ConfigError as exc:
         json.dump({"error": "config", "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
@@ -380,9 +421,6 @@ def main(argv=None) -> int:
 
     seed = args.seed if args.seed is not None else cfg["run"]["seed"]
     out = args.out if args.out is not None else cfg["run"]["out"]
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("GAMMANOISE_WORKERS", cfg["run"]["workers"]))
 
     timer = OpTimer()
     try:

@@ -10,19 +10,17 @@ R^2 < 0.9 is reported inconclusive rather than classified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .conditions import ParamTuple, predicted_exponent, sharp_condition
-from .grid import Grid, SpectralField, forward_transform, mode_field
+from .fit import fit_line, fit_ratio_exponent, growth_label
+from .grid import Grid, SpectralField, forward_transform
 from .norms import hsq_norm, lq_norm
-from .series import _linfit, sq_function_from_terms
-from .systems import (ShiftedBumpSystem, bump_values, frequency_block,
+from .series import render_terms, sq_function_from_terms
+from .systems import (FourierSystem, ShiftedBumpSystem, bump_values, frequency_block,
                       plateau_values, rank_one_mu_norm)
-
-FIT_R2_MIN = 0.9
-MARGINAL_EXPONENT = 0.05
 
 
 @dataclass(frozen=True)
@@ -39,44 +37,6 @@ class SweepRecord:
         if self.rhs > 0:
             return self.lhs / self.rhs
         return math.inf if self.lhs > 0 else 0.0
-
-    def as_row(self) -> dict:
-        row = asdict(self)
-        row["ratio"] = self.ratio
-        return row
-
-
-@dataclass(frozen=True)
-class FitReport:
-    exponent: float
-    intercept: float
-    r2: float
-    npoints: int
-    predicted: float
-
-    @property
-    def conclusive(self) -> bool:
-        # a flat ratio has no trend to fit; only trust trends with good fits
-        return self.r2 >= FIT_R2_MIN or abs(self.exponent) <= MARGINAL_EXPONENT
-
-
-def fit_ratio_exponent(records, predicted: float, log_base: float = 2.0) -> FitReport:
-    xs = np.array([r.scale_index for r in records], dtype=float)
-    ys = np.array([r.ratio for r in records], dtype=float)
-    if np.any(ys <= 0):
-        raise ValueError("ratio sweep contains nonpositive values")
-    slope, r2 = _linfit(xs, np.log(ys) / math.log(log_base))
-    intercept = float(np.mean(np.log(ys) / math.log(log_base)) - slope * np.mean(xs))
-    return FitReport(slope, intercept, r2, len(records), predicted)
-
-
-def growth_label(fit: FitReport, tol: float = MARGINAL_EXPONENT) -> str:
-    """bounded / divergent / log-divergent / inconclusive from a ratio fit."""
-    if abs(fit.exponent) <= tol:
-        return "log-divergent"
-    if fit.r2 < FIT_R2_MIN:
-        return "inconclusive"
-    return "divergent" if fit.exponent > 0 else "bounded"
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +67,12 @@ def frequency_block_test(params: ParamTuple, N_range, oversample: int = 2,
     if params.d == 2 and n > 1024:
         raise ValueError("2-d blocks need N <= 7 to stay within the grid budget")
     grid = Grid(params.d, n)
+    system = FourierSystem(params.d)
     records = []
     for N in N_range:
         block = frequency_block(N, params.d)
         g = block_field(grid, N)
-        terms = np.empty((len(block),) + grid.shape, dtype=complex)
-        gv = g.values()
-        for i, k in enumerate(block):
-            terms[i] = mode_field(grid, k).values() * gv
+        terms = render_terms(system, block, grid, np.ones(len(block)), g.values())
         # the square function at q = 2 is the exact Hilbert-Schmidt value
         lhs = sq_function_from_terms(grid, terms, params.s, params.q,
                                      oversample=oversample)
@@ -193,9 +151,7 @@ def shifted_bump_test(params: ParamTuple, N_range, resolution: int = 64,
             centered = np.where(centered > length / 2, centered - length, centered)
             gv += plateau_values([centered], 0.0, width + 0.1, width + 0.3)
         g = forward_transform(grid, gv)
-        terms = np.empty((len(idxs),) + grid.shape)
-        for i, k in enumerate(idxs):
-            terms[i] = system.render(k, grid).values() * gv
+        terms = render_terms(system, idxs, grid, np.ones(len(idxs)), gv)
         lhs = sq_function_from_terms(grid, terms, params.s, params.q,
                                      oversample=oversample)
         mu_norm = 1.0 if math.isinf(params.zeta) else len(idxs) ** (1.0 / params.zeta)
@@ -237,11 +193,8 @@ def dirichlet_norm_test(eta: float, N_range, oversample: int = 4):
         grid = Grid(1, n)
         val = lq_norm(dirichlet_field(grid, N), eta, oversample=oversample)
         rows.append((N, 2 * N + 1, val))
-    xs = np.log2([r[1] for r in rows])
-    ys = np.log2([r[2] for r in rows])
-    slope, r2 = _linfit(xs, ys)
-    fit = FitReport(slope, float(np.mean(ys) - slope * np.mean(xs)), r2,
-                    len(rows), 1.0 - 1.0 / eta)
+    fit = fit_line(np.log2([r[1] for r in rows]), np.log2([r[2] for r in rows]),
+                   1.0 - 1.0 / eta)
     return rows, fit
 
 

@@ -1,0 +1,129 @@
+"""Line fits and growth labels: the one place an exponent is fitted.
+
+``linfit`` is the least-squares regression every construction's exponent
+comes from.  Two label sets sit on top of it, and both reach CSVs as they
+are: ``growth_label`` turns a ratio fit into bounded / divergent /
+log-divergent / inconclusive, and ``classify_growth`` turns a norm sequence
+over truncations into convergent / divergent / log_divergent / inconclusive.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+FIT_R2_MIN = 0.9
+MARGINAL_EXPONENT = 0.05
+
+
+def linfit(x, y):
+    """Least-squares slope and R^2 of y against x.
+
+    Raises ``ValueError`` with fewer than 2 points or when every x is equal,
+    where no slope exists.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size < 2:
+        raise ValueError(f"a line fit needs at least 2 points, got {x.size}")
+    xm, ym = x.mean(), y.mean()
+    sxx = np.sum((x - xm) ** 2)
+    if sxx == 0:
+        raise ValueError("a line fit needs at least 2 distinct x values")
+    sxy = np.sum((x - xm) * (y - ym))
+    syy = np.sum((y - ym) ** 2)
+    slope = sxy / sxx
+    r2 = 1.0 if syy == 0 else (sxy * sxy) / (sxx * syy)
+    return float(slope), float(r2)
+
+
+@dataclass(frozen=True)
+class FitReport:
+    exponent: float
+    intercept: float
+    r2: float
+    npoints: int
+    predicted: float
+
+    @property
+    def conclusive(self) -> bool:
+        # a flat ratio has no trend to fit; only trust trends with good fits
+        return self.r2 >= FIT_R2_MIN or abs(self.exponent) <= MARGINAL_EXPONENT
+
+
+def fit_line(xs, ys, predicted: float) -> FitReport:
+    """Fitted slope, intercept and R^2 of ys against xs, next to a prediction."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    slope, r2 = linfit(xs, ys)
+    intercept = float(np.mean(ys) - slope * np.mean(xs))
+    return FitReport(slope, intercept, r2, len(xs), predicted)
+
+
+def fit_ratio_exponent(records, predicted: float, log_base: float = 2.0) -> FitReport:
+    """Growth exponent of ``log_base``-log ratios against each record's scale index."""
+    xs = np.array([r.scale_index for r in records], dtype=float)
+    ys = np.array([r.ratio for r in records], dtype=float)
+    if np.any(ys <= 0):
+        raise ValueError("ratio sweep contains nonpositive values")
+    return fit_line(xs, np.log(ys) / math.log(log_base), predicted)
+
+
+def growth_label(fit: FitReport, tol: float = MARGINAL_EXPONENT) -> str:
+    """bounded / divergent / log-divergent / inconclusive from a ratio fit."""
+    if abs(fit.exponent) <= tol:
+        return "log-divergent"
+    if fit.r2 < FIT_R2_MIN:
+        return "inconclusive"
+    return "divergent" if fit.exponent > 0 else "bounded"
+
+
+@dataclass(frozen=True)
+class GrowthReport:
+    label: str      # convergent | divergent | log_divergent | inconclusive
+    slope: float    # log-log slope
+    r2: float       # of the log-log fit
+    log_r2: float   # of the value-versus-log-N fit
+    npoints: int
+
+
+def classify_growth(points, slope_tol: float = 0.05, r2_min: float = 0.9,
+                    log_r2_min: float = 0.95, increment_ratio: float = 0.9) -> GrowthReport:
+    """Classify a norm sequence over geometric truncations N.
+
+    Divergent when the log-log slope exceeds ``slope_tol`` with a good fit;
+    convergent when successive increments decay geometrically; log-divergent
+    when the values are affine in log N with small log-log slope.
+    """
+    pts = sorted((float(n), float(v)) for n, v in points)
+    if len(pts) < 4:
+        raise ValueError("need at least 4 points to classify growth")
+    ns = np.array([p[0] for p in pts])
+    vs = np.array([p[1] for p in pts])
+    if np.any(ns <= 0):
+        raise ValueError("truncations must be positive")
+
+    scale = np.max(np.abs(vs))
+    if scale == 0:
+        return GrowthReport("convergent", 0.0, 1.0, 1.0, len(pts))
+
+    log_n = np.log(ns)
+    with np.errstate(divide="ignore"):
+        log_v = np.log(np.maximum(vs, 1e-300))
+    slope, r2 = linfit(log_n, log_v)
+    _, log_r2 = linfit(log_n, vs)
+
+    if slope > slope_tol and r2 > r2_min:
+        return GrowthReport("divergent", slope, r2, log_r2, len(pts))
+
+    inc = np.diff(vs)
+    if np.all(np.abs(inc) <= 1e-12 * scale):
+        return GrowthReport("convergent", slope, r2, log_r2, len(pts))
+    if np.all(inc > 0) and np.all(inc[1:] < increment_ratio * inc[:-1]):
+        return GrowthReport("convergent", slope, r2, log_r2, len(pts))
+
+    if log_r2 > log_r2_min and slope <= slope_tol:
+        return GrowthReport("log_divergent", slope, r2, log_r2, len(pts))
+    return GrowthReport("inconclusive", slope, r2, log_r2, len(pts))

@@ -72,21 +72,28 @@ class MCEstimate:
     mean_norm: float = 0.0
 
 
+def render_terms(system, idxs, grid: Grid, weights, g_values=None) -> np.ndarray:
+    """Stacked physical samples of ``g w_i f_i`` over ``idxs``, shape (len(idxs), *grid).
+
+    Each member is rendered, multiplied by its weight, then by ``g_values``
+    when given, in that order; real systems give a real stack.
+    """
+    terms = np.empty((len(idxs),) + grid.shape, dtype=float if system.real else complex)
+    for i, idx in enumerate(idxs):
+        terms[i] = system.render(idx, grid).values()
+    terms = terms * np.reshape(weights, (-1,) + (1,) * grid.dim)
+    if g_values is not None:
+        terms = terms * g_values
+    return terms
+
+
 def term_values(spec: SeriesSpec) -> np.ndarray:
     """Stacked physical samples of ``g mu_n f_n``, shape (N, *grid); cached."""
-    if spec._terms is not None:
-        return spec._terms
-    idxs = spec.system.indices(spec.N)
-    mus = spec.coloring.weights(idxs)
-    dtype = float if spec.system.real else complex
-    terms = np.empty((spec.N,) + spec.grid.shape, dtype=dtype)
-    for i, idx in enumerate(idxs):
-        terms[i] = spec.system.render(idx, spec.grid).values()
-    terms = terms * mus.reshape((-1,) + (1,) * spec.grid.dim)
-    if spec.g is not None:
-        terms = terms * spec.g.values()
-    spec._terms = terms
-    return terms
+    if spec._terms is None:
+        idxs = spec.system.indices(spec.N)
+        spec._terms = render_terms(spec.system, idxs, spec.grid, spec.coloring.weights(idxs),
+                                   None if spec.g is None else spec.g.values())
+    return spec._terms
 
 
 def series_coeffs(spec: SeriesSpec, gam: np.ndarray) -> np.ndarray:
@@ -223,65 +230,3 @@ def sq_function_from_terms(grid: Grid, terms: np.ndarray, s: float, q: float,
             acc += np.abs(fine) ** 2
     cell = (grid.length / (grid.n * oversample)) ** grid.dim
     return float((np.sum(acc ** (q / 2.0)) * cell) ** (1.0 / q))
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    label: str      # convergent | divergent | log_divergent | inconclusive
-    slope: float    # log-log slope
-    r2: float       # of the log-log fit
-    log_r2: float   # of the value-versus-log-N fit
-    npoints: int
-
-
-def classify_growth(points, slope_tol: float = 0.05, r2_min: float = 0.9,
-                    log_r2_min: float = 0.95, increment_ratio: float = 0.9) -> GrowthReport:
-    """Classify a norm sequence over geometric truncations N.
-
-    Divergent when the log-log slope exceeds ``slope_tol`` with a good fit;
-    convergent when successive increments decay geometrically; log-divergent
-    when the values are affine in log N with small log-log slope.
-    """
-    pts = sorted((float(n), float(v)) for n, v in points)
-    if len(pts) < 4:
-        raise ValueError("need at least 4 points to classify growth")
-    ns = np.array([p[0] for p in pts])
-    vs = np.array([p[1] for p in pts])
-    if np.any(ns <= 0):
-        raise ValueError("truncations must be positive")
-
-    scale = np.max(np.abs(vs))
-    if scale == 0:
-        return GrowthReport("convergent", 0.0, 1.0, 1.0, len(pts))
-
-    log_n = np.log(ns)
-    with np.errstate(divide="ignore"):
-        log_v = np.log(np.maximum(vs, 1e-300))
-    slope, r2 = _linfit(log_n, log_v)
-    _, log_r2 = _linfit(log_n, vs)
-
-    if slope > slope_tol and r2 > r2_min:
-        return GrowthReport("divergent", slope, r2, log_r2, len(pts))
-
-    inc = np.diff(vs)
-    if np.all(np.abs(inc) <= 1e-12 * scale):
-        return GrowthReport("convergent", slope, r2, log_r2, len(pts))
-    if np.all(inc > 0) and np.all(inc[1:] < increment_ratio * inc[:-1]):
-        return GrowthReport("convergent", slope, r2, log_r2, len(pts))
-
-    if log_r2 > log_r2_min and slope <= slope_tol:
-        return GrowthReport("log_divergent", slope, r2, log_r2, len(pts))
-    return GrowthReport("inconclusive", slope, r2, log_r2, len(pts))
-
-
-def _linfit(x: np.ndarray, y: np.ndarray):
-    """Least-squares slope and R^2 of y against x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xm, ym = x.mean(), y.mean()
-    sxx = np.sum((x - xm) ** 2)
-    sxy = np.sum((x - xm) * (y - ym))
-    syy = np.sum((y - ym) ** 2)
-    slope = sxy / sxx
-    r2 = 1.0 if syy == 0 else (sxy * sxy) / (sxx * syy)
-    return float(slope), float(r2)

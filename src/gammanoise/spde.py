@@ -17,7 +17,8 @@ import numpy as np
 from .grid import Grid, SpectralField, forward_transform
 from .norms import bessel_multiplier, lq_norm
 from .rng import complex_standard_normal, stream
-from .series import (SeriesSpec, _batch_lq_norm, _draw_gammas, _linfit, series_coeffs,
+from .fit import linfit
+from .series import (SeriesSpec, _batch_lq_norm, _draw_gammas, render_terms, series_coeffs,
                      sq_function_from_terms, term_values)
 from .systems import Coloring, HaarSystem, bump_values
 from .conditions import ParamTuple, predicted_exponent
@@ -302,16 +303,14 @@ def scaling_diagnostic(alpha: float, zeta: float, params: ParamTuple, m_range,
     for m in m_range:
         haar = HaarSystem(d, 0, j_hi + m)
         scale = 2.0 ** (m * (alpha - d / 2.0))
-        entries = []
+        idxs, weights = [], []
         for j in range(j_hi + 1):
             for idx in HaarSystem(d, j, j).level_indices(j):
                 sigma, _, k = idx
-                w = scale * base.value(idx, 1)
-                entries.append(((sigma, j + m, k), w))
-        terms = np.empty((len(entries),) + grid.shape)
+                idxs.append((sigma, j + m, k))
+                weights.append(scale * base.value(idx, 1))
         mu_zeta = 0.0
-        for i, (idx, w) in enumerate(entries):
-            terms[i] = haar.render(idx, grid).values() * w
+        for idx, w in zip(idxs, weights):
             if math.isinf(zeta):
                 mu_zeta = max(mu_zeta, abs(w))
             else:
@@ -319,7 +318,7 @@ def scaling_diagnostic(alpha: float, zeta: float, params: ParamTuple, m_range,
         mu_norm = mu_zeta if math.isinf(zeta) else mu_zeta ** (1.0 / zeta)
 
         gm = bump_values(coords, g_width * 2.0 ** (-m - 1), g_width * 2.0 ** (-m))
-        terms = terms * gm
+        terms = render_terms(haar, idxs, grid, weights, gm)
         lhs = sq_function_from_terms(grid, terms, params.s, params.q, oversample=oversample)
         g_field = forward_transform(grid, gm)
         rhs = lq_norm(g_field, params.eta, oversample=oversample) * mu_norm
@@ -327,7 +326,7 @@ def scaling_diagnostic(alpha: float, zeta: float, params: ParamTuple, m_range,
 
     ms = np.array([p[0] for p in points], dtype=float)
     ratios = np.array([p[1] / p[2] for p in points])
-    slope, r2 = _linfit(ms, np.log2(ratios))
+    slope, r2 = linfit(ms, np.log2(ratios))
     pred = predicted_exponent(params, "spde_scaling", alpha=alpha)
     return ScalingReport(exponent=float(slope), predicted=pred, r2=float(r2),
                          points=tuple(points))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -135,7 +136,38 @@ class TestBinaryDump:
         assert int.from_bytes(raw[4:8], "little") == 32
 
 
+# sha256 of each command's CSV at its default config (selftest, at about 20 s,
+# is left to the acceptance tests)
+DEFAULT_CSV_SHA256 = {
+    "dirichlet": "63a69dc7c234c6dcfcf0b80ad99252314a55424242859456a6deff2ecce978f8",
+    "freq-block": "0859d0137358615f049fca926fcb7b92cfda9cc20bcc47e3a7069fc1fa08da4c",
+    "gamma-young": "7e6e1f060a18b2c382bd67cdb2a8bc86cd6785de0e3f60491ed2ac1d0f05bea1",
+    "haar-divergence": "ebfe39e7ec725fc5c1a2fb4469e2606949ba175dc21b3a743dc8f20fcac83a67",
+    "heat-sim": "12e88eaf4e39b44aa47edea7ff3f0d1a5f0bc02f2f879d7fc427c44d7ff7f3d0",
+    "mg-sobolev": "a454fb20dc1b2a273e62a24e43a90572e17cc270c23072b617bc19a34f2d5c30",
+    "rescaled-bump": "7c8e1831a5d157cc7bbc2529482efca925d49a219c8eaa7b54d87c7307cc1b7f",
+    "scaling": "7f2ed58a2109242f0b532e86c191d8b219c3b9a432922b0a1efbb9f090171edd",
+    "schatten-heat": "ccd31bb41fce84f5ef634db10adcfdb8f4c02a75265ca8ed59ec914f859da202",
+    "series-norm": "4da738ea52efc915103b9f1da74d16f92d9a6621bc926fa28d14ee29438babcd",
+    "shifted-bump": "3ff3d0170648ee1c0ebcd12f8d56bceca6aae5e56d71cc17d1805a8a9d620ef7",
+    "sweep": "650bfb22be95143d31218b5bca077a6a6798241a2ab3f91fb20d64f94bce81c5",
+}
+
+
 class TestCliCommands:
+    def test_default_csvs_pinned(self, tmp_path):
+        """Every default CSV keeps its bytes, at 1 worker and, for series-norm, at 2.
+
+        A change that moves an output on purpose updates this table and
+        records the new values in CHANGES.md.
+        """
+        runs = [(command, 1) for command in DEFAULT_CSV_SHA256] + [("series-norm", 2)]
+        for command, workers in runs:
+            out = tmp_path / f"{command}-{workers}.csv"
+            assert main([command, "--out", str(out), "--workers", str(workers)]) == 0
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            assert digest == DEFAULT_CSV_SHA256[command], (command, workers)
+
     def test_series_norm_zero_coloring(self, tmp_path):
         out = tmp_path / "z.csv"
         code = main(["series-norm", "--out", str(out), "--seed", "3",
@@ -167,9 +199,24 @@ class TestCliCommands:
         ("heat-sim", "heat.trajectories=0"),
         ("schatten-heat", "schatten.witness=false"),
         ("schatten-heat", "schatten.points=1"),
+        ("schatten-heat", "schatten.t_max=0.001"),
         ("dirichlet", "dirichlet.n_values=8"),
         ("mg-sobolev", "mg_sobolev.levels=12"),
         ("mg-sobolev", "mg_sobolev.width=0.25013 mg_sobolev.levels=12"),
+        ("mg-sobolev", "mg_sobolev.levels=0"),
+        ("gamma-young", "gamma_young.trials=0"),
+        ("freq-block", "freq_block.n_max=3"),
+        ("freq-block", "freq_block.n_min=8 freq_block.n_max=3"),
+        ("rescaled-bump", "rescaled_bump.m_max=0"),
+        ("rescaled-bump", "rescaled_bump.m_min=4 rescaled_bump.m_max=2"),
+        ("scaling", "scaling.m_max=0"),
+        ("scaling", "scaling.m_min=3 scaling.m_max=1"),
+        ("shifted-bump", "shifted_bump.extents=4"),
+        ("shifted-bump", "shifted_bump.extents=4,4"),
+        ("shifted-bump", "shifted_bump.extents="),
+        ("sweep", "sweep.scales=3"),
+        ("series-norm", "run.workers=0"),
+        ("series-norm", "run.workers=-3"),
     ])
     def test_rejected_value_exit_code(self, tmp_path, capsys, command, override):
         # several space-separated overrides are passed in order; the first key is named
@@ -215,6 +262,22 @@ class TestCliCommands:
         code = main(["series-norm", "--out", str(out), "--seed", "11",
                      "--override", "series.samples=32"])
         assert code == 0
+
+    @pytest.mark.parametrize("flag,env,named", [
+        (["--workers", "0"], None, "--workers"),
+        (["--workers", "-3"], None, "--workers"),
+        ([], "0", "GAMMANOISE_WORKERS"),
+        ([], "two", "GAMMANOISE_WORKERS"),
+    ])
+    def test_worker_count_below_one_rejected(self, tmp_path, monkeypatch, capsys,
+                                             flag, env, named):
+        if env is not None:
+            monkeypatch.setenv("GAMMANOISE_WORKERS", env)
+        out = tmp_path / "s.csv"
+        assert main(["series-norm", "--out", str(out), *flag]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and named in err["detail"]
+        assert not out.exists()
 
     def test_haar_divergence_command(self, tmp_path):
         out = tmp_path / "h.csv"

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from gammanoise.conditions import ParamTuple
-from gammanoise.experiments import (FitReport, block_field, boundary_sweep,
-                                    dirichlet_field, dirichlet_l1_values,
-                                    dirichlet_norm_test, frequency_block_test,
-                                    growth_label, rescaled_bump_test,
+from gammanoise.experiments import (block_field, boundary_sweep, dirichlet_field,
+                                    dirichlet_l1_values, dirichlet_norm_test,
+                                    frequency_block_test, rescaled_bump_test,
                                     shifted_bump_test)
+from gammanoise.fit import FitReport, growth_label, linfit
 from gammanoise.grid import Grid
 from gammanoise.norms import lq_norm
-from gammanoise.series import _linfit
 from gammanoise.systems import Coloring, FourierSystem, frequency_block
 
 
@@ -37,7 +36,7 @@ class TestFrequencyBlock:
             g = block_field(grid, N)
             xs.append(math.log2(2 ** (N - 1) + 1))
             ys.append(math.log2(lq_norm(g, eta)))
-        slope, _ = _linfit(np.array(xs), np.array(ys))
+        slope, _ = linfit(np.array(xs), np.array(ys))
         assert abs(slope - (1 - 1 / eta)) < 0.05
 
     @pytest.mark.parametrize("s,expected_sign", [(0.9, -1), (0.5, 0), (0.2, +1)])
@@ -152,11 +151,11 @@ class TestDirichlet:
         ns = np.array([v[0] for v in vals], dtype=float)
         ys = np.array([v[1] for v in vals])
         # affine in log N with decreasing local log-log slope: log-like growth
-        _, affine_r2 = _linfit(np.log(ns), ys)
+        _, affine_r2 = linfit(np.log(ns), ys)
         assert affine_r2 > 0.99
         half = len(ns) // 2
-        s1, _ = _linfit(np.log(ns[:half]), np.log(ys[:half]))
-        s2, _ = _linfit(np.log(ns[half:]), np.log(ys[half:]))
+        s1, _ = linfit(np.log(ns[:half]), np.log(ys[:half]))
+        s2, _ = linfit(np.log(ns[half:]), np.log(ys[half:]))
         assert s2 < s1 * 0.9
 
 

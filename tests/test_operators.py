@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gammanoise.fit import linfit
 from gammanoise.grid import Grid, constant_field, forward_transform, zero_field
 from gammanoise.norms import bessel_kernel, lq_norm
 from gammanoise.operators import (ConvPair, ResourceError, afg_bruteforce_hs,
@@ -10,7 +11,6 @@ from gammanoise.operators import (ConvPair, ResourceError, afg_bruteforce_hs,
                                   gamma_young_check, heat_kernel_field,
                                   mg_sobolev_gamma_norm, schatten_heat_norm)
 from gammanoise.rng import stream
-from gammanoise.series import _linfit
 from gammanoise.systems import bump_values
 
 # hand value for a single-cell kernel on the 4-cell circle:
@@ -206,7 +206,7 @@ class TestSchattenHeat:
             kern = heat_kernel_field(grid, float(t))
             gt = forward_transform(grid, np.sqrt(np.maximum(kern.values(), 0.0)))
             vals.append(schatten_heat_norm(gt, float(t)))
-        slope, _ = _linfit(np.log(ts), np.log(vals))
+        slope, _ = linfit(np.log(ts), np.log(vals))
         assert slope == pytest.approx(-0.25, abs=0.05)
 
     def test_t_positive(self):

@@ -6,8 +6,9 @@ import pytest
 from gammanoise.grid import Grid, forward_transform, mode_field
 from gammanoise.norms import hsq_norm
 from gammanoise.rng import stream
-from gammanoise.series import (SeriesSpec, classify_growth, hs_gamma_norm_exact,
-                               mc_gamma_norm, sample_series, series_coeffs,
+from gammanoise.fit import classify_growth, linfit
+from gammanoise.series import (SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm,
+                               render_terms, sample_series, series_coeffs,
                                sq_function_gamma_norm, term_values)
 from gammanoise.systems import Coloring, FourierSystem, HaarSystem, SyntheticGrowthSystem
 
@@ -97,6 +98,26 @@ class TestSeriesCoeffs:
         assert str(mc.value) == str(dense.value) == "frequency -32 outside (-n/2, n/2] for n=64"
 
 
+class TestRenderTerms:
+    @pytest.mark.parametrize("system,count,complex_g", [
+        (HaarSystem(1, 0, 3), 15, False),
+        (FourierSystem(2), 25, True),
+    ])
+    def test_matches_per_index_render_loop(self, system, count, complex_g):
+        grid = Grid(system.dim, 32)
+        gen = stream(17, count)
+        idxs = system.indices(count)
+        weights = gen.uniform(0.5, 2.0, count)
+        gv = gen.standard_normal(grid.shape)
+        if complex_g:
+            gv = gv + 1j * gen.standard_normal(grid.shape)
+        got = render_terms(system, idxs, grid, weights, gv)
+        ref = np.array([(system.render(idx, grid).values() * w) * gv
+                        for idx, w in zip(idxs, weights)])
+        assert got.dtype == (float if system.real else complex)
+        assert np.array_equal(got, ref)
+
+
 class TestMcGammaNorm:
     def test_matches_exact_q2(self, fourier_spec):
         est = mc_gamma_norm(fourier_spec, 2000, seed=42)
@@ -119,8 +140,7 @@ class TestMcGammaNorm:
             spec = SeriesSpec(grid, FourierSystem(1), Coloring.constant(1.0, N), N, s, 2.0)
             est = mc_gamma_norm(spec, 600, seed=100 + j)
             points.append((K, est.mean))
-        from gammanoise.series import _linfit
-        slope, _ = _linfit(np.log([p[0] for p in points]), np.log([p[1] for p in points]))
+        slope, _ = linfit(np.log([p[0] for p in points]), np.log([p[1] for p in points]))
         assert abs(slope - (1 - 2 * s)) < 0.15
 
     def test_needs_two_samples(self, fourier_spec):

@@ -6,7 +6,7 @@ import pytest
 from gammanoise.conditions import ParamTuple
 from gammanoise.grid import Grid
 from gammanoise.norms import hsq_norm, lq_norm
-from gammanoise.series import _linfit
+from gammanoise.fit import linfit
 from gammanoise.spde import (DiagonalNoise, SpdeConfig, SystemNoise, Trajectory,
                              scaling_diagnostic, second_moment_closed_form,
                              second_moment_exp_euler, simulate, spacetime_norm,
@@ -194,7 +194,7 @@ class TestClosedForm:
         for dt in dts:
             cfg = SpdeConfig(grid, noise, T=0.1, dt=dt, integrator="exp_euler")
             errs.append(abs(second_moment_exp_euler(cfg, 0.9) - closed))
-        order, r2 = _linfit(np.log(dts), np.log(errs))
+        order, r2 = linfit(np.log(dts), np.log(errs))
         assert order >= 0.8 and r2 > 0.95
 
     def test_euler_moment_matches_euler_mc(self):

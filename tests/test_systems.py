@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from gammanoise.fit import linfit
 from gammanoise.grid import Grid
 from gammanoise.systems import (Coloring, FourierSystem, HaarSystem, IndexRangeError,
                                 NonEvaluableError, ShiftedBumpSystem,
                                 SyntheticGrowthSystem, ell_zeta_weighted_norm,
                                 frequency_block, haar_lattice_sums, in_frequency_block,
                                 rank_one_mu_norm)
-from gammanoise.series import _linfit
 
 
 class TestColorings:
@@ -171,7 +171,7 @@ class TestHaarCriticality:
     def test_critical_sums_affine(self):
         js = list(range(2, 13))
         sums = haar_lattice_sums(0.5, 1.0, 2.0, 1, js)
-        _, r2 = _linfit(np.array(js, float), sums)
+        _, r2 = linfit(np.array(js, float), sums)
         assert r2 > 0.99
         inc = np.diff(sums)
         assert inc.max() / inc.min() == pytest.approx(1.0, abs=1e-9)
