@@ -30,10 +30,10 @@ from .spde import (DiagonalNoise, SpdeConfig, second_moment_closed_form,
 from .systems import Coloring, FourierSystem, haar_lattice_sums
 
 
-def _random_real_field(grid: Grid, gen, band: int = 16) -> SpectralField:
-    """Smooth random real field, band-limited to |k| <= band."""
+def _random_real_field(grid: Grid, gen) -> SpectralField:
+    """Smooth random real field, band-limited to |k| <= 16."""
     k = grid.freq_abs()
-    mask = k <= band
+    mask = k <= 16
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
     vals = gen.standard_normal(int(mask.sum())) + 1j * gen.standard_normal(int(mask.sum()))
     coeffs[mask] = vals / math.sqrt(2.0)
@@ -289,10 +289,10 @@ CRITERIA = {
 }
 
 
-def run_criteria(seed: int, workers: int = 1, which=None, timings: dict = None):
+def run_criteria(seed: int, workers: int = 1, timings: dict = None):
     """Run criteria 1-11, returning CSV-ready records (no wall times inside)."""
     records = []
-    for cid in sorted(which or CRITERIA):
+    for cid in sorted(CRITERIA):
         name, fn = CRITERIA[cid]
         t0 = time.monotonic()
         passed, metrics = fn(seed, workers=workers)

@@ -192,6 +192,7 @@ def _two_sided_rows(records, fit):
 
 def run_freq_block(cfg, seed, workers, timer):
     params = _params_from(cfg["params"])
+    _at_least_one(cfg, "freq_block", "n_min")
     records, fit = frequency_block_test(params, _fit_range(cfg, "freq_block", "n_min", "n_max"),
                                         oversample=cfg["run"]["oversample"])
     return _two_sided_rows(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
@@ -270,9 +271,6 @@ def run_mg_sobolev(cfg, seed, workers, timer):
 
 def run_schatten_heat(cfg, seed, workers, timer):
     blk = cfg["schatten"]
-    if not blk["witness"]:
-        raise ConfigError("schatten.witness=false is not supported: "
-                          "the norm_witness column is always written")
     if blk["points"] < 2 or blk["t_min"] == blk["t_max"]:
         raise ConfigError("schatten.points must be >= 2 and schatten.t_min != schatten.t_max "
                           "to fit the witness exponent")

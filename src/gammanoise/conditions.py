@@ -63,8 +63,7 @@ class ConditionReport:
     side_ok: bool
 
 
-def sharp_condition(params: ParamTuple, regime: str, alpha: float = None,
-                    tol: float = EQUALITY_TOL) -> ConditionReport:
+def sharp_condition(params: ParamTuple, regime: str, alpha: float = None) -> ConditionReport:
     """Classify a parameter tuple against the regime's convergence conditions.
 
     Returns the classification of the leading (sharp) condition together
@@ -94,9 +93,9 @@ def sharp_condition(params: ParamTuple, regime: str, alpha: float = None,
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
 
     leading = min(slack, side) if regime != "weighted" else slack
-    if leading > tol:
+    if leading > EQUALITY_TOL:
         cls = "strict"
-    elif leading < -tol:
+    elif leading < -EQUALITY_TOL:
         cls = "violated"
     else:
         cls = "equality"

@@ -6,10 +6,11 @@ subcommand once: its sections, each key's type and default, and the columns
 of its CSV.  A key written as a bare type name is accepted but has no
 default, so it stays out of the loaded config (and out of its hash) unless
 a file or override sets it; a section left with no keys is dropped.  The
-``run`` section is shared: ``seed``, ``workers``, ``out`` (default: the
-command name with ``_`` for ``-``, plus ``.csv``) and ``oversample``, whose
-default is the command's own.  Unknown sections or keys are rejected before
-any computation runs, and so are NaN and infinite floats.
+``run`` section is shared: ``seed``, ``workers`` and ``out`` (default: the
+command name with ``_`` for ``-``, plus ``.csv``), plus ``oversample`` for
+the commands that read it, with the command's own default.  Unknown sections
+or keys are rejected before any computation runs, and so are NaN and
+infinite floats.
 """
 
 from __future__ import annotations
@@ -39,28 +40,19 @@ def _ints(text):
     return [int(x) for x in str(text).split(",") if str(x).strip() != ""]
 
 
-def _bool(text):
-    t = str(text).strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {text!r}")
-
-
-TYPES = {"int": int, "float": _float, "str": str, "floats": _floats,
-         "ints": _ints, "bool": _bool}
+TYPES = {"int": int, "float": _float, "str": str, "floats": _floats, "ints": _ints}
 
 
 @dataclass(frozen=True)
 class Command:
     """One subcommand: its ``run.oversample`` default, sections and CSV columns.
 
-    Each section maps a key to ``(type, default)``, or to a bare type name
-    for a key without a default.
+    ``oversample`` is None for a command that does not read it, which then
+    has no ``run.oversample`` key.  Each section maps a key to
+    ``(type, default)``, or to a bare type name for a key without a default.
     """
 
-    oversample: int
+    oversample: int | None
     sections: dict
     columns: tuple
 
@@ -90,7 +82,7 @@ COMMANDS = {
         "g": {"kind": "str", "width": "float", "value": "float"},
     }, ("n_terms", "s", "q", "samples", "seed", "mean_sq", "stderr", "mean_norm",
         "sq_function", "hs_exact")),
-    "sweep": Command(2, {
+    "sweep": Command(None, {
         "sweep": {"construction": ("str", "freq_block"), "scales": ("ints", [3, 4, 5, 6]),
                   "s_values": ("floats", [0.2, 0.5, 0.9]), "q": ("float", 4.0),
                   "eta": ("float", 2.0), "zeta": ("float", 4.0), "d": ("int", 1)},
@@ -122,12 +114,11 @@ COMMANDS = {
         "mg_sobolev": {"s": ("float", 0.75), "q": ("float", 4.0), "eta": ("float", 8.0 / 3.0),
                        "levels": ("int", 6), "width": ("float", 0.25)},
     }, ("level", "s", "q", "eta", "gamma_norm", "g_eta_norm", "constant")),
-    "schatten-heat": Command(1, {
+    "schatten-heat": Command(None, {
         "schatten": {"d": ("int", 1), "n": ("int", 512), "t_min": ("float", 1e-3),
-                     "t_max": ("float", 1e-1), "points": ("int", 9),
-                     "witness": ("bool", True)},
+                     "t_max": ("float", 1e-1), "points": ("int", 9)},
     }, ("d", "t", "norm_g1", "scaled_g1", "norm_witness")),
-    "heat-sim": Command(1, {
+    "heat-sim": Command(None, {
         "grid": _grid(256),
         "heat": {"noise": ("str", "matern"), "alpha": ("float", 0.3), "cutoff": "float",
                  "mode": "int", "amplitude": "float", "t_horizon": ("float", 0.1),
@@ -141,11 +132,11 @@ COMMANDS = {
                     "m_min": ("int", 0), "m_max": ("int", 5), "s": ("float", 0.25),
                     "q": ("float", 4.0), "eta": ("float", 2.0)},
     }, ("m", "lhs", "rhs", "ratio", "fitted_exponent", "predicted_exponent", "r2")),
-    "haar-divergence": Command(1, {
+    "haar-divergence": Command(None, {
         "haar": {"d": ("int", 1), "alpha": ("float", 0.5), "beta": ("float", 1.0),
                  "zeta_values": ("floats", [1.8, 2.0, 2.5]), "j_max": ("int", 12)},
     }, ("zeta", "J", "partial_sum", "critical")),
-    "selftest": Command(4, {}, ("criterion", "name", "passed", "metrics")),
+    "selftest": Command(None, {}, ("criterion", "name", "passed", "metrics")),
 }
 
 
@@ -154,8 +145,9 @@ def load_config(command: str, path=None, overrides=None) -> dict:
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     run = {"seed": ("int", 7), "workers": ("int", 1),
-           "out": ("str", command.replace("-", "_") + ".csv"),
-           "oversample": ("int", COMMANDS[command].oversample)}
+           "out": ("str", command.replace("-", "_") + ".csv")}
+    if COMMANDS[command].oversample is not None:
+        run["oversample"] = ("int", COMMANDS[command].oversample)
     sections = {"run": run, **COMMANDS[command].sections}
     config = {}
     for section, keys in sections.items():
@@ -188,7 +180,7 @@ def _apply(config: dict, sections: dict, command: str, section: str, key: str, r
     if section not in sections:
         raise ConfigError(f"unknown section [{section}] for command {command!r}")
     if key not in sections[section]:
-        raise ConfigError(f"unknown key {key!r} in section [{section}] for command {command!r}")
+        raise ConfigError(f"unknown key {section}.{key} for command {command!r}")
     spec = sections[section][key]
     caster = TYPES[spec[0] if isinstance(spec, tuple) else spec]
     try:

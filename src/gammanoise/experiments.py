@@ -17,10 +17,12 @@ import numpy as np
 from .conditions import ParamTuple, predicted_exponent, sharp_condition
 from .fit import fit_line, fit_ratio_exponent, growth_label
 from .grid import Grid, SpectralField, forward_transform
-from .norms import hsq_norm, lq_norm
-from .series import render_terms, sq_function_from_terms
+from .norms import hsq_norm, lq_norm, sq_function_from_terms
+from .series import render_terms
 from .systems import (FourierSystem, ShiftedBumpSystem, bump_values, frequency_block,
                       plateau_values, rank_one_mu_norm)
+
+BLOCK_RESOLUTION_MARGIN = 3     # grid octaves above the top frequency block
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,7 @@ def block_field(grid: Grid, N: int) -> SpectralField:
     return SpectralField(grid, coeffs)
 
 
-def frequency_block_test(params: ParamTuple, N_range, oversample: int = 2,
-                         resolution_margin: int = 3):
+def frequency_block_test(params: ParamTuple, N_range, oversample: int = 2):
     """Diagonal-operator necessity sweep over dyadic frequency blocks.
 
     lhs is the square-function norm of ``sum_{n in C_N} g e_n`` (the exact
@@ -63,7 +64,7 @@ def frequency_block_test(params: ParamTuple, N_range, oversample: int = 2,
     if params.d > 2:
         raise ValueError("frequency blocks are resource-bounded to d <= 2")
     N_range = sorted(int(N) for N in N_range)
-    n = 2 ** (max(N_range) + resolution_margin)
+    n = 2 ** (max(N_range) + BLOCK_RESOLUTION_MARGIN)
     if params.d == 2 and n > 1024:
         raise ValueError("2-d blocks need N <= 7 to stay within the grid budget")
     grid = Grid(params.d, n)

@@ -16,6 +16,8 @@ import numpy as np
 
 FIT_R2_MIN = 0.9
 MARGINAL_EXPONENT = 0.05
+LOG_R2_MIN = 0.95           # R^2 of values against log N for log-divergence
+INCREMENT_RATIO = 0.9       # increments shrinking at least this fast converge
 
 
 def linfit(x, y):
@@ -62,18 +64,18 @@ def fit_line(xs, ys, predicted: float) -> FitReport:
     return FitReport(slope, intercept, r2, len(xs), predicted)
 
 
-def fit_ratio_exponent(records, predicted: float, log_base: float = 2.0) -> FitReport:
-    """Growth exponent of ``log_base``-log ratios against each record's scale index."""
+def fit_ratio_exponent(records, predicted: float) -> FitReport:
+    """Growth exponent of log2 ratios against each record's scale index."""
     xs = np.array([r.scale_index for r in records], dtype=float)
     ys = np.array([r.ratio for r in records], dtype=float)
     if np.any(ys <= 0):
         raise ValueError("ratio sweep contains nonpositive values")
-    return fit_line(xs, np.log(ys) / math.log(log_base), predicted)
+    return fit_line(xs, np.log(ys) / math.log(2.0), predicted)
 
 
-def growth_label(fit: FitReport, tol: float = MARGINAL_EXPONENT) -> str:
+def growth_label(fit: FitReport) -> str:
     """bounded / divergent / log-divergent / inconclusive from a ratio fit."""
-    if abs(fit.exponent) <= tol:
+    if abs(fit.exponent) <= MARGINAL_EXPONENT:
         return "log-divergent"
     if fit.r2 < FIT_R2_MIN:
         return "inconclusive"
@@ -89,11 +91,10 @@ class GrowthReport:
     npoints: int
 
 
-def classify_growth(points, slope_tol: float = 0.05, r2_min: float = 0.9,
-                    log_r2_min: float = 0.95, increment_ratio: float = 0.9) -> GrowthReport:
+def classify_growth(points) -> GrowthReport:
     """Classify a norm sequence over geometric truncations N.
 
-    Divergent when the log-log slope exceeds ``slope_tol`` with a good fit;
+    Divergent when the log-log slope exceeds ``MARGINAL_EXPONENT`` with a good fit;
     convergent when successive increments decay geometrically; log-divergent
     when the values are affine in log N with small log-log slope.
     """
@@ -115,15 +116,15 @@ def classify_growth(points, slope_tol: float = 0.05, r2_min: float = 0.9,
     slope, r2 = linfit(log_n, log_v)
     _, log_r2 = linfit(log_n, vs)
 
-    if slope > slope_tol and r2 > r2_min:
+    if slope > MARGINAL_EXPONENT and r2 > FIT_R2_MIN:
         return GrowthReport("divergent", slope, r2, log_r2, len(pts))
 
     inc = np.diff(vs)
     if np.all(np.abs(inc) <= 1e-12 * scale):
         return GrowthReport("convergent", slope, r2, log_r2, len(pts))
-    if np.all(inc > 0) and np.all(inc[1:] < increment_ratio * inc[:-1]):
+    if np.all(inc > 0) and np.all(inc[1:] < INCREMENT_RATIO * inc[:-1]):
         return GrowthReport("convergent", slope, r2, log_r2, len(pts))
 
-    if log_r2 > log_r2_min and slope <= slope_tol:
+    if log_r2 > LOG_R2_MIN and slope <= MARGINAL_EXPONENT:
         return GrowthReport("log_divergent", slope, r2, log_r2, len(pts))
     return GrowthReport("inconclusive", slope, r2, log_r2, len(pts))

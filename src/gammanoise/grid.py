@@ -132,10 +132,10 @@ class SpectralField:
         if self.real and not self.is_hermitian():
             raise ValueError("field flagged real but coefficients are not Hermitian-symmetric")
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
+    def is_hermitian(self) -> bool:
         flipped = _reverse_freq(self.coeffs)
         scale = np.max(np.abs(self.coeffs)) or 1.0
-        return bool(np.max(np.abs(self.coeffs - np.conj(flipped))) <= tol * scale)
+        return bool(np.max(np.abs(self.coeffs - np.conj(flipped))) <= HERMITIAN_TOL * scale)
 
     def values(self) -> np.ndarray:
         """Samples on the grid; real array when flagged real."""

@@ -13,6 +13,7 @@ import numpy as np
 from .grid import Grid, SpectralField, upsampled_values
 
 DEFAULT_OVERSAMPLE = 4
+SQ_FUNCTION_CHUNK = 64      # terms transformed at once by sq_function_from_terms
 
 
 def lq_norm(f: SpectralField, q: float, oversample: int = DEFAULT_OVERSAMPLE) -> float:
@@ -26,6 +27,37 @@ def lq_norm(f: SpectralField, q: float, oversample: int = DEFAULT_OVERSAMPLE) ->
     v = upsampled_values(f, oversample)
     cell = (f.grid.length / (f.grid.n * oversample)) ** f.grid.dim
     return float((np.sum(np.abs(v) ** q) * cell) ** (1.0 / q))
+
+
+def lq_norms(grid: Grid, coeffs: np.ndarray, q: float, oversample: int) -> np.ndarray:
+    """``L^q`` norms of a stack of coefficient arrays (leading batch axis), row by row."""
+    if q == 2:
+        axes = tuple(range(1, coeffs.ndim))
+        return np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=axes) * grid.length**grid.dim)
+    out = np.empty(coeffs.shape[0])
+    for b in range(coeffs.shape[0]):
+        out[b] = lq_norm(SpectralField(grid, coeffs[b]), q, oversample=oversample)
+    return out
+
+
+def sq_function_from_terms(grid: Grid, terms: np.ndarray, s: float, q: float,
+                           oversample: int = DEFAULT_OVERSAMPLE) -> float:
+    """Square-function norm for explicit term samples of shape (N, *grid)."""
+    if not (1 < q < np.inf):
+        raise ValueError(f"q must lie in (1, inf), got {q}")
+    mult = bessel_multiplier(grid, -s)
+    fine_shape = tuple(n * oversample for n in grid.shape)
+    acc = np.zeros(fine_shape)
+    axes = tuple(range(1, grid.dim + 1))
+    for lo in range(0, terms.shape[0], SQ_FUNCTION_CHUNK):
+        block = terms[lo:lo + SQ_FUNCTION_CHUNK]
+        coeffs = np.fft.fftn(block, axes=axes) / grid.n**grid.dim
+        coeffs *= mult
+        for c in coeffs:
+            fine = upsampled_values(SpectralField(grid, c), oversample)
+            acc += np.abs(fine) ** 2
+    cell = (grid.length / (grid.n * oversample)) ** grid.dim
+    return float((np.sum(acc ** (q / 2.0)) * cell) ** (1.0 / q))
 
 
 def sup_norm(f: SpectralField, oversample: int = DEFAULT_OVERSAMPLE) -> float:

@@ -40,3 +40,10 @@ def complex_standard_normal(gen: np.random.Generator, shape) -> np.ndarray:
     """Standard complex Gaussians with ``E|z|^2 = 1``."""
     a = gen.standard_normal(size=(2,) + tuple(shape))
     return (a[0] + 1j * a[1]) / np.sqrt(2.0)
+
+
+def standard_gaussians(gen: np.random.Generator, n: int, real: bool) -> np.ndarray:
+    """``n`` standard Gaussians: real, or complex with ``E|z|^2 = 1``."""
+    if real:
+        return gen.standard_normal(n)
+    return complex_standard_normal(gen, (n,))

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, SpectralField, upsampled_values
-from .norms import DEFAULT_OVERSAMPLE, bessel_multiplier, lq_norm
-from .rng import complex_standard_normal, stream
+from .grid import Grid, SpectralField
+from .norms import DEFAULT_OVERSAMPLE, bessel_multiplier, lq_norms, sq_function_from_terms
+from .rng import standard_gaussians, stream
 from .systems import Coloring, FourierSystem
 
 from concurrent.futures import ThreadPoolExecutor
@@ -125,14 +125,8 @@ def series_coeffs(spec: SeriesSpec, gam: np.ndarray) -> np.ndarray:
 
 def sample_series(spec: SeriesSpec, rng: np.random.Generator) -> SpectralField:
     """One realization of the series; complex Gaussians unless the system is real."""
-    gam = _draw_gammas(rng, spec.N, real=spec.system.real)
+    gam = standard_gaussians(rng, spec.N, real=spec.system.real)
     return SpectralField(spec.grid, series_coeffs(spec, gam[None])[0], real=spec.real)
-
-
-def _draw_gammas(rng: np.random.Generator, n: int, real: bool) -> np.ndarray:
-    if real:
-        return rng.standard_normal(n)
-    return complex_standard_normal(rng, (n,))
 
 
 def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
@@ -151,11 +145,11 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
 
     def run_chunk(lo: int) -> None:
         hi = min(lo + chunk, M)
-        gam = np.stack([_draw_gammas(stream(seed, i), spec.N, spec.system.real)
+        gam = np.stack([standard_gaussians(stream(seed, i), spec.N, spec.system.real)
                         for i in range(lo, hi)])
         coeffs = series_coeffs(spec, gam)
         coeffs *= mult
-        norms_sq[lo:hi] = _batch_lq_norm(spec.grid, coeffs, spec.q, oversample) ** 2
+        norms_sq[lo:hi] = lq_norms(spec.grid, coeffs, spec.q, oversample) ** 2
 
     starts = list(range(0, M, chunk))
     if workers > 1:
@@ -170,18 +164,6 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
     stderr = math.sqrt(var / M)
     mean_norm = math.fsum(np.sqrt(norms_sq)) / M
     return MCEstimate(mean=mean, stderr=stderr, samples=M, seed=seed, mean_norm=mean_norm)
-
-
-def _batch_lq_norm(grid: Grid, coeffs: np.ndarray, q: float, oversample: int) -> np.ndarray:
-    """L^q norms of a stack of coefficient arrays (leading batch axis)."""
-    if q == 2:
-        axes = tuple(range(1, coeffs.ndim))
-        return np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=axes) * grid.length**grid.dim)
-    batch = coeffs.shape[0]
-    out = np.empty(batch)
-    for b in range(batch):
-        out[b] = lq_norm(SpectralField(grid, coeffs[b]), q, oversample=oversample)
-    return out
 
 
 def hs_gamma_norm_exact(spec: SeriesSpec) -> float:
@@ -209,24 +191,3 @@ def sq_function_gamma_norm(spec: SeriesSpec, oversample: int = DEFAULT_OVERSAMPL
     """
     terms = term_values(spec)
     return sq_function_from_terms(spec.grid, terms, spec.s, spec.q, oversample=oversample)
-
-
-def sq_function_from_terms(grid: Grid, terms: np.ndarray, s: float, q: float,
-                           oversample: int = DEFAULT_OVERSAMPLE,
-                           chunk: int = 64) -> float:
-    """Square-function norm for explicit term samples of shape (N, *grid)."""
-    if not (1 < q < math.inf):
-        raise ValueError(f"q must lie in (1, inf), got {q}")
-    mult = bessel_multiplier(grid, -s)
-    fine_shape = tuple(n * oversample for n in grid.shape)
-    acc = np.zeros(fine_shape)
-    axes = tuple(range(1, grid.dim + 1))
-    for lo in range(0, terms.shape[0], chunk):
-        block = terms[lo:lo + chunk]
-        coeffs = np.fft.fftn(block, axes=axes) / grid.n**grid.dim
-        coeffs *= mult
-        for c in coeffs:
-            fine = upsampled_values(SpectralField(grid, c), oversample)
-            acc += np.abs(fine) ** 2
-    cell = (grid.length / (grid.n * oversample)) ** grid.dim
-    return float((np.sum(acc ** (q / 2.0)) * cell) ** (1.0 / q))

@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid, SpectralField, forward_transform
-from .norms import bessel_multiplier, lq_norm
-from .rng import complex_standard_normal, stream
+from .norms import bessel_multiplier, lq_norm, lq_norms, sq_function_from_terms
+from .rng import complex_standard_normal, standard_gaussians, stream
 from .fit import linfit
-from .series import (SeriesSpec, _batch_lq_norm, _draw_gammas, render_terms, series_coeffs,
-                     sq_function_from_terms, term_values)
+from .series import SeriesSpec, render_terms, series_coeffs, term_values
 from .systems import Coloring, HaarSystem, bump_values
 from .conditions import ParamTuple, predicted_exponent
 
@@ -157,7 +156,7 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
                 gam = complex_standard_normal(gen, grid.shape)
                 incr_coeffs = mu_lattice * gam * math.sqrt(dt)
             else:
-                gam = _draw_gammas(gen, spec.N, real=spec.system.real)
+                gam = standard_gaussians(gen, spec.N, real=spec.system.real)
                 incr_coeffs = series_coeffs(spec, gam[None])[0] * math.sqrt(dt)
             gv = config.g_values_at(m - 1)
             if gv is not None:
@@ -246,7 +245,7 @@ def trajectory_norms(traj: Trajectory, s: float, q: float,
     grid = traj.states[0].grid
     coeffs = np.stack([st.coeffs for st in traj.states])
     coeffs *= bessel_multiplier(grid, 1.0 - s)
-    return _batch_lq_norm(grid, coeffs, q, oversample)
+    return lq_norms(grid, coeffs, q, oversample)
 
 
 def spacetime_norm(traj: Trajectory, p: float, s: float, q: float,
@@ -263,6 +262,8 @@ def spacetime_norm(traj: Trajectory, p: float, s: float, q: float,
 # ---------------------------------------------------------------------------
 # parabolic scaling diagnostic
 
+SCALING_G_WIDTH = 0.5       # width of the multiplier bump g at m = 0
+
 
 @dataclass(frozen=True)
 class ScalingReport:
@@ -274,7 +275,7 @@ class ScalingReport:
 
 def scaling_diagnostic(alpha: float, zeta: float, params: ParamTuple, m_range,
                        grid: Grid = None, levels: int = 3, beta: float = 1.0,
-                       g_width: float = 0.5, oversample: int = 2) -> ScalingReport:
+                       oversample: int = 2) -> ScalingReport:
     """Fitted dyadic-scaling exponent of the driving Haar series.
 
     For each m the composite ``g * noise`` is compressed by ``2^m`` (levels
@@ -317,7 +318,8 @@ def scaling_diagnostic(alpha: float, zeta: float, params: ParamTuple, m_range,
                 mu_zeta += abs(w) ** zeta * haar.sup_norm(idx) ** 2
         mu_norm = mu_zeta if math.isinf(zeta) else mu_zeta ** (1.0 / zeta)
 
-        gm = bump_values(coords, g_width * 2.0 ** (-m - 1), g_width * 2.0 ** (-m))
+        gm = bump_values(coords, SCALING_G_WIDTH * 2.0 ** (-m - 1),
+                         SCALING_G_WIDTH * 2.0 ** (-m))
         terms = render_terms(haar, idxs, grid, weights, gm)
         lhs = sq_function_from_terms(grid, terms, params.s, params.q, oversample=oversample)
         g_field = forward_transform(grid, gm)

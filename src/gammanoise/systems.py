@@ -388,6 +388,9 @@ def in_frequency_block(k, N: int) -> bool:
 
 
 def frequency_block(N: int, dim: int) -> list:
+    """Frequencies of the dyadic block ``2^N <= k_i <= 3 * 2^(N-1)``; needs N >= 1."""
+    if N < 1:
+        raise ValueError(f"frequency block level must be >= 1, got {N}")
     lo, hi = 2**N, 3 * 2 ** (N - 1)
     return list(itertools.product(range(lo, hi + 1), repeat=dim))
 

@@ -142,15 +142,15 @@ DEFAULT_CSV_SHA256 = {
     "dirichlet": "63a69dc7c234c6dcfcf0b80ad99252314a55424242859456a6deff2ecce978f8",
     "freq-block": "0859d0137358615f049fca926fcb7b92cfda9cc20bcc47e3a7069fc1fa08da4c",
     "gamma-young": "7e6e1f060a18b2c382bd67cdb2a8bc86cd6785de0e3f60491ed2ac1d0f05bea1",
-    "haar-divergence": "ebfe39e7ec725fc5c1a2fb4469e2606949ba175dc21b3a743dc8f20fcac83a67",
-    "heat-sim": "12e88eaf4e39b44aa47edea7ff3f0d1a5f0bc02f2f879d7fc427c44d7ff7f3d0",
+    "haar-divergence": "b4ad4132285f6fee286cf88262ebf72cc078b171cc70251426097e20e62d32a9",
+    "heat-sim": "93d98f44bb5a1f5811731096aaa4c8232c2e2eac46642a2bf4f1427c2b28cb9e",
     "mg-sobolev": "a454fb20dc1b2a273e62a24e43a90572e17cc270c23072b617bc19a34f2d5c30",
     "rescaled-bump": "7c8e1831a5d157cc7bbc2529482efca925d49a219c8eaa7b54d87c7307cc1b7f",
     "scaling": "7f2ed58a2109242f0b532e86c191d8b219c3b9a432922b0a1efbb9f090171edd",
-    "schatten-heat": "ccd31bb41fce84f5ef634db10adcfdb8f4c02a75265ca8ed59ec914f859da202",
+    "schatten-heat": "c020fdc5d12ff660ca1645fc6a9742954a4eff6858c8847145e623851ab01c26",
     "series-norm": "4da738ea52efc915103b9f1da74d16f92d9a6621bc926fa28d14ee29438babcd",
     "shifted-bump": "3ff3d0170648ee1c0ebcd12f8d56bceca6aae5e56d71cc17d1805a8a9d620ef7",
-    "sweep": "650bfb22be95143d31218b5bca077a6a6798241a2ab3f91fb20d64f94bce81c5",
+    "sweep": "22a93c3d268bd0ef9212082e1f733516b4ff931c7361f102eb6a698747608aad",
 }
 
 
@@ -206,6 +206,7 @@ class TestCliCommands:
         ("mg-sobolev", "mg_sobolev.levels=0"),
         ("gamma-young", "gamma_young.trials=0"),
         ("freq-block", "freq_block.n_max=3"),
+        ("freq-block", "freq_block.n_min=0"),
         ("freq-block", "freq_block.n_min=8 freq_block.n_max=3"),
         ("rescaled-bump", "rescaled_bump.m_max=0"),
         ("rescaled-bump", "rescaled_bump.m_min=4 rescaled_bump.m_max=2"),
@@ -215,6 +216,7 @@ class TestCliCommands:
         ("shifted-bump", "shifted_bump.extents=4,4"),
         ("shifted-bump", "shifted_bump.extents="),
         ("sweep", "sweep.scales=3"),
+        ("sweep", "run.oversample=4"),
         ("series-norm", "run.workers=0"),
         ("series-norm", "run.workers=-3"),
     ])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gammanoise.grid import Grid, constant_field, forward_transform, mode_field, zero_field
 from gammanoise.norms import (bessel_apply, bessel_kernel, hsq_norm, lp_block,
-                              lp_block_count, lq_norm, weak_lp_norm)
+                              lp_block_count, lq_norm, lq_norms, weak_lp_norm)
 from gammanoise.experiments import dirichlet_field
 from gammanoise.rng import stream
 
@@ -34,6 +34,15 @@ class TestLqNorm:
         v = rng.standard_normal(grid1d.n)
         f = forward_transform(grid1d, v)
         assert lq_norm(f, 2.0) == pytest.approx(np.sqrt(np.mean(v**2)), rel=1e-12)
+
+    @pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+    def test_batch_matches_per_field(self, rng, q):
+        grid = Grid(2, 16, 2.0)
+        fields = [forward_transform(grid, rng.standard_normal(grid.shape)) for _ in range(3)]
+        got = lq_norms(grid, np.stack([f.coeffs for f in fields]), q, oversample=2)
+        want = [lq_norm(f, q, oversample=2) for f in fields]
+        assert got.shape == (3,)
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestWeakLp:

@@ -192,6 +192,8 @@ class TestHaarCriticality:
 def test_frequency_block_contents():
     assert frequency_block(2, 1) == [(4,), (5,), (6,)]
     assert len(frequency_block(3, 2)) == 25
+    with pytest.raises(ValueError, match="level must be >= 1"):
+        frequency_block(0, 1)
 
 
 def test_rank_one_mu_norm():

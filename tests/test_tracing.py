@@ -1,0 +1,71 @@
+"""The benchmark's outside-in tracer still finds every layer it names.
+
+``perfbench/tracing.py`` rebinds public gammanoise names by module and
+attribute; this test imports it unchanged, so a traced name that moves or
+disappears, or a quadrature layer that stops being called where the
+benchmark's per-layer split expects it, fails the unit suite first.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import gammanoise.cli  # noqa: F401  (the tracer rebinds cli.RUNNERS)
+from gammanoise import Coloring, FourierSystem, Grid, SeriesSpec, series
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+BENCH_DIR = REPO_ROOT / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH_DIR))
+        mp.setattr(sys, "dont_write_bytecode", True)
+        return importlib.import_module("tracing")
+
+
+def _bindings(tracing):
+    """Every name the tracer rebinds, mapped to the object bound there now."""
+    mods = {n: m for n, m in sys.modules.items()
+            if n == "gammanoise" or n.startswith("gammanoise.")}
+    out = {}
+    for _, attr, _, _ in tracing.FUNCTIONS:
+        for name, mod in mods.items():
+            if hasattr(mod, attr):
+                out[(name, attr)] = getattr(mod, attr)
+    for modname, clsname, attr, _, _ in tracing.METHODS:
+        out[(modname, clsname, attr)] = getattr(mods[modname], clsname).__dict__[attr]
+    out.update({("cli.RUNNERS", c): r for c, r in mods["gammanoise.cli"].RUNNERS.items()})
+    out.update({("numpy.fft", a): getattr(np.fft, a) for a in ("fftn", "ifftn")})
+    return out
+
+
+def test_traced_layers_of_the_quadrature(tracing):
+    spec = SeriesSpec(Grid(1, 64), FourierSystem(1), Coloring.matern(0.5), 16, 0.5, 4.0)
+    before = _bindings(tracing)
+    tracer = tracing.Tracer()
+    with tracer:
+        series.mc_gamma_norm(spec, 8, seed=1)
+        top_level = tracer.close_round()
+        mc_spans, stats = tracer.spans, tracer.stats
+        assert stats["norms.lq_norm"].calls == 8
+        assert sum(st.self_s for st in stats.values()) == pytest.approx(top_level, rel=1e-9)
+        series.sq_function_gamma_norm(spec)
+        tracer.close_round()
+        sq_spans = tracer.spans
+
+    assert [s[0] for s in mc_spans if s[3] == -1] == ["series.mc_gamma_norm"]
+    assert {mc_spans[s[3]][0] for s in mc_spans if s[0] == "grid.upsampled_values"} \
+        == {"norms.lq_norm"}
+    # the square function is reached through the name the tracer looks up in series
+    assert stats["series.sq_function_from_terms"].calls == 1
+    assert stats["grid.upsampled_values"].calls == 8 + 16
+    assert {sq_spans[s[3]][0] for s in sq_spans if s[0] == "grid.upsampled_values"} \
+        == {"series.sq_function_from_terms"}
+
+    assert _bindings(tracing) == before
+    assert not hasattr(series.mc_gamma_norm, "__wrapped__")
