@@ -89,36 +89,9 @@ def build_g(block: dict, grid: Grid):
     raise ConfigError(f"unknown g kind {kind!r}")
 
 
-def _fit_values(cfg: dict, section: str, key: str) -> list:
-    """``cfg[section][key]``, rejected unless it gives a fit 2 distinct points."""
-    values = cfg[section][key]
-    if len(set(values)) < 2:
-        raise ConfigError(f"{section}.{key} needs at least 2 distinct values to fit an "
-                          f"exponent, got {values}")
-    return values
-
-
-def _fit_range(cfg: dict, section: str, lo: str, hi: str) -> range:
-    """``range(lo, hi + 1)`` from ``cfg[section]``, rejected unless it holds 2 points."""
-    a, b = cfg[section][lo], cfg[section][hi]
-    if b - a < 1:
-        raise ConfigError(f"{section}.{lo}={a} and {section}.{hi}={b} give fewer than 2 "
-                          "points to fit an exponent")
-    return range(a, b + 1)
-
-
-def _at_least_one(cfg: dict, section: str, key: str) -> int:
-    """``cfg[section][key]``, rejected below 1."""
-    value = cfg[section][key]
-    if value < 1:
-        raise ConfigError(f"{section}.{key} must be >= 1, got {value}")
-    return value
-
-
 def _worker_count(cfg: dict, flag) -> int:
-    """``--workers``, else ``GAMMANOISE_WORKERS``, else ``run.workers``; each given must be >= 1."""
-    given = [("--workers", flag), ("GAMMANOISE_WORKERS", os.environ.get("GAMMANOISE_WORKERS")),
-             ("run.workers", cfg["run"]["workers"])]
+    """``--workers``, else ``GAMMANOISE_WORKERS`` (each >= 1 if given), else ``run.workers``."""
+    given = [("--workers", flag), ("GAMMANOISE_WORKERS", os.environ.get("GAMMANOISE_WORKERS"))]
     counts = []
     for name, raw in given:
         if raw is None:
@@ -129,7 +102,7 @@ def _worker_count(cfg: dict, flag) -> int:
             raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
         if counts[-1] < 1:
             raise ConfigError(f"{name} must be >= 1, got {counts[-1]}")
-    return counts[0]
+    return counts[0] if counts else cfg["run"]["workers"]
 
 
 def _params_from(block: dict) -> ParamTuple:
@@ -163,21 +136,17 @@ def run_series_norm(cfg, seed, workers, timer):
 
 def run_sweep(cfg, seed, workers, timer):
     blk = cfg["sweep"]
-    tuples = [ParamTuple(blk["d"], s, blk["q"], blk["eta"],
-                         blk["zeta"] if blk["zeta"] > 0 else math.inf)
-              for s in blk["s_values"]]
-    cells = boundary_sweep(tuples, blk["construction"], _fit_values(cfg, "sweep", "scales"))
-    rows = []
-    failed = 0
-    for c in cells:
-        rows.append({"d": c.params.d, "s": c.params.s, "q": c.params.q,
-                     "eta": c.params.eta, "zeta": c.params.zeta,
-                     "construction": c.construction, "slack": c.slack,
-                     "classification": c.classification, "label": c.label,
-                     "exponent": c.exponent, "r2": c.r2, "status": c.status})
-        failed += c.status == "failed"
-    code = EXIT_PARTIAL if failed else EXIT_OK
-    return rows, {"failed_cells": failed}, code
+    tuples = [_params_from({**blk, "s": s}) for s in blk["s_values"]]
+    cells = boundary_sweep(tuples, blk["construction"], blk["scales"])
+    rows = [{"d": c.params.d, "s": c.params.s, "q": c.params.q,
+             "eta": c.params.eta, "zeta": c.params.zeta,
+             "construction": c.construction, "slack": c.slack,
+             "classification": c.classification, "label": c.label,
+             "exponent": c.exponent, "r2": c.r2, "status": c.status}
+            for c in cells]
+    reasons = [{"s": c.params.s, "error": c.error} for c in cells if c.status == "failed"]
+    code = EXIT_PARTIAL if reasons else EXIT_OK
+    return rows, {"failed_cells": len(reasons), "failed_reasons": reasons}, code
 
 
 def _two_sided_rows(records, fit):
@@ -192,8 +161,8 @@ def _two_sided_rows(records, fit):
 
 def run_freq_block(cfg, seed, workers, timer):
     params = _params_from(cfg["params"])
-    _at_least_one(cfg, "freq_block", "n_min")
-    records, fit = frequency_block_test(params, _fit_range(cfg, "freq_block", "n_min", "n_max"),
+    blk = cfg["freq_block"]
+    records, fit = frequency_block_test(params, range(blk["n_min"], blk["n_max"] + 1),
                                         oversample=cfg["run"]["oversample"])
     return _two_sided_rows(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
 
@@ -201,7 +170,7 @@ def run_freq_block(cfg, seed, workers, timer):
 def run_rescaled_bump(cfg, seed, workers, timer):
     params = _params_from(cfg["params"])
     blk = cfg["rescaled_bump"]
-    records, fit = rescaled_bump_test(params, _fit_range(cfg, "rescaled_bump", "m_min", "m_max"),
+    records, fit = rescaled_bump_test(params, range(blk["m_min"], blk["m_max"] + 1),
                                       n=blk["n"], width=blk["width"],
                                       oversample=cfg["run"]["oversample"])
     return _two_sided_rows(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
@@ -210,7 +179,7 @@ def run_rescaled_bump(cfg, seed, workers, timer):
 def run_shifted_bump(cfg, seed, workers, timer):
     params = _params_from(cfg["params"])
     blk = cfg["shifted_bump"]
-    records, fit, _ = shifted_bump_test(params, _fit_values(cfg, "shifted_bump", "extents"),
+    records, fit, _ = shifted_bump_test(params, blk["extents"],
                                         resolution=blk["resolution"],
                                         width=blk["width"],
                                         oversample=cfg["run"]["oversample"])
@@ -219,7 +188,7 @@ def run_shifted_bump(cfg, seed, workers, timer):
 
 def run_dirichlet(cfg, seed, workers, timer):
     blk = cfg["dirichlet"]
-    rows_raw, fit = dirichlet_norm_test(blk["eta"], _fit_values(cfg, "dirichlet", "n_values"),
+    rows_raw, fit = dirichlet_norm_test(blk["eta"], blk["n_values"],
                                         oversample=cfg["run"]["oversample"])
     rows = [{"N": N, "terms": terms, "norm": val, "eta": blk["eta"],
              "fitted_exponent": fit.exponent, "predicted_exponent": fit.predicted,
@@ -232,11 +201,15 @@ def run_gamma_young(cfg, seed, workers, timer):
     grid = build_grid(cfg["grid"])
     blk = cfg["gamma_young"]
     s, q = blk["s"], blk["q"]
-    r = grid.dim / (grid.dim - s)
-    eta = 1.0 / (1.0 / q + 0.5 - 1.0 / r)
+    r = grid.dim / (grid.dim - s) if s < grid.dim else math.inf
+    inv_eta = 1.0 / q + 0.5 - 1.0 / r
+    if not (s < grid.dim and inv_eta > 0):
+        raise ConfigError(f"gamma_young.s={s:g}, gamma_young.q={q:g} and grid.dim={grid.dim} "
+                          "must give s < d and 1/eta = 1/q + 1/2 - 1/r > 0, r = d / (d - s)")
+    eta = 1.0 / inv_eta
     kernel = bessel_kernel(grid, s)
     rows = []
-    for i in range(_at_least_one(cfg, "gamma_young", "trials")):
+    for i in range(blk["trials"]):
         gen = stream(seed, i)
         g = forward_transform(grid, gen.standard_normal(grid.shape))
         lhs, rhs, ratio = gamma_young_check(kernel, g, q, r, eta,
@@ -252,7 +225,7 @@ def run_mg_sobolev(cfg, seed, workers, timer):
     blk = cfg["mg_sobolev"]
     coords = [np.broadcast_to(x, grid.shape) for x in grid.coords()]
     rows = []
-    for m in range(_at_least_one(cfg, "mg_sobolev", "levels")):
+    for m in range(blk["levels"]):
         w = blk["width"] * 2.0**-m
         g = forward_transform(grid, bump_values(coords, w / 2.0, w))
         g_eta = lq_norm(g, blk["eta"], oversample=cfg["run"]["oversample"])
@@ -271,9 +244,6 @@ def run_mg_sobolev(cfg, seed, workers, timer):
 
 def run_schatten_heat(cfg, seed, workers, timer):
     blk = cfg["schatten"]
-    if blk["points"] < 2 or blk["t_min"] == blk["t_max"]:
-        raise ConfigError("schatten.points must be >= 2 and schatten.t_min != schatten.t_max "
-                          "to fit the witness exponent")
     grid = Grid(blk["d"], blk["n"])
     one = constant_field(grid, 1.0)
     ts = np.geomspace(blk["t_min"], blk["t_max"], blk["points"])
@@ -292,7 +262,6 @@ def run_schatten_heat(cfg, seed, workers, timer):
 def run_heat_sim(cfg, seed, workers, timer):
     grid = build_grid(cfg["grid"])
     blk = cfg["heat"]
-    _at_least_one(cfg, "heat", "trajectories")
     kind = blk["noise"]
     if kind == "matern":
         noise = DiagonalNoise.matern(grid, blk["alpha"])
@@ -325,7 +294,7 @@ def run_scaling(cfg, seed, workers, timer):
     zeta = 1.0 / blk["alpha"] * grid.dim
     params = ParamTuple(grid.dim, blk["s"], blk["q"], blk["eta"], zeta)
     rep = scaling_diagnostic(blk["alpha"], zeta, params,
-                             _fit_range(cfg, "scaling", "m_min", "m_max"), grid=grid,
+                             range(blk["m_min"], blk["m_max"] + 1), grid=grid,
                              levels=blk["levels"], beta=blk["beta"],
                              oversample=cfg["run"]["oversample"])
     rows = [{"m": m, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,

@@ -223,14 +223,15 @@ class SweepCell:
     slack: float
     classification: str
     status: str   # ok | failed
+    error: str = ""   # exception type and message of a failed cell
 
 
 def boundary_sweep(tuples, construction: str, scale_range, **kwargs) -> list:
     """Run one construction over a grid of parameter tuples and label each cell.
 
-    Cells that raise are recorded as failed and the sweep continues; the
-    label tracks the fitted ratio exponent (bounded / divergent /
-    log-divergent / inconclusive).
+    Cells that raise are recorded as failed, with the exception's type and
+    message, and the sweep continues; the label tracks the fitted ratio
+    exponent (bounded / divergent / log-divergent / inconclusive).
     """
     runners = {
         "freq_block": lambda p: frequency_block_test(p, scale_range, **kwargs)[:2],
@@ -248,8 +249,8 @@ def boundary_sweep(tuples, construction: str, scale_range, **kwargs) -> list:
             cells.append(SweepCell(params, construction, growth_label(fit),
                                    fit.exponent, fit.r2, cond.slack,
                                    cond.classification, "ok"))
-        except Exception:
+        except Exception as exc:
             cells.append(SweepCell(params, construction, "error", math.nan,
                                    math.nan, cond.slack, cond.classification,
-                                   "failed"))
+                                   "failed", f"{type(exc).__name__}: {exc}"))
     return cells

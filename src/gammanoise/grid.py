@@ -10,7 +10,7 @@ frequency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,7 +121,6 @@ class SpectralField:
     grid: Grid
     coeffs: np.ndarray
     real: bool = False
-    _values: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
@@ -139,10 +138,8 @@ class SpectralField:
 
     def values(self) -> np.ndarray:
         """Samples on the grid; real array when flagged real."""
-        if self._values is None:
-            v = np.fft.ifftn(self.coeffs) * (self.grid.n ** self.grid.dim)
-            self._values = v.real if self.real else v
-        return self._values
+        v = np.fft.ifftn(self.coeffs) * (self.grid.n ** self.grid.dim)
+        return v.real if self.real else v
 
     def coeff_at(self, k) -> complex:
         return complex(self.coeffs[self.grid.index_of_freq(k)])

@@ -94,13 +94,6 @@ class SpdeConfig:
     def steps(self) -> int:
         return round(self.T / self.dt)
 
-    def g_values_at(self, step: int) -> np.ndarray:
-        if self.g is None:
-            return None
-        if isinstance(self.g, list):
-            return self.g[step].values()
-        return self.g.values()
-
 
 @dataclass
 class Trajectory:
@@ -142,6 +135,7 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
             spec = None
         else:
             spec = _noise_spec(config.noise, grid)
+        g_const = config.g.values() if isinstance(config.g, SpectralField) else None
 
     u = np.zeros(grid.shape, dtype=np.complex128)
     states = [SpectralField(grid, u.copy())]
@@ -158,7 +152,7 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
             else:
                 gam = standard_gaussians(gen, spec.N, real=spec.system.real)
                 incr_coeffs = series_coeffs(spec, gam[None])[0] * math.sqrt(dt)
-            gv = config.g_values_at(m - 1)
+            gv = config.g[m - 1].values() if isinstance(config.g, list) else g_const
             if gv is not None:
                 incr_coeffs = np.fft.fftn(np.fft.ifftn(incr_coeffs) * gv)
             u = decay * (u + incr_coeffs)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gammanoise.cli import RUNNERS, dump_states, load_states, main
-from gammanoise.config import COMMANDS, ConfigError, load_config
+from gammanoise.config import COMMANDS, ConfigError, command_sections, load_config
 from gammanoise.grid import Grid
 from gammanoise.output import (canonical_config, config_hash, csv_bytes, read_csv,
                                write_csv)
@@ -219,6 +219,17 @@ class TestCliCommands:
         ("sweep", "run.oversample=4"),
         ("series-norm", "run.workers=0"),
         ("series-norm", "run.workers=-3"),
+        ("schatten-heat", "schatten.t_min=0.5"),
+        ("gamma-young", "gamma_young.s=1.0"),
+        ("gamma-young", "gamma_young.q=0.0"),
+        ("gamma-young", "grid.dim=2"),
+        ("haar-divergence", "haar.d=0"),
+        ("haar-divergence", "haar.d=-1"),
+        ("haar-divergence", "haar.alpha=0.0"),
+        ("haar-divergence", "haar.alpha=-0.5"),
+        ("haar-divergence", "haar.zeta_values="),
+        ("haar-divergence", "haar.j_max=1"),
+        ("scaling", "scaling.alpha=0.0"),
     ])
     def test_rejected_value_exit_code(self, tmp_path, capsys, command, override):
         # several space-separated overrides are passed in order; the first key is named
@@ -229,6 +240,25 @@ class TestCliCommands:
         assert err["error"] == "config"
         assert override.split("=")[0] in err["detail"]
         assert not out.exists()
+
+    def test_every_declared_rule_rejects_its_violation(self, tmp_path, capsys,
+                                                       monkeypatch):
+        """Each rule in the command table, broken once, exits 2 before any runner starts.
+
+        A bound is broken by a value just past it, a distinct count by one
+        entry too few, an order by the other key's default.
+        """
+        for command in COMMANDS:
+            load_config(command)
+            monkeypatch.setitem(RUNNERS, command, _runner_must_not_start)
+            for override in _rule_violations(command):
+                out = tmp_path / "x.csv"
+                assert main([command, "--override", override, "--out", str(out)]) == 2, override
+                err = json.loads(capsys.readouterr().err)
+                assert err["error"] == "config"
+                assert f'{override.split("=")[0]}=' in err["detail"], (override, err)
+                assert " must " in err["detail"], (override, err)
+                assert not out.exists()
 
     def test_command_table_matches_runners_and_choices(self, capsys):
         with pytest.raises(SystemExit):
@@ -289,14 +319,22 @@ class TestCliCommands:
         assert crit and all(r["zeta"] == 2.0 for r in crit)
 
     def test_sweep_partial_failure_exit_code(self, tmp_path):
-        out = tmp_path / "sw.csv"
-        # d = 3 cells fail inside the freq-block construction
-        code = main(["sweep", "--out", str(out),
-                     "--override", "sweep.d=3",
-                     "--override", "sweep.s_values=0.5,0.9"])
-        assert code == 3
-        rows = read_csv(out)
-        assert all(r["status"] == "failed" for r in rows)
+        # each failed cell's exception is named in the manifest
+        for override, reason in [
+                ("sweep.d=3", "ValueError: frequency blocks are resource-bounded to d <= 2"),
+                ("sweep.scales=0,1", "ValueError: frequency block level must be >= 1, got 0")]:
+            out = tmp_path / "sw.csv"
+            code = main(["sweep", "--out", str(out),
+                         "--override", override,
+                         "--override", "sweep.s_values=0.5,0.9"])
+            assert code == 3
+            rows = read_csv(out)
+            assert all(r["status"] == "failed" for r in rows)
+            manifest = tmp_path / f"manifest-{rows[0]['manifest']}.json"
+            verdicts = json.loads(manifest.read_text())["verdicts"]
+            assert verdicts["failed_cells"] == 2
+            assert verdicts["failed_reasons"] == [{"s": 0.5, "error": reason},
+                                                  {"s": 0.9, "error": reason}]
 
     def test_console_entrypoint(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -367,3 +405,28 @@ class TestCliCommands:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def _runner_must_not_start(*args):
+    raise AssertionError("runner started on a config that breaks a declared rule")
+
+
+def _rule_violations(command):
+    """One ``section.key=value`` override per clause of every rule ``command`` declares."""
+    sections = command_sections(command)
+    out = []
+    for section, keys in sections.items():
+        defaults = {k: spec[1] for k, spec in keys.items() if isinstance(spec, tuple)}
+        for key, spec in keys.items():
+            if not (isinstance(spec, tuple) and len(spec) == 3):
+                continue
+            for clause in spec[2].split(" and "):
+                op, bound = clause.split()
+                if bound == "distinct":
+                    value = ",".join(map(str, list(dict.fromkeys(spec[1]))[:int(op) - 1]))
+                else:
+                    limit = defaults[bound] if bound in defaults else float(bound)
+                    value = {">": limit, ">=": limit - 1, "<=": limit + 1}[op]
+                    value = int(value) if spec[0] == "int" else float(value)
+                out.append(f"{section}.{key}={value}")
+    return out

@@ -73,6 +73,13 @@ class TestTransforms:
         f = forward_transform(grid1d, rng.standard_normal(grid1d.n))
         assert f.real and f.is_hermitian()
 
+    def test_values_follow_in_place_coeff_change(self, grid1d, rng):
+        vals = rng.standard_normal(grid1d.n)
+        f = forward_transform(grid1d, vals)
+        assert np.allclose(f.values(), vals)
+        f.coeffs *= 2
+        assert np.allclose(f.values(), 2 * vals)
+
 
 class TestUpsampling:
     def test_nodes_preserved(self, grid1d, rng):
