@@ -84,8 +84,8 @@ def build_g(block: dict, grid: Grid):
         return constant_field(grid, block.get("value", 1.0))
     if kind == "bump":
         w = block.get("width", 0.5)
-        coords = [np.broadcast_to(x, grid.shape) for x in grid.coords()]
-        return forward_transform(grid, bump_values(coords, grid.length / 2.0, w * grid.length))
+        return forward_transform(grid, bump_values(grid.coords(), grid.length / 2.0,
+                                                   w * grid.length))
     raise ConfigError(f"unknown g kind {kind!r}")
 
 
@@ -223,7 +223,7 @@ def run_gamma_young(cfg, seed, workers, timer):
 def run_mg_sobolev(cfg, seed, workers, timer):
     grid = build_grid(cfg["grid"])
     blk = cfg["mg_sobolev"]
-    coords = [np.broadcast_to(x, grid.shape) for x in grid.coords()]
+    coords = grid.coords()
     rows = []
     for m in range(blk["levels"]):
         w = blk["width"] * 2.0**-m

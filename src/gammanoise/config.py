@@ -80,8 +80,8 @@ COMMANDS = {
         "coloring": {"kind": ("str", "matern"), "alpha": ("float", 0.5),
                      "beta": "float", "level": "int", "value": "float",
                      "values": "floats"},
-        "series": {"n_terms": ("int", 128), "s": ("float", 0.6), "q": ("float", 2.0),
-                   "samples": ("int", 400)},
+        "series": {"n_terms": ("int", 128, ">= 1"), "s": ("float", 0.6),
+                   "q": ("float", 2.0, "> 1"), "samples": ("int", 400, ">= 2")},
         "g": {"kind": "str", "width": "float", "value": "float"},
     }, ("n_terms", "s", "q", "samples", "seed", "mean_sq", "stderr", "mean_norm",
         "sq_function", "hs_exact")),
@@ -107,7 +107,7 @@ COMMANDS = {
                          "resolution": ("int", 64), "width": ("float", 0.5)},
     }, TWO_SIDED_COLUMNS),
     "dirichlet": Command(4, {
-        "dirichlet": {"eta": ("float", 4.0),
+        "dirichlet": {"eta": ("float", 4.0, "> 1"),
                       "n_values": ("ints", [8, 16, 32, 64, 128, 256], "2 distinct")},
     }, ("N", "terms", "norm", "eta", "fitted_exponent", "predicted_exponent", "r2")),
     "gamma-young": Command(4, {
@@ -117,20 +117,22 @@ COMMANDS = {
     }, ("trial", "s", "q", "r", "eta", "lhs", "rhs", "ratio")),
     "mg-sobolev": Command(4, {
         "grid": _grid(8192),
-        "mg_sobolev": {"s": ("float", 0.75), "q": ("float", 4.0), "eta": ("float", 8.0 / 3.0),
+        "mg_sobolev": {"s": ("float", 0.75), "q": ("float", 4.0),
+                       "eta": ("float", 8.0 / 3.0, ">= 1"),
                        "levels": ("int", 6, ">= 1"), "width": ("float", 0.25)},
     }, ("level", "s", "q", "eta", "gamma_norm", "g_eta_norm", "constant")),
     "schatten-heat": Command(None, {
-        "schatten": {"d": ("int", 1), "n": ("int", 512), "t_min": ("float", 1e-3),
+        "schatten": {"d": ("int", 1), "n": ("int", 512), "t_min": ("float", 1e-3, "> 0"),
                      "t_max": ("float", 1e-1, "> t_min"), "points": ("int", 9, ">= 2")},
     }, ("d", "t", "norm_g1", "scaled_g1", "norm_witness")),
     "heat-sim": Command(None, {
         "grid": _grid(256),
         "heat": {"noise": ("str", "matern"), "alpha": ("float", 0.3), "cutoff": "float",
-                 "mode": "int", "amplitude": "float", "t_horizon": ("float", 0.1),
-                 "dt": ("float", 1e-3), "integrator": ("str", "exact_ou"),
-                 "trajectories": ("int", 100, ">= 1"), "s": ("float", 0.9), "q": ("float", 2.0),
-                 "p": ("float", 2.0), "dump_states": "str"},
+                 "mode": "int", "amplitude": "float", "t_horizon": ("float", 0.1, "> 0"),
+                 "dt": ("float", 1e-3, "> 0 and <= t_horizon"),
+                 "integrator": ("str", "exact_ou"), "trajectories": ("int", 100, ">= 1"),
+                 "s": ("float", 0.9), "q": ("float", 2.0, "> 1"), "p": ("float", 2.0, ">= 1"),
+                 "dump_states": "str"},
     }, ("trajectory", "time", "h_norm", "lp_spacetime", "max_in_time")),
     "scaling": Command(2, {
         "grid": _grid(8192),
@@ -154,7 +156,7 @@ def command_sections(command: str) -> dict:
     run = {"seed": ("int", 7), "workers": ("int", 1, ">= 1"),
            "out": ("str", command.replace("-", "_") + ".csv")}
     if COMMANDS[command].oversample is not None:
-        run["oversample"] = ("int", COMMANDS[command].oversample)
+        run["oversample"] = ("int", COMMANDS[command].oversample, ">= 1")
     return {"run": run, **COMMANDS[command].sections}
 
 

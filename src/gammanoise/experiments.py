@@ -20,9 +20,10 @@ from .grid import Grid, SpectralField, forward_transform
 from .norms import hsq_norm, lq_norm, sq_function_from_terms
 from .series import render_terms
 from .systems import (FourierSystem, ShiftedBumpSystem, bump_values, frequency_block,
-                      plateau_values, rank_one_mu_norm)
+                      plateau_values, rank_one_mu_norm, weighted_sequence_norm)
 
 BLOCK_RESOLUTION_MARGIN = 3     # grid octaves above the top frequency block
+BLOCK_TERM_CELLS_MAX = 2**25    # cells of the largest block's term stack, |C_N| * n^d
 
 
 @dataclass(frozen=True)
@@ -65,19 +66,23 @@ def frequency_block_test(params: ParamTuple, N_range, oversample: int = 2):
         raise ValueError("frequency blocks are resource-bounded to d <= 2")
     N_range = sorted(int(N) for N in N_range)
     n = 2 ** (max(N_range) + BLOCK_RESOLUTION_MARGIN)
-    if params.d == 2 and n > 1024:
-        raise ValueError("2-d blocks need N <= 7 to stay within the grid budget")
+    cells = (2 ** (max(N_range) - 1) + 1) ** params.d * n**params.d
+    if cells > BLOCK_TERM_CELLS_MAX:
+        raise ValueError(f"the N = {max(N_range)} block's term stack has {cells} cells, "
+                         f"above the budget of {BLOCK_TERM_CELLS_MAX}")
     grid = Grid(params.d, n)
     system = FourierSystem(params.d)
     records = []
     for N in N_range:
         block = frequency_block(N, params.d)
         g = block_field(grid, N)
-        terms = render_terms(system, block, grid, np.ones(len(block)), g.values())
+        weights = np.ones(len(block))
+        terms = render_terms(system, block, grid, weights, g.values())
         # the square function at q = 2 is the exact Hilbert-Schmidt value
         lhs = sq_function_from_terms(grid, terms, params.s, params.q,
                                      oversample=oversample)
-        mu_norm = 1.0 if math.isinf(params.zeta) else len(block) ** (1.0 / params.zeta)
+        mu_norm = weighted_sequence_norm(weights, [system.sup_norm(k) for k in block],
+                                         params.zeta)
         rhs = lq_norm(g, params.eta, oversample=oversample) * mu_norm
         records.append(SweepRecord("freq_block", N, lhs, rhs))
     fit = fit_ratio_exponent(records, predicted_exponent(params, "freq_block"))
@@ -103,7 +108,7 @@ def rescaled_bump_test(params: ParamTuple, m_range, n: int = 2**14,
     grid = Grid(params.d, n)
     if n < 2 ** (max(m_range) + 7):
         raise ValueError("grid too coarse to resolve the smallest bump")
-    coords = [np.broadcast_to(x, grid.shape) for x in grid.coords()]
+    coords = grid.coords()
     records = []
     for m in m_range:
         w = width * 2.0**-m
@@ -145,17 +150,19 @@ def shifted_bump_test(params: ParamTuple, N_range, resolution: int = 64,
         grid = Grid(params.d, n, length)
         system = ShiftedBumpSystem(params.d, N, width=width)
         idxs = system.all_indices()
-        coords = [np.broadcast_to(x, grid.shape) for x in grid.coords()]
+        coords = grid.coords()
         gv = np.zeros(grid.shape)
         for k in idxs:
             centered = np.mod(coords[0] - k[0] - 0.5, length)
             centered = np.where(centered > length / 2, centered - length, centered)
             gv += plateau_values([centered], 0.0, width + 0.1, width + 0.3)
         g = forward_transform(grid, gv)
-        terms = render_terms(system, idxs, grid, np.ones(len(idxs)), gv)
+        weights = np.ones(len(idxs))
+        terms = render_terms(system, idxs, grid, weights, gv)
         lhs = sq_function_from_terms(grid, terms, params.s, params.q,
                                      oversample=oversample)
-        mu_norm = 1.0 if math.isinf(params.zeta) else len(idxs) ** (1.0 / params.zeta)
+        # unweighted regime: unit sup norms, whatever the bump's normalization
+        mu_norm = weighted_sequence_norm(weights, weights, params.zeta)
         g_eta = lq_norm(g, params.eta, oversample=oversample)
         rhs = g_eta * mu_norm
         records.append(SweepRecord("shifted_bump", math.log2(N), lhs, rhs))

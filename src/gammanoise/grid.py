@@ -57,41 +57,27 @@ class Grid:
         k = np.where(k > self.n // 2, k - self.n, k)
         return k
 
+    def _along_axes(self, values: np.ndarray) -> list:
+        """``values`` laid along each axis in turn, broadcastable to the grid's shape."""
+        return [values.reshape([-1 if a == ax else 1 for a in range(self.dim)])
+                for ax in range(self.dim)]
+
     def freq_mesh(self) -> list:
         """Broadcastable integer frequency arrays, one per axis."""
-        k = self.freq_axis()
-        out = []
-        for ax in range(self.dim):
-            shape = [1] * self.dim
-            shape[ax] = self.n
-            out.append(k.reshape(shape))
-        return out
+        return self._along_axes(self.freq_axis())
 
     def k2_physical(self) -> np.ndarray:
         """``|k/L|^2`` on the full frequency lattice."""
-        mesh = self.freq_mesh()
-        out = np.zeros(self.shape)
-        for km in mesh:
-            out = out + (km / self.length) ** 2
-        return out
+        return sum((km / self.length) ** 2 for km in self.freq_mesh())
 
     def freq_abs(self) -> np.ndarray:
         """Euclidean norm of the integer frequency multi-index."""
-        mesh = self.freq_mesh()
-        out = np.zeros(self.shape)
-        for km in mesh:
-            out = out + km.astype(float) ** 2
-        return np.sqrt(out)
+        return np.sqrt(sum(km.astype(float) ** 2 for km in self.freq_mesh()))
 
     def coords(self) -> list:
-        """Broadcastable coordinate arrays, one per axis."""
+        """Coordinate arrays of the grid's full shape, one per axis (read-only views)."""
         x = np.arange(self.n) * (self.length / self.n)
-        out = []
-        for ax in range(self.dim):
-            shape = [1] * self.dim
-            shape[ax] = self.n
-            out.append(x.reshape(shape))
-        return out
+        return [np.broadcast_to(xa, self.shape) for xa in self._along_axes(x)]
 
     def index_of_freq(self, k: tuple) -> tuple:
         """Array index of the integer frequency multi-index ``k``."""
@@ -203,7 +189,7 @@ def mode_field(grid: Grid, k, amplitude: complex = 1.0) -> SpectralField:
 
 def field_from_function(grid: Grid, fn) -> SpectralField:
     """Sample ``fn`` on the grid; ``fn`` receives one coordinate array per axis."""
-    vals = fn(*[np.broadcast_to(x, grid.shape) for x in grid.coords()])
+    vals = fn(*grid.coords())
     return forward_transform(grid, np.asarray(vals, dtype=float))
 
 

@@ -77,8 +77,14 @@ def weak_lp_norm(f: SpectralField, p: float) -> float:
     return float(np.max(a * (j * f.grid.cell_measure) ** (1.0 / p)))
 
 
+def heat_eigenvalues(grid: Grid) -> np.ndarray:
+    """``lambda_k = 4 pi^2 |k/L|^2``, the symbol of ``-Lap`` on the frequency lattice."""
+    return 4.0 * np.pi**2 * grid.k2_physical()
+
+
 def bessel_multiplier(grid: Grid, sigma: float) -> np.ndarray:
-    return (1.0 + 4.0 * np.pi**2 * grid.k2_physical()) ** (sigma / 2.0)
+    """``(1 + lambda_k)^(sigma/2)``, the symbol of ``(1 - Lap)^(sigma/2)``."""
+    return (1.0 + heat_eigenvalues(grid)) ** (sigma / 2.0)
 
 
 def bessel_apply(f: SpectralField, sigma: float) -> SpectralField:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, SpectralField, forward_transform
-from .norms import DEFAULT_OVERSAMPLE, bessel_kernel, lq_norm, weak_lp_norm
+from .norms import DEFAULT_OVERSAMPLE, bessel_kernel, heat_eigenvalues, lq_norm, weak_lp_norm
 from .systems import bump_values
 
 BRUTEFORCE_MAX_CELLS = 4096
@@ -26,7 +26,7 @@ class ResourceError(RuntimeError):
     """Raised when an oracle would exceed its declared memory budget."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvPair:
     """Kernel f, multiplier g, and target integrability q >= 2."""
 
@@ -132,7 +132,7 @@ def schatten_heat_norm(g: SpectralField, t: float) -> float:
     """
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
-    lam = 4.0 * np.pi**2 * g.grid.k2_physical()
+    lam = heat_eigenvalues(g.grid)
     theta = float(np.sum(np.exp(-2.0 * lam * t)))
     return lq_norm(g, 2) * math.sqrt(theta)
 
@@ -141,7 +141,7 @@ def heat_kernel_field(grid: Grid, t: float) -> SpectralField:
     """Periodic heat kernel at time t (unit mass, coefficients exp(-lambda_k t))."""
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
-    lam = 4.0 * np.pi**2 * grid.k2_physical()
+    lam = heat_eigenvalues(grid)
     coeffs = np.exp(-lam * t) / grid.length**grid.dim
     return SpectralField(grid, coeffs.astype(np.complex128), real=True)
 
@@ -167,7 +167,7 @@ def endpoint_checks(f: SpectralField, mode: str, exponent: float, levels: int = 
     if exponent < 2:
         raise ValueError(f"exponent must be >= 2, got {exponent}")
     grid = f.grid
-    coords = [np.broadcast_to(x, grid.shape) for x in grid.coords()]
+    coords = grid.coords()
     constants = []
     if mode == "eta2":
         q = exponent

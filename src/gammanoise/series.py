@@ -18,7 +18,8 @@ use for every system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,9 +31,12 @@ from .systems import Coloring, FourierSystem
 from concurrent.futures import ThreadPoolExecutor
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeriesSpec:
-    """Truncated Gaussian series ``g * sum_{n<=N} gamma_n mu_n f_n``."""
+    """Truncated Gaussian series ``g * sum_{n<=N} gamma_n mu_n f_n``.
+
+    Immutable, so its cached terms never go stale; vary it with ``dataclasses.replace``.
+    """
 
     grid: Grid
     system: object
@@ -41,9 +45,6 @@ class SeriesSpec:
     s: float
     q: float
     g: SpectralField = None
-    _terms: np.ndarray = None   # cached term samples, filled lazily
-    _lattice: tuple = field(default=None, init=False, repr=False,
-                            compare=False)   # cached Fourier (positions, mu_n), filled lazily
 
     def __post_init__(self) -> None:
         if self.N < 1:
@@ -54,6 +55,19 @@ class SeriesSpec:
     @property
     def real(self) -> bool:
         return bool(self.system.real) and (self.g is None or self.g.real)
+
+    @cached_property
+    def _terms(self) -> np.ndarray:
+        """Stacked physical samples of ``g mu_n f_n``, shape (N, *grid)."""
+        idxs = self.system.indices(self.N)
+        return render_terms(self.system, idxs, self.grid, self.coloring.weights(idxs),
+                            None if self.g is None else self.g.values())
+
+    @cached_property
+    def _lattice(self) -> tuple:
+        """Fourier lattice positions of the N modes and their weights ``mu_n``."""
+        idxs = self.system.indices(self.N)
+        return self.system.lattice_positions(idxs, self.grid), self.coloring.weights(idxs)
 
 
 @dataclass(frozen=True)
@@ -89,10 +103,6 @@ def render_terms(system, idxs, grid: Grid, weights, g_values=None) -> np.ndarray
 
 def term_values(spec: SeriesSpec) -> np.ndarray:
     """Stacked physical samples of ``g mu_n f_n``, shape (N, *grid); cached."""
-    if spec._terms is None:
-        idxs = spec.system.indices(spec.N)
-        spec._terms = render_terms(spec.system, idxs, spec.grid, spec.coloring.weights(idxs),
-                                   None if spec.g is None else spec.g.values())
     return spec._terms
 
 
@@ -107,10 +117,6 @@ def series_coeffs(spec: SeriesSpec, gam: np.ndarray) -> np.ndarray:
     grid = spec.grid
     axes = tuple(range(1, grid.dim + 1))
     if isinstance(spec.system, FourierSystem):
-        if spec._lattice is None:   # worker threads may both fill it, with equal values
-            idxs = spec.system.indices(spec.N)
-            spec._lattice = (spec.system.lattice_positions(idxs, grid),
-                             spec.coloring.weights(idxs))
         positions, mus = spec._lattice
         coeffs = np.zeros((gam.shape[0], grid.n**grid.dim), dtype=np.complex128)
         coeffs[:, positions] = gam * mus

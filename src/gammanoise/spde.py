@@ -15,15 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid, SpectralField, forward_transform
-from .norms import bessel_multiplier, lq_norm, lq_norms, sq_function_from_terms
+from .norms import (bessel_multiplier, heat_eigenvalues, lq_norm, lq_norms,
+                    sq_function_from_terms)
 from .rng import complex_standard_normal, standard_gaussians, stream
 from .fit import linfit
 from .series import SeriesSpec, render_terms, series_coeffs, term_values
-from .systems import Coloring, HaarSystem, bump_values
+from .systems import Coloring, HaarSystem, bump_values, weighted_sequence_norm
 from .conditions import ParamTuple, predicted_exponent
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiagonalNoise:
     """Per-mode coloring on the full frequency lattice of a grid."""
 
@@ -33,7 +34,7 @@ class DiagonalNoise:
     def matern(grid: Grid, alpha: float) -> "DiagonalNoise":
         if alpha <= 0:
             raise ValueError("Matern exponent must be positive")
-        return DiagonalNoise((1.0 + 4.0 * np.pi**2 * grid.k2_physical()) ** (-alpha / 2.0))
+        return DiagonalNoise(bessel_multiplier(grid, -alpha))
 
     @staticmethod
     def white(grid: Grid, cutoff: float = None) -> "DiagonalNoise":
@@ -53,7 +54,7 @@ class DiagonalNoise:
         return DiagonalNoise(np.zeros(grid.shape))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemNoise:
     """Truncated series noise ``sum_{n<=N} mu_n f_n dw_n``."""
 
@@ -63,7 +64,7 @@ class SystemNoise:
     _specs: dict = field(default_factory=dict, repr=False, compare=False)   # grid -> SeriesSpec
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpdeConfig:
     grid: Grid
     noise: object                    # DiagonalNoise | SystemNoise
@@ -105,11 +106,6 @@ class Trajectory:
 
     def final(self) -> SpectralField:
         return self.states[-1]
-
-
-def heat_eigenvalues(grid: Grid) -> np.ndarray:
-    """``lambda_k = 4 pi^2 |k/L|^2`` on the frequency lattice."""
-    return 4.0 * np.pi**2 * grid.k2_physical()
 
 
 def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
@@ -293,7 +289,7 @@ def scaling_diagnostic(alpha: float, zeta: float, params: ParamTuple, m_range,
         raise ValueError(f"grid too coarse: need n >= {need} for these levels")
 
     base = Coloring.haar(alpha, beta, d)
-    coords = [np.broadcast_to(x, grid.shape) for x in grid.coords()]
+    coords = grid.coords()
     points = []
     for m in m_range:
         haar = HaarSystem(d, 0, j_hi + m)
@@ -304,13 +300,7 @@ def scaling_diagnostic(alpha: float, zeta: float, params: ParamTuple, m_range,
                 sigma, _, k = idx
                 idxs.append((sigma, j + m, k))
                 weights.append(scale * base.value(idx, 1))
-        mu_zeta = 0.0
-        for idx, w in zip(idxs, weights):
-            if math.isinf(zeta):
-                mu_zeta = max(mu_zeta, abs(w))
-            else:
-                mu_zeta += abs(w) ** zeta * haar.sup_norm(idx) ** 2
-        mu_norm = mu_zeta if math.isinf(zeta) else mu_zeta ** (1.0 / zeta)
+        mu_norm = weighted_sequence_norm(weights, [haar.sup_norm(idx) for idx in idxs], zeta)
 
         gm = bump_values(coords, SCALING_G_WIDTH * 2.0 ** (-m - 1),
                          SCALING_G_WIDTH * 2.0 ** (-m))

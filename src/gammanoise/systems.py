@@ -93,21 +93,11 @@ class FourierSystem:
         self._cache: list = []
 
     def indices(self, count: int) -> list:
+        radius = 1
         while len(self._cache) < count:
-            self._grow(count)
+            self._cache = self.ball_indices(radius)
+            radius *= 2
         return self._cache[:count]
-
-    def _grow(self, count: int) -> None:
-        box = 1
-        while True:
-            rng = range(-box, box + 1)
-            ks = [k for k in itertools.product(rng, repeat=self.dim)
-                  if sum(x * x for x in k) <= box * box]
-            if len(ks) >= count:
-                ks.sort(key=lambda k: (sum(x * x for x in k), k))
-                self._cache = ks
-                return
-            box *= 2
 
     def ball_indices(self, radius: int) -> list:
         """All lattice frequencies with ``|k| <= radius``."""
@@ -190,8 +180,7 @@ class HaarSystem:
         if np.isscalar(k):
             k = (k,) * 1
         vals = np.ones(grid.shape)
-        for ax, (s, ki) in enumerate(zip(sigma, k)):
-            x = np.broadcast_to(grid.coords()[ax], grid.shape)
+        for x, s, ki in zip(grid.coords(), sigma, k):
             # dyadic rescale onto [0,1) with periodic wrap
             t = np.mod(2.0**j * np.mod(x / grid.length, 1.0) - ki, 2.0**j)
             on_support = t < 1.0
@@ -396,7 +385,7 @@ def frequency_block(N: int, dim: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# weighted sequence norm and the Haar criticality sums
+# weighted sequence norms and the Haar criticality sums
 
 
 def ell_zeta_weighted_norm(mu: Coloring, system, zeta: float, N: int) -> float:
@@ -410,11 +399,16 @@ def ell_zeta_weighted_norm(mu: Coloring, system, zeta: float, N: int) -> float:
     if N < 1:
         raise ValueError("truncation N must be >= 1")
     idxs = system.indices(N)
-    mus = mu.weights(idxs)
+    return weighted_sequence_norm(mu.weights(idxs), [system.sup_norm(idx) for idx in idxs], zeta)
+
+
+def weighted_sequence_norm(weights, sup_norms, zeta: float) -> float:
+    """``(sum_n |w_n|^zeta s_n^2)^(1/zeta)``, or ``max_n |w_n|`` when zeta is infinite."""
+    weights = np.abs(np.asarray(weights, dtype=float))
     if math.isinf(zeta):
-        return float(np.max(np.abs(mus)))
-    w = np.array([system.sup_norm(idx) for idx in idxs])
-    return float(np.sum(np.abs(mus) ** zeta * w**2) ** (1.0 / zeta))
+        return float(np.max(weights))
+    sup_norms = np.asarray(sup_norms, dtype=float)
+    return float(np.sum(weights**zeta * sup_norms**2) ** (1.0 / zeta))
 
 
 def rank_one_mu_norm(h_l2: float, h_sup: float, zeta: float) -> float:

@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines;
 the same criteria back the ``gammanoise selftest`` subcommand.
 """
 
+import hashlib
+
 import pytest
 
 from gammanoise.acceptance import CRITERIA, criterion_12, run_criteria
@@ -13,6 +15,10 @@ from gammanoise.output import read_csv
 SEED = 7
 
 RUNTIME_BUDGETS_S = {1: 120.0, 2: 60.0, 10: 300.0}
+
+# sha256 of the default ``selftest`` CSV at seed 7; any change to a criterion's
+# numbers or to the CSV format shows here
+SELFTEST_CSV_SHA256 = "69d1b73d2756e6047bbe00e28f3318cc988c7682b8789565b7280d03b055ffb6"
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +57,4 @@ def test_selftest_cli_end_to_end(tmp_path):
     rows = read_csv(out)
     assert [r["criterion"] for r in rows] == list(range(1, 13))
     assert all(r["passed"] for r in rows)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SELFTEST_CSV_SHA256

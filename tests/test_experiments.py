@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gammanoise import experiments
 from gammanoise.conditions import ParamTuple
 from gammanoise.experiments import (block_field, boundary_sweep, dirichlet_field,
                                     dirichlet_l1_values, dirichlet_norm_test,
@@ -62,8 +63,17 @@ class TestFrequencyBlock:
         with pytest.raises(ValueError):
             frequency_block_test(params, [3, 4])
         with pytest.raises(ValueError):
-            # the 2-d grid budget caps the block level
+            # the term-stack budget caps the block level
             frequency_block_test(ParamTuple(2, 0.9, 4.0, 2.0, 4.0), [3, 9])
+
+    @pytest.mark.parametrize("d,N_range", [(2, range(3, 8)), (2, [3, 4, 5, 6]), (1, [3, 20])])
+    def test_term_stack_budget_checked_before_rendering(self, d, N_range, monkeypatch):
+        # the largest level's |C_N| * n^d cells are bounded before any term is built
+        def must_not_render(*args, **kwargs):
+            raise AssertionError("rendered a term stack over the budget")
+        monkeypatch.setattr(experiments, "render_terms", must_not_render)
+        with pytest.raises(ValueError, match="budget"):
+            frequency_block_test(ParamTuple(d, 0.9, 4.0, 2.0, 4.0), N_range)
 
     def test_two_dimensional_blocks(self):
         # same construction in d = 2 on small levels; the exponent picks up
@@ -80,7 +90,7 @@ class TestRescaledBump:
         from gammanoise.grid import forward_transform
         from gammanoise.systems import bump_values
         grid = Grid(1, 2**14)
-        coords = [np.broadcast_to(x, grid.shape) for x in grid.coords()]
+        coords = grid.coords()
         base = None
         for m in range(6):
             w = 0.25 * 2.0**-m

@@ -27,6 +27,14 @@ class TestGrid:
         assert k[4] == 4  # Nyquist bin holds +n/2
         assert set(k) == {-3, -2, -1, 0, 1, 2, 3, 4}
 
+    def test_coords_are_full_shape_read_only(self):
+        g = Grid(2, 8, 2.0)
+        x, y = g.coords()
+        assert x.shape == y.shape == g.shape
+        assert x[3, 5] == 0.75 and y[3, 5] == 1.25
+        with pytest.raises(ValueError):
+            x[0, 0] = 1.0
+
     def test_index_of_freq_range(self):
         g = Grid(1, 8)
         with pytest.raises(ValueError):

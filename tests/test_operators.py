@@ -79,7 +79,7 @@ class TestBruteForce:
 
     def test_gaussian_pair_cross_oracle(self):
         g = Grid(1, 64)
-        coords = [np.broadcast_to(x, g.shape) for x in g.coords()]
+        coords = g.coords()
         f = forward_transform(g, np.exp(-50 * (coords[0] - 0.5) ** 2))
         h = forward_transform(g, np.exp(-80 * (coords[0] - 0.3) ** 2))
         pair = ConvPair(f, h, 2.0)
@@ -164,7 +164,7 @@ class TestMgSobolev:
     def test_bump_dilation_stability(self):
         # spec-scale check: constант against ||g||_eta stays within factor 2
         grid = Grid(1, 8192)
-        coords = [np.broadcast_to(x, grid.shape) for x in grid.coords()]
+        coords = grid.coords()
         consts = []
         for m in range(6):
             w = 0.25 * 2.0**-m

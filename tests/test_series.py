@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gammanoise.grid import Grid, forward_transform, mode_field
+from gammanoise.grid import Grid, constant_field, forward_transform, mode_field
 from gammanoise.norms import hsq_norm
 from gammanoise.rng import stream
 from gammanoise.fit import classify_growth, linfit
@@ -78,7 +79,7 @@ class TestSeriesCoeffs:
         spec = SeriesSpec(grid, FourierSystem(dim), Coloring.matern(0.6), N, 0.5, 2.0, g=g)
         gam = gen.standard_normal((5, N)) + 1j * gen.standard_normal((5, N))
         got = series_coeffs(spec, gam)
-        assert spec._terms is None
+        assert "_terms" not in vars(spec)
         flat = term_values(spec).reshape(N, -1)
         axes = tuple(range(1, dim + 1))
         ref = np.fft.fftn((gam @ flat).reshape((5,) + grid.shape), axes=axes) / n**dim
@@ -86,7 +87,7 @@ class TestSeriesCoeffs:
 
     def test_mc_keeps_fourier_term_stack_unbuilt(self, fourier_spec):
         mc_gamma_norm(fourier_spec, 20, seed=3)
-        assert fourier_spec._terms is None
+        assert "_terms" not in vars(fourier_spec)
 
     def test_fourier_overflow_raises_like_term_values(self):
         grid = Grid(1, 64)
@@ -96,6 +97,27 @@ class TestSeriesCoeffs:
         with pytest.raises(ValueError) as mc:
             mc_gamma_norm(mk(), 4, seed=0)
         assert str(mc.value) == str(dense.value) == "frequency -32 outside (-n/2, n/2] for n=64"
+
+
+class TestFrozenSpec:
+    """A spec caches its terms and lattice data, so a field changed after validation
+    would be read stale or against the wrong shapes; every assignment is refused."""
+
+    def test_multiplier_cannot_be_reassigned(self):
+        grid = Grid(1, 64)
+        spec = SeriesSpec(grid, FourierSystem(1), Coloring.matern(0.5), 16, 0.5, 2.0)
+        assert hs_gamma_norm_exact(spec) == pytest.approx(1.0371, abs=1e-4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.g = constant_field(grid, 3.0)
+        fresh = dataclasses.replace(spec, g=constant_field(grid, 3.0))
+        assert hs_gamma_norm_exact(fresh) == pytest.approx(3.1114, abs=1e-4)
+
+    def test_truncation_cannot_be_reassigned(self):
+        spec = SeriesSpec(Grid(1, 64), FourierSystem(1), Coloring.matern(0.5), 16, 0.5, 2.0)
+        mc_gamma_norm(spec, 4, seed=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.N = 32
+        assert mc_gamma_norm(dataclasses.replace(spec, N=32), 4, seed=0).samples == 4
 
 
 class TestRenderTerms:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SpdeConfig(small_grid, DiagonalNoise.white(small_grid), T=0.1, dt=0.01,
                        g=constant_field(small_grid, 1.0))
+
+    def test_step_cannot_be_reassigned(self, small_grid):
+        # a dt changed after validation no longer divides T, and simulate stopped short
+        cfg = SpdeConfig(small_grid, DiagonalNoise.white(small_grid), T=0.1, dt=0.01)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.dt = 0.03
+        assert simulate(cfg, seed=1).times[-1] == pytest.approx(0.1)
+
+    def test_noise_coloring_cannot_be_reassigned(self, small_grid):
+        # the per-grid series spec is cached on the noise, so a new coloring was ignored
+        noise = SystemNoise(FourierSystem(1), Coloring.matern(0.5), 8)
+        cfg = SpdeConfig(small_grid, noise, T=0.02, dt=0.01, integrator="exp_euler")
+        simulate(cfg, seed=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            noise.coloring = Coloring.matern(3.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DiagonalNoise.white(small_grid).mu = np.zeros(small_grid.shape)
 
     def test_unknown_integrator(self, small_grid):
         with pytest.raises(ValueError):
@@ -115,7 +133,7 @@ class TestSimulate:
         cfg = SpdeConfig(small_grid, noise, T=dt, dt=dt, integrator="exp_euler",
                          g=g if with_g else None)
         got = simulate(cfg, seed=53).final().coeffs
-        assert noise._specs[small_grid]._terms is None
+        assert "_terms" not in vars(noise._specs[small_grid])
         gam = complex_standard_normal(stream(53, 0, 1), (noise.N,))
         vals = (gam @ term_values_for_system(noise, small_grid)) * math.sqrt(dt)
         if with_g:

@@ -9,7 +9,7 @@ from gammanoise.systems import (Coloring, FourierSystem, HaarSystem, IndexRangeE
                                 NonEvaluableError, ShiftedBumpSystem,
                                 SyntheticGrowthSystem, ell_zeta_weighted_norm,
                                 frequency_block, haar_lattice_sums, in_frequency_block,
-                                rank_one_mu_norm)
+                                rank_one_mu_norm, weighted_sequence_norm)
 
 
 class TestColorings:
@@ -130,6 +130,14 @@ class TestEllZetaNorm:
         got = ell_zeta_weighted_norm(mu, sys, 3.0, 10)
         plain = sum(n ** (-0.8 * 3) for n in range(1, 11)) ** (1 / 3.0)
         assert got == pytest.approx(plain, rel=1e-12)
+
+    def test_sequence_norm_matches_term_loop(self):
+        # Haar-like sup norms, summed term by term as the scaling diagnostic once did
+        weights = [0.3, -1.2, 0.7, 2.0]
+        sups = [1.0, 2**0.5, 2**0.5, 2.0]
+        loop = sum(abs(w) ** 3.0 * s**2 for w, s in zip(weights, sups)) ** (1 / 3.0)
+        assert weighted_sequence_norm(weights, sups, 3.0) == pytest.approx(loop, rel=1e-15)
+        assert weighted_sequence_norm(weights, sups, math.inf) == 2.0
 
     def test_zero_coloring(self):
         sys = FourierSystem(1)
