@@ -10,8 +10,7 @@ parameter boundaries where the sharp convergence conditions flip.
 from .conditions import ParamTuple, predicted_exponent, sharp_condition
 from .fit import classify_growth
 from .grid import (Grid, SpectralField, constant_field, field_from_function,
-                   forward_transform, inverse_transform, mode_field, product,
-                   zero_field)
+                   forward_transform, mode_field, product, zero_field)
 from .norms import (bessel_apply, bessel_kernel, hsq_norm, lp_block, lq_norm,
                     weak_lp_norm)
 from .operators import (ConvPair, afg_bruteforce_hs, afg_gamma_norm,
@@ -29,7 +28,7 @@ from .systems import (Coloring, FourierSystem, HaarSystem, ShiftedBumpSystem,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid", "SpectralField", "forward_transform", "inverse_transform",
+    "Grid", "SpectralField", "forward_transform",
     "constant_field", "mode_field", "zero_field", "field_from_function", "product",
     "lq_norm", "weak_lp_norm", "bessel_apply", "hsq_norm", "lp_block", "bessel_kernel",
     "Coloring", "FourierSystem", "HaarSystem", "ShiftedBumpSystem",

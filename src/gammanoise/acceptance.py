@@ -21,7 +21,7 @@ from .fit import classify_growth, linfit
 from .grid import Grid, SpectralField, constant_field, forward_transform
 from .norms import bessel_kernel, hsq_norm, lq_norm, weak_lp_norm
 from .operators import (ConvPair, afg_bruteforce_hs, afg_gamma_norm,
-                        heat_kernel_field, schatten_heat_norm)
+                        heat_witness, schatten_heat_norm)
 from .output import csv_bytes, format_value
 from .rng import stream
 from .series import SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm
@@ -206,11 +206,7 @@ def criterion_9(seed: int, workers: int = 1):
         vals = np.array([t ** (d / 4.0) * schatten_heat_norm(one, t) for t in ts])
         spread = float(vals.max() / vals.min())
         ts_w = np.geomspace(1e-4, 1e-2, 9)
-        wit = []
-        for t in ts_w:
-            kern = heat_kernel_field(grid, t)
-            gt = forward_transform(grid, np.sqrt(np.maximum(kern.values(), 0.0)))
-            wit.append(schatten_heat_norm(gt, t))
+        wit = [schatten_heat_norm(heat_witness(grid, t), t) for t in ts_w]
         slope, _ = linfit(np.log(ts_w), np.log(wit))
         metrics[f"spread_d{d}"] = spread
         metrics[f"witness_exp_d{d}"] = slope

@@ -27,8 +27,8 @@ from .experiments import (boundary_sweep, dirichlet_norm_test,
 from .fit import linfit
 from .grid import Grid, constant_field, forward_transform
 from .norms import bessel_kernel, lq_norm
-from .operators import (gamma_young_check, heat_kernel_field,
-                        mg_sobolev_gamma_norm, schatten_heat_norm)
+from .operators import (gamma_young_check, heat_witness, mg_sobolev_gamma_norm,
+                        schatten_heat_norm)
 from .output import OpTimer, RunManifest, config_hash, write_csv
 from .rng import stream
 from .series import SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm, sq_function_gamma_norm
@@ -250,11 +250,9 @@ def run_schatten_heat(cfg, seed, workers, timer):
     rows = []
     for t in ts:
         val = schatten_heat_norm(one, float(t))
-        kern = heat_kernel_field(grid, float(t))
-        gt = forward_transform(grid, np.sqrt(np.maximum(kern.values(), 0.0)))
         rows.append({"d": blk["d"], "t": float(t), "norm_g1": val,
                      "scaled_g1": float(t) ** (blk["d"] / 4.0) * val,
-                     "norm_witness": schatten_heat_norm(gt, float(t))})
+                     "norm_witness": schatten_heat_norm(heat_witness(grid, float(t)), float(t))})
     slope, _ = linfit(np.log(ts), np.log([r["norm_witness"] for r in rows]))
     return rows, {"witness_exponent": slope}, EXIT_OK
 
@@ -345,23 +343,17 @@ RUNNERS = {
 def dump_states(traj, path: str) -> None:
     """Binary state dump: little-endian header (dims u32, n u32, count u64),
     then count * n^dims complex doubles, interleaved re/im."""
-    grid = traj.states[0].grid
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<IIQ", grid.dim, grid.n, len(traj.states)))
-        for st in traj.states:
-            fh.write(np.ascontiguousarray(st.coeffs, dtype="<c16").tobytes())
+        fh.write(struct.pack("<IIQ", traj.grid.dim, traj.grid.n, len(traj.coeffs)))
+        fh.write(np.ascontiguousarray(traj.coeffs, dtype="<c16").tobytes())
 
 
 def load_states(path: str):
-    """Inverse of dump_states; returns (dims, n, list of coefficient arrays)."""
+    """Inverse of dump_states; returns (dims, n, coefficients of shape (count, *grid))."""
     with open(path, "rb") as fh:
         dims, n, count = struct.unpack("<IIQ", fh.read(16))
-        shape = (n,) * dims
-        out = []
-        for _ in range(count):
-            buf = fh.read(16 * n**dims)
-            out.append(np.frombuffer(buf, dtype="<c16").reshape(shape).copy())
-    return dims, n, out
+        coeffs = np.frombuffer(fh.read(16 * count * n**dims), dtype="<c16")
+    return dims, n, coeffs.reshape((count,) + (n,) * dims)
 
 
 def main(argv=None) -> int:

@@ -166,10 +166,6 @@ def forward_transform(grid: Grid, values: np.ndarray) -> SpectralField:
     return SpectralField(grid, coeffs, real=bool(np.isrealobj(values)))
 
 
-def inverse_transform(f: SpectralField) -> np.ndarray:
-    return f.values()
-
-
 def zero_field(grid: Grid, real: bool = True) -> SpectralField:
     return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128), real=real)
 

@@ -60,10 +60,6 @@ def sq_function_from_terms(grid: Grid, terms: np.ndarray, s: float, q: float,
     return float((np.sum(acc ** (q / 2.0)) * cell) ** (1.0 / q))
 
 
-def sup_norm(f: SpectralField, oversample: int = DEFAULT_OVERSAMPLE) -> float:
-    return float(np.max(np.abs(upsampled_values(f, oversample))))
-
-
 def weak_lp_norm(f: SpectralField, p: float) -> float:
     """Weak ``L^p`` quasi-norm via the decreasing rearrangement of samples.
 

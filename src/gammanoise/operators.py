@@ -146,6 +146,11 @@ def heat_kernel_field(grid: Grid, t: float) -> SpectralField:
     return SpectralField(grid, coeffs.astype(np.complex128), real=True)
 
 
+def heat_witness(grid: Grid, t: float) -> SpectralField:
+    """Square root of the heat kernel at time t, the witness that the Schatten bound is sharp."""
+    return forward_transform(grid, np.sqrt(np.maximum(heat_kernel_field(grid, t).values(), 0.0)))
+
+
 @dataclass(frozen=True)
 class EndpointReport:
     """Best-constant estimate over a probe family, next to the predicted norm."""

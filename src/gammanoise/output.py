@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 TOOL_VERSION = "0.1.0"
 
@@ -113,18 +113,8 @@ class RunManifest:
     verdicts: dict = field(default_factory=dict)
 
     def write(self, path) -> None:
-        doc = {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "op_timings": self.op_timings,
-            "artifacts": self.artifacts,
-            "verdicts": self.verdicts,
-        }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 

@@ -36,6 +36,7 @@ class SeriesSpec:
     """Truncated Gaussian series ``g * sum_{n<=N} gamma_n mu_n f_n``.
 
     Immutable, so its cached terms never go stale; vary it with ``dataclasses.replace``.
+    ``g`` is held as a read-only copy of the field passed in.
     """
 
     grid: Grid
@@ -49,8 +50,12 @@ class SeriesSpec:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError("truncation N must be >= 1")
-        if self.g is not None and self.g.grid != self.grid:
-            raise ValueError("multiplier field lives on a different grid")
+        if self.g is not None:
+            if self.g.grid != self.grid:
+                raise ValueError("multiplier field lives on a different grid")
+            g = SpectralField(self.grid, self.g.coeffs.copy(), real=self.g.real)
+            g.coeffs.flags.writeable = False
+            object.__setattr__(self, "g", g)
 
     @property
     def real(self) -> bool:

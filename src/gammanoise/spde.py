@@ -96,16 +96,21 @@ class SpdeConfig:
         return round(self.T / self.dt)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Time grid, spectral states (states[0] = 0), and the generating seed."""
+    """Stored states of one run: ``coeffs[i]`` holds the coefficients at ``times[i]``.
 
+    ``coeffs`` has shape ``(len(times), *grid.shape)``, row 0 is the zero
+    initial state, and ``simulate`` returns it read-only.
+    """
+
+    grid: Grid
     times: np.ndarray
-    states: list
+    coeffs: np.ndarray
     seed: int
 
     def final(self) -> SpectralField:
-        return self.states[-1]
+        return SpectralField(self.grid, self.coeffs[-1])
 
 
 def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
@@ -133,9 +138,9 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
             spec = _noise_spec(config.noise, grid)
         g_const = config.g.values() if isinstance(config.g, SpectralField) else None
 
+    times = np.arange(steps + 1) * dt if keep_states else np.array([0.0, config.T])
+    coeffs = np.zeros((len(times),) + grid.shape, dtype=np.complex128)
     u = np.zeros(grid.shape, dtype=np.complex128)
-    states = [SpectralField(grid, u.copy())]
-    times = [0.0]
     for m in range(1, steps + 1):
         gen = stream(seed, traj_index, m)
         if config.integrator == "exact_ou":
@@ -152,13 +157,11 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
             if gv is not None:
                 incr_coeffs = np.fft.fftn(np.fft.ifftn(incr_coeffs) * gv)
             u = decay * (u + incr_coeffs)
-        times.append(m * dt)
         if keep_states:
-            states.append(SpectralField(grid, u.copy()))
-    if not keep_states:
-        states.append(SpectralField(grid, u.copy()))
-    return Trajectory(np.array(times if keep_states else [0.0, config.T]),
-                      states, seed)
+            coeffs[m] = u
+    coeffs[-1] = u
+    coeffs.flags.writeable = False
+    return Trajectory(grid, times, coeffs, seed)
 
 
 def _noise_spec(noise: SystemNoise, grid: Grid) -> SeriesSpec:
@@ -227,23 +230,18 @@ class SpaceTimeNorm:
     norms: np.ndarray = field(compare=False)    # spatial norm at every stored time
 
 
-def trajectory_norms(traj: Trajectory, s: float, q: float,
-                     oversample: int = 1) -> np.ndarray:
+def trajectory_norms(traj: Trajectory, s: float, q: float) -> np.ndarray:
     """Smoothness 1 - s spatial norm at every stored time, in one batched pass."""
     if not (1 < q < math.inf):
         raise ValueError(f"q must lie in (1, inf), got {q}")
-    grid = traj.states[0].grid
-    coeffs = np.stack([st.coeffs for st in traj.states])
-    coeffs *= bessel_multiplier(grid, 1.0 - s)
-    return lq_norms(grid, coeffs, q, oversample)
+    return lq_norms(traj.grid, traj.coeffs * bessel_multiplier(traj.grid, 1.0 - s), q, 1)
 
 
-def spacetime_norm(traj: Trajectory, p: float, s: float, q: float,
-                   oversample: int = 1) -> SpaceTimeNorm:
+def spacetime_norm(traj: Trajectory, p: float, s: float, q: float) -> SpaceTimeNorm:
     """``L^p(0,T)`` norm of the smoothness 1 - s spatial norm along a trajectory."""
     if not (1 <= p < math.inf):
         raise ValueError(f"p must lie in [1, inf), got {p}")
-    norms = trajectory_norms(traj, s, q, oversample=oversample)
+    norms = trajectory_norms(traj, s, q)
     dts = np.diff(traj.times)
     lp = float(np.sum(norms[:-1] ** p * dts) ** (1.0 / p))
     return SpaceTimeNorm(lp=lp, max_h=float(np.max(norms)), norms=norms)

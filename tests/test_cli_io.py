@@ -11,8 +11,8 @@ import pytest
 from gammanoise.cli import RUNNERS, dump_states, load_states, main
 from gammanoise.config import COMMANDS, ConfigError, command_sections, load_config
 from gammanoise.grid import Grid
-from gammanoise.output import (canonical_config, config_hash, csv_bytes, read_csv,
-                               write_csv)
+from gammanoise.output import (RunManifest, canonical_config, config_hash, csv_bytes,
+                               read_csv, write_csv)
 from gammanoise.rng import derive_state, splitmix64, stream
 from gammanoise.spde import DiagonalNoise, SpdeConfig, simulate
 
@@ -67,6 +67,24 @@ class TestConfigHash:
     def test_canonical_json_sorted(self):
         doc = canonical_config("x", {"b": {"z": 1, "a": 2}}, 0)
         assert doc.index('"a"') < doc.index('"z"')
+
+
+class TestManifest:
+    def test_fixed_manifest_bytes(self, tmp_path):
+        manifest = RunManifest(command="sweep", config_hash="0123456789abcdef", seed=7,
+                               wall_time_s=1.25, op_timings={"b": 0.5, "a": 0.25},
+                               artifacts=["sweep.csv"],
+                               verdicts={"failed_cells": 1,
+                                         "failed_reasons": [{"s": 0.5, "error": "e"}]})
+        path = tmp_path / "m.json"
+        manifest.write(path)
+        assert path.read_text(encoding="utf-8") == (
+            '{\n  "artifacts": [\n    "sweep.csv"\n  ],\n  "command": "sweep",\n'
+            '  "config_hash": "0123456789abcdef",\n'
+            '  "op_timings": {\n    "a": 0.25,\n    "b": 0.5\n  },\n  "seed": 7,\n'
+            '  "verdicts": {\n    "failed_cells": 1,\n    "failed_reasons": [\n'
+            '      {\n        "error": "e",\n        "s": 0.5\n      }\n    ]\n  },\n'
+            '  "version": "0.1.0",\n  "wall_time_s": 1.25\n}\n')
 
 
 class TestConfigLoading:
@@ -127,9 +145,8 @@ class TestBinaryDump:
         path = tmp_path / "states.bin"
         dump_states(traj, str(path))
         dims, n, states = load_states(str(path))
-        assert (dims, n, len(states)) == (1, 32, len(traj.states))
-        for a, b in zip(traj.states, states):
-            assert np.array_equal(a.coeffs, b)
+        assert (dims, n, len(states)) == (1, 32, len(traj.coeffs))
+        assert np.array_equal(traj.coeffs, states)
         # documented little-endian header
         raw = path.read_bytes()
         assert int.from_bytes(raw[0:4], "little") == 1
@@ -152,6 +169,9 @@ DEFAULT_CSV_SHA256 = {
     "shifted-bump": "3ff3d0170648ee1c0ebcd12f8d56bceca6aae5e56d71cc17d1805a8a9d620ef7",
     "sweep": "22a93c3d268bd0ef9212082e1f733516b4ff931c7361f102eb6a698747608aad",
 }
+
+# sha256 of the state dump of `heat-sim --override grid.n=32 --override heat.trajectories=2`
+HEAT_SIM_DUMP_SHA256 = "55f5b44a0381ad317ad7f2f918ebe0612641cf33fbdc24703a5526ffc680e068"
 
 
 class TestCliCommands:
@@ -387,6 +407,15 @@ class TestCliCommands:
         assert code == 0
         dims, n, states = load_states(str(dump))
         assert dims == 1 and n == 32 and len(states) == 6
+
+    def test_heat_sim_state_dump_pinned(self, tmp_path):
+        # header plus every state of trajectory 0; the dump path is not part of the bytes
+        dump = tmp_path / "states.bin"
+        assert main(["heat-sim", "--out", str(tmp_path / "h.csv"),
+                     "--override", "grid.n=32",
+                     "--override", "heat.trajectories=2",
+                     "--override", f"heat.dump_states={dump}"]) == 0
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == HEAT_SIM_DUMP_SHA256
 
     def test_sweep_empty_grid_succeeds(self, tmp_path):
         out = tmp_path / "empty.csv"

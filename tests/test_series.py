@@ -112,6 +112,20 @@ class TestFrozenSpec:
         fresh = dataclasses.replace(spec, g=constant_field(grid, 3.0))
         assert hs_gamma_norm_exact(fresh) == pytest.approx(3.1114, abs=1e-4)
 
+    def test_multiplier_is_a_read_only_copy(self):
+        # the Fourier sampler reads g at every draw, so a caller's in-place change
+        # to the field once reached Monte Carlo but not the cached term stack
+        grid = Grid(1, 64)
+        g = constant_field(grid, 1.0)
+        spec = SeriesSpec(grid, FourierSystem(1), Coloring.matern(0.5), 16, 0.5, 2.0, g=g)
+        g.coeffs *= 3.0
+        assert np.array_equal(spec.g.coeffs, constant_field(grid, 1.0).coeffs)
+        fresh = dataclasses.replace(spec, g=constant_field(grid, 1.0))
+        assert hs_gamma_norm_exact(spec) == hs_gamma_norm_exact(fresh)
+        assert mc_gamma_norm(spec, 400, seed=1).mean == mc_gamma_norm(fresh, 400, seed=1).mean
+        with pytest.raises(ValueError):
+            spec.g.coeffs *= 2
+
     def test_truncation_cannot_be_reassigned(self):
         spec = SeriesSpec(Grid(1, 64), FourierSystem(1), Coloring.matern(0.5), 16, 0.5, 2.0)
         mc_gamma_norm(spec, 4, seed=0)

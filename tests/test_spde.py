@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gammanoise.conditions import ParamTuple
-from gammanoise.grid import Grid
+from gammanoise.grid import Grid, SpectralField
 from gammanoise.norms import hsq_norm, lq_norm
 from gammanoise.fit import linfit
 from gammanoise.spde import (DiagonalNoise, SpdeConfig, SystemNoise, Trajectory,
@@ -64,8 +64,36 @@ class TestSimulate:
     def test_zero_coloring_zero_trajectory(self, small_grid):
         cfg = SpdeConfig(small_grid, DiagonalNoise.zero(small_grid), T=0.1, dt=0.01)
         traj = simulate(cfg, seed=5)
-        assert all(np.all(st.coeffs == 0) for st in traj.states)
-        assert traj.times[0] == 0.0 and len(traj.states) == 11
+        assert np.all(traj.coeffs == 0)
+        assert traj.times[0] == 0.0 and len(traj.coeffs) == 11
+
+    @pytest.mark.parametrize("integrator", ["exact_ou", "exp_euler"])
+    def test_final_only_run_matches_full_run(self, small_grid, integrator):
+        if integrator == "exact_ou":
+            noise = DiagonalNoise.matern(small_grid, 0.5)
+        else:
+            noise = SystemNoise(FourierSystem(1), Coloring.matern(0.5), 16)
+        cfg = SpdeConfig(small_grid, noise, T=0.05, dt=0.01, integrator=integrator)
+        full = simulate(cfg, seed=13, traj_index=2)
+        last = simulate(cfg, seed=13, traj_index=2, keep_states=False)
+        assert full.times.tolist() == [m * 0.01 for m in range(6)]
+        assert last.times.tolist() == [0.0, 0.05]
+        assert last.coeffs.shape == (2,) + small_grid.shape
+        assert np.all(last.coeffs[0] == 0) and np.any(last.coeffs[1] != 0)
+        assert np.array_equal(last.coeffs[-1], full.coeffs[-1])
+        assert np.array_equal(last.final().coeffs, full.coeffs[-1])
+
+    def test_states_are_read_only(self, small_grid):
+        cfg = SpdeConfig(small_grid, DiagonalNoise.matern(small_grid, 0.5), T=0.05, dt=0.01)
+        for keep in (True, False):
+            traj = simulate(cfg, seed=3, keep_states=keep)
+            assert not traj.coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                traj.coeffs[-1] *= 2.0
+            with pytest.raises(ValueError):
+                traj.final().coeffs *= 2.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                traj.coeffs = np.zeros_like(traj.coeffs)
 
     def test_single_mode_ou_variance(self):
         # exact transition law: Var = mu^2 (1 - e^{-2 lam T}) / (2 lam)
@@ -82,7 +110,7 @@ class TestSimulate:
         cfg = SpdeConfig(small_grid, DiagonalNoise.matern(small_grid, 0.5), T=0.05, dt=0.01)
         a = simulate(cfg, seed=21, traj_index=3)
         b = simulate(cfg, seed=21, traj_index=3)
-        assert all(np.array_equal(x.coeffs, y.coeffs) for x, y in zip(a.states, b.states))
+        assert np.array_equal(a.coeffs, b.coeffs)
         c = simulate(cfg, seed=22, traj_index=3)
         assert not np.array_equal(a.final().coeffs, c.final().coeffs)
 
@@ -106,7 +134,7 @@ class TestSimulate:
         cfg = SpdeConfig(small_grid, DiagonalNoise.white(small_grid), T=0.1,
                          dt=0.01, integrator="exp_euler", g=g_fields)
         traj = simulate(cfg, seed=45)
-        norms = [lq_norm(st, 2.0) for st in traj.states]
+        norms = [lq_norm(SpectralField(small_grid, c), 2.0) for c in traj.coeffs]
         assert norms[5] > 0
         assert all(a >= b - 1e-12 for a, b in zip(norms[5:], norms[6:]))
 
@@ -114,7 +142,7 @@ class TestSimulate:
         system = SystemNoise(HaarSystem(1, 0, 2), Coloring.power_law(0.5), 7)
         cfg = SpdeConfig(small_grid, system, T=0.05, dt=0.01, integrator="exp_euler")
         traj = simulate(cfg, seed=51)
-        assert len(traj.states) == 6
+        assert len(traj.coeffs) == 6
         assert np.any(np.abs(traj.final().coeffs) > 0)
         # the term stack is built once per noise and grid, not per trajectory
         stack = term_values_for_system(system, small_grid)
@@ -235,7 +263,7 @@ class TestSpacetimeNorm:
         grid = Grid(dim, 16)
         cfg = SpdeConfig(grid, DiagonalNoise.matern(grid, 0.4), T=0.05, dt=0.01)
         traj = simulate(cfg, seed=17)
-        ref = [hsq_norm(st, 1.0 - 0.7, q, oversample=1) for st in traj.states]
+        ref = [hsq_norm(SpectralField(grid, c), 1.0 - 0.7, q, oversample=1) for c in traj.coeffs]
         assert trajectory_norms(traj, 0.7, q).tolist() == ref
 
     def test_zero_trajectory(self, small_grid):
@@ -248,7 +276,7 @@ class TestSpacetimeNorm:
         from gammanoise.grid import mode_field
         f = mode_field(small_grid, 2, 0.7)
         times = np.linspace(0.0, 0.5, 6)
-        traj = Trajectory(times, [f] * 6, seed=0)
+        traj = Trajectory(small_grid, times, np.stack([f.coeffs] * 6), seed=0)
         p, s, q = 2.0, 0.6, 2.0
         st = spacetime_norm(traj, p, s, q)
         ref = 0.5 ** (1 / p) * hsq_norm(f, 1 - s, q)
