@@ -10,34 +10,31 @@ parameter boundaries where the sharp convergence conditions flip.
 from .conditions import ParamTuple, predicted_exponent, sharp_condition
 from .fit import classify_growth
 from .grid import (Grid, SpectralField, constant_field, field_from_function,
-                   forward_transform, mode_field, product, zero_field)
-from .norms import (bessel_apply, bessel_kernel, hsq_norm, lp_block, lq_norm,
-                    weak_lp_norm)
-from .operators import (ConvPair, afg_bruteforce_hs, afg_gamma_norm,
-                        endpoint_checks, gamma_young_check,
+                   forward_transform, mode_field)
+from .norms import bessel_apply, bessel_kernel, hsq_norm, lq_norm, weak_lp_norm
+from .operators import (ConvPair, afg_bruteforce_hs, afg_gamma_norm, gamma_young_check,
                         mg_sobolev_gamma_norm, schatten_heat_norm)
 from .series import (MCEstimate, SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm,
-                     sample_series, sq_function_gamma_norm)
+                     sq_function_gamma_norm)
 from .spde import (DiagonalNoise, SpdeConfig, SystemNoise, Trajectory,
                    scaling_diagnostic, second_moment_closed_form, simulate,
                    spacetime_norm)
 from .systems import (Coloring, FourierSystem, HaarSystem, ShiftedBumpSystem,
-                      SyntheticGrowthSystem, ell_zeta_weighted_norm,
-                      haar_lattice_sums)
+                      SyntheticGrowthSystem, haar_lattice_sums)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Grid", "SpectralField", "forward_transform",
-    "constant_field", "mode_field", "zero_field", "field_from_function", "product",
-    "lq_norm", "weak_lp_norm", "bessel_apply", "hsq_norm", "lp_block", "bessel_kernel",
+    "constant_field", "mode_field", "field_from_function",
+    "lq_norm", "weak_lp_norm", "bessel_apply", "hsq_norm", "bessel_kernel",
     "Coloring", "FourierSystem", "HaarSystem", "ShiftedBumpSystem",
-    "SyntheticGrowthSystem", "ell_zeta_weighted_norm", "haar_lattice_sums",
+    "SyntheticGrowthSystem", "haar_lattice_sums",
     "ParamTuple", "sharp_condition", "predicted_exponent",
-    "SeriesSpec", "MCEstimate", "sample_series", "mc_gamma_norm",
+    "SeriesSpec", "MCEstimate", "mc_gamma_norm",
     "sq_function_gamma_norm", "hs_gamma_norm_exact", "classify_growth",
     "ConvPair", "afg_gamma_norm", "afg_bruteforce_hs", "gamma_young_check",
-    "mg_sobolev_gamma_norm", "schatten_heat_norm", "endpoint_checks",
+    "mg_sobolev_gamma_norm", "schatten_heat_norm",
     "DiagonalNoise", "SystemNoise", "SpdeConfig", "Trajectory", "simulate",
     "second_moment_closed_form", "spacetime_norm", "scaling_diagnostic",
 ]

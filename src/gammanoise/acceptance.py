@@ -24,7 +24,7 @@ from .operators import (ConvPair, afg_bruteforce_hs, afg_gamma_norm,
                         heat_witness, schatten_heat_norm)
 from .output import csv_bytes, format_value
 from .rng import stream
-from .series import SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm
+from .series import MCEstimate, SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm
 from .spde import (DiagonalNoise, SpdeConfig, second_moment_closed_form,
                    second_moment_exp_euler, simulate)
 from .systems import Coloring, FourierSystem, haar_lattice_sums
@@ -230,10 +230,9 @@ def criterion_10(seed: int, workers: int = 1):
     closed = second_moment_closed_form(cfg, s)
     finals = (simulate(cfg, seed=seed ^ 0xC10, traj_index=i, keep_states=False).final()
               for i in range(500))
-    sq = [hsq_norm(u, 1.0 - s, 2.0) ** 2 for u in finals]
-    mean = math.fsum(sq) / len(sq)
-    stderr = math.sqrt(math.fsum((x - mean) ** 2 for x in sq) / (len(sq) - 1) / len(sq))
-    z = abs(mean - closed) / stderr
+    est = MCEstimate.from_squared_norms([hsq_norm(u, 1.0 - s, 2.0) ** 2 for u in finals],
+                                        seed ^ 0xC10)
+    z = abs(est.mean - closed) / est.stderr
 
     noise1 = DiagonalNoise.matern(grid, 1.0)
     cfg1 = SpdeConfig(grid, noise1, T=0.1, dt=1e-3)
@@ -245,7 +244,7 @@ def criterion_10(seed: int, workers: int = 1):
         errs.append(abs(second_moment_exp_euler(c, s) - closed1))
     order, r2 = linfit(np.log(dts), np.log(errs))
     passed = z <= 3.0 and order >= 0.8
-    return passed, {"mc_mean": mean, "closed_form": closed, "z": z,
+    return passed, {"mc_mean": est.mean, "closed_form": closed, "z": z,
                     "euler_order": order, "euler_r2": r2}
 
 

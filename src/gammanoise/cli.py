@@ -33,8 +33,8 @@ from .output import OpTimer, RunManifest, config_hash, write_csv
 from .rng import stream
 from .series import SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm, sq_function_gamma_norm
 from .spde import DiagonalNoise, SpdeConfig, simulate, spacetime_norm
-from .systems import (Coloring, FourierSystem, HaarSystem, ShiftedBumpSystem,
-                      bump_values, haar_lattice_sums)
+from .systems import (Coloring, FourierSystem, HaarSystem, IndexRangeError,
+                      ShiftedBumpSystem, bump_values, haar_lattice_sums)
 
 EXIT_OK = 0
 EXIT_HARD = 1
@@ -122,6 +122,7 @@ def run_series_norm(cfg, seed, workers, timer):
     system = build_system(cfg["system"], grid.dim)
     blk = cfg["series"]
     coloring = build_coloring(cfg["coloring"], grid.dim, blk["n_terms"])
+    _check_series_members(cfg, system, coloring)
     g = build_g(cfg.get("g", {}), grid)
     spec = SeriesSpec(grid, system, coloring, blk["n_terms"], blk["s"], blk["q"], g=g)
     est = mc_gamma_norm(spec, blk["samples"], seed=seed, workers=workers,
@@ -132,6 +133,23 @@ def run_series_norm(cfg, seed, workers, timer):
            "sq_function": sq_function_gamma_norm(spec, oversample=cfg["run"]["oversample"]),
            "hs_exact": hs_gamma_norm_exact(spec) if blk["q"] == 2 else math.nan}
     return [row], {}, EXIT_OK
+
+
+def _check_series_members(cfg, system, coloring: Coloring) -> None:
+    """Raise ``ConfigError`` unless the system has ``series.n_terms`` members to color."""
+    n, system_kind, kind = cfg["series"]["n_terms"], cfg["system"]["kind"], cfg["coloring"]["kind"]
+    try:
+        system.indices(n)
+    except IndexRangeError as exc:
+        raise ConfigError(f"series.n_terms={n} is more than system.kind={system_kind} holds: "
+                          f"{exc}") from None
+    # matern and block weigh frequency tuples, haar weighs Haar (sigma, j, k) triples
+    if kind in ("matern", "block", "haar") and (kind == "haar") != (system_kind == "haar"):
+        raise ConfigError(f"coloring.kind={kind} cannot weigh the members of "
+                          f"system.kind={system_kind}")
+    if kind == "explicit" and len(coloring.params["values"]) < n:
+        raise ConfigError(f"coloring.kind=explicit has {len(coloring.params['values'])} "
+                          f"coloring.values, fewer than series.n_terms={n}")
 
 
 def run_sweep(cfg, seed, workers, timer):

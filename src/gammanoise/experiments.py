@@ -206,16 +206,6 @@ def dirichlet_norm_test(eta: float, N_range, oversample: int = 4):
     return rows, fit
 
 
-def dirichlet_l1_values(N_range):
-    """``||D_N||_1`` values, for feeding the growth classifier."""
-    out = []
-    for N in sorted(int(N) for N in N_range):
-        n = max(1024, 2 ** math.ceil(math.log2(8 * (2 * N + 1))))
-        grid = Grid(1, n)
-        out.append((2 * N + 1, lq_norm(dirichlet_field(grid, N), 1.0)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # boundary sweep
 

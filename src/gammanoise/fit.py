@@ -49,11 +49,6 @@ class FitReport:
     npoints: int
     predicted: float
 
-    @property
-    def conclusive(self) -> bool:
-        # a flat ratio has no trend to fit; only trust trends with good fits
-        return self.r2 >= FIT_R2_MIN or abs(self.exponent) <= MARGINAL_EXPONENT
-
 
 def fit_line(xs, ys, predicted: float) -> FitReport:
     """Fitted slope, intercept and R^2 of ys against xs, next to a prediction."""

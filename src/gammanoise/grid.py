@@ -230,20 +230,3 @@ def _upsample_axis(c: np.ndarray, ax: int, n: int, m: int) -> np.ndarray:
     dst[ax] = m - half
     out[tuple(dst)] = c[tuple(src)] / 2.0
     return out
-
-
-def product(f: SpectralField, g: SpectralField, oversample: int = 4) -> SpectralField:
-    """Pointwise product, dealiased on an ``oversample``-times finer grid.
-
-    Both factors are trigonometrically interpolated, multiplied, and the
-    result is sampled back on the original grid.  Exact whenever the
-    combined bandwidth fits below the fine Nyquist frequency.
-    """
-    _check_same_grid(f, g)
-    vf = upsampled_values(f, oversample)
-    vg = upsampled_values(g, oversample)
-    v = vf * vg
-    if oversample > 1:
-        sl = tuple(slice(None, None, oversample) for _ in range(f.grid.dim))
-        v = v[sl]
-    return forward_transform(f.grid, v)

@@ -98,32 +98,6 @@ def hsq_norm(f: SpectralField, sigma: float, q: float,
     return lq_norm(bessel_apply(f, sigma), q, oversample=oversample)
 
 
-def lp_block(f: SpectralField, j: int) -> SpectralField:
-    """Sharp frequency-annulus projection.
-
-    Block 0 keeps ``|k| < 1`` (the constant mode); block ``j >= 1`` keeps
-    integer frequencies with ``2^(j-1) <= |k| < 2^j``.  The blocks partition
-    the lattice, so summing over all j reconstructs the field exactly.
-    """
-    if j < 0:
-        raise ValueError(f"block index must be >= 0, got {j}")
-    r = f.grid.freq_abs()
-    if j == 0:
-        mask = r < 1.0
-    else:
-        mask = (r >= 2.0 ** (j - 1)) & (r < 2.0**j)
-    return SpectralField(f.grid, np.where(mask, f.coeffs, 0.0), real=f.real)
-
-
-def lp_block_count(grid: Grid) -> int:
-    """Number of blocks needed to cover the grid's frequency lattice."""
-    rmax = float(np.max(grid.freq_abs()))
-    j = 1
-    while 2.0**j <= rmax:
-        j += 1
-    return j + 1
-
-
 def bessel_kernel(grid: Grid, s: float) -> SpectralField:
     """Periodized Bessel-potential kernel, synthesized from its multiplier.
 

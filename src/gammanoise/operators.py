@@ -17,7 +17,6 @@ import numpy as np
 
 from .grid import Grid, SpectralField, forward_transform
 from .norms import DEFAULT_OVERSAMPLE, bessel_kernel, heat_eigenvalues, lq_norm, weak_lp_norm
-from .systems import bump_values
 
 BRUTEFORCE_MAX_CELLS = 4096
 
@@ -149,59 +148,3 @@ def heat_kernel_field(grid: Grid, t: float) -> SpectralField:
 def heat_witness(grid: Grid, t: float) -> SpectralField:
     """Square root of the heat kernel at time t, the witness that the Schatten bound is sharp."""
     return forward_transform(grid, np.sqrt(np.maximum(heat_kernel_field(grid, t).values(), 0.0)))
-
-
-@dataclass(frozen=True)
-class EndpointReport:
-    """Best-constant estimate over a probe family, next to the predicted norm."""
-
-    constants: tuple       # per probe level, increasing refinement
-    estimate: float        # last-level value, a lower bound of the supremum
-    reference: float       # the norm the constant should be comparable to
-
-
-def endpoint_checks(f: SpectralField, mode: str, exponent: float, levels: int = 6,
-                    oversample: int = DEFAULT_OVERSAMPLE) -> EndpointReport:
-    """Estimate the best constant of an endpoint inequality from probe inputs.
-
-    ``mode="eta2"``: probes are square roots of shrinking unit-mass
-    mollifiers and the constant should track ``||f||_{L^q}`` (q = exponent).
-    ``mode="etaq"``: probes are positive plateaus of growing support and the
-    constant should track ``||f||_{L^2}`` (eta = exponent).
-    """
-    if exponent < 2:
-        raise ValueError(f"exponent must be >= 2, got {exponent}")
-    grid = f.grid
-    coords = grid.coords()
-    constants = []
-    if mode == "eta2":
-        q = exponent
-        for j in range(levels):
-            width = grid.length / 2.0**j
-            G = bump_values(coords, grid.length / 2.0, width)
-            mass = np.sum(G) * grid.cell_measure
-            if mass <= 0 or np.count_nonzero(G) < 8:
-                break
-            gj = forward_transform(grid, np.sqrt(G / mass))
-            constants.append(afg_gamma_norm(ConvPair(f, gj, q), oversample=oversample))
-        reference = lq_norm(f, q, oversample=oversample)
-    elif mode == "etaq":
-        eta = exponent
-        for j in range(levels - 1, -1, -1):
-            radius = grid.length / 2.0 ** (j + 1)
-            r = np.zeros(grid.shape)
-            for x in coords:
-                centered = np.minimum(np.abs(x - grid.length / 2.0),
-                                      grid.length - np.abs(x - grid.length / 2.0))
-                r = np.maximum(r, centered)
-            gj = forward_transform(grid, np.where(r <= radius, 1.0, 0.0))
-            denom = lq_norm(gj, eta, oversample=1)
-            if denom == 0:
-                continue
-            val = afg_gamma_norm(ConvPair(f, gj, eta), oversample=1) / denom
-            constants.append(val)
-        reference = lq_norm(f, 2)
-    else:
-        raise ValueError(f"mode must be 'eta2' or 'etaq', got {mode!r}")
-    estimate = constants[-1] if constants else 0.0
-    return EndpointReport(tuple(constants), float(estimate), float(reference))

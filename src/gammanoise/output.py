@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 TOOL_VERSION = "0.1.0"
 
 # keys that alter scheduling or destinations but not results
-NON_SCIENTIFIC_KEYS = {"workers", "out"}
+NON_SCIENTIFIC_KEYS = {"workers", "out", "dump_states"}
 
 
 def format_value(v) -> str:

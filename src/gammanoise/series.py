@@ -18,7 +18,7 @@ use for every system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -57,10 +57,6 @@ class SeriesSpec:
             g.coeffs.flags.writeable = False
             object.__setattr__(self, "g", g)
 
-    @property
-    def real(self) -> bool:
-        return bool(self.system.real) and (self.g is None or self.g.real)
-
     @cached_property
     def _terms(self) -> np.ndarray:
         """Stacked physical samples of ``g mu_n f_n``, shape (N, *grid)."""
@@ -81,7 +77,7 @@ class MCEstimate:
 
     ``mean`` averages the squared norms (the quantity the mean-square
     estimate controls); ``mean_norm`` averages the norms themselves and is
-    reported alongside.
+    reported alongside.  ``values`` holds the per-sample squared norms.
     """
 
     mean: float
@@ -89,6 +85,18 @@ class MCEstimate:
     samples: int
     seed: int
     mean_norm: float = 0.0
+    values: np.ndarray = field(default=None, compare=False, repr=False)
+
+    @classmethod
+    def from_squared_norms(cls, norms_sq, seed: int) -> "MCEstimate":
+        """Mean, standard error and mean norm of the samples, each by exact summation."""
+        values = np.array(norms_sq, dtype=float)
+        values.flags.writeable = False
+        M = values.size
+        mean = math.fsum(values) / M
+        var = math.fsum((x - mean) ** 2 for x in values) / (M - 1)
+        return cls(mean=mean, stderr=math.sqrt(var / M), samples=M, seed=seed,
+                   mean_norm=math.fsum(np.sqrt(values)) / M, values=values)
 
 
 def render_terms(system, idxs, grid: Grid, weights, g_values=None) -> np.ndarray:
@@ -134,12 +142,6 @@ def series_coeffs(spec: SeriesSpec, gam: np.ndarray) -> np.ndarray:
     return np.fft.fftn(vals, axes=axes) / grid.n**grid.dim
 
 
-def sample_series(spec: SeriesSpec, rng: np.random.Generator) -> SpectralField:
-    """One realization of the series; complex Gaussians unless the system is real."""
-    gam = standard_gaussians(rng, spec.N, real=spec.system.real)
-    return SpectralField(spec.grid, series_coeffs(spec, gam[None])[0], real=spec.real)
-
-
 def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
                   oversample: int = DEFAULT_OVERSAMPLE) -> MCEstimate:
     """Estimate ``E ||.||^2`` in the (-s, q) norm over M independent samples.
@@ -170,11 +172,7 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
         for lo in starts:
             run_chunk(lo)
 
-    mean = math.fsum(norms_sq) / M
-    var = math.fsum((x - mean) ** 2 for x in norms_sq) / (M - 1)
-    stderr = math.sqrt(var / M)
-    mean_norm = math.fsum(np.sqrt(norms_sq)) / M
-    return MCEstimate(mean=mean, stderr=stderr, samples=M, seed=seed, mean_norm=mean_norm)
+    return MCEstimate.from_squared_norms(norms_sq, seed)
 
 
 def hs_gamma_norm_exact(spec: SeriesSpec) -> float:

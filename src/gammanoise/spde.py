@@ -49,10 +49,6 @@ class DiagonalNoise:
         mu[grid.index_of_freq(k)] = amplitude
         return DiagonalNoise(mu)
 
-    @staticmethod
-    def zero(grid: Grid) -> "DiagonalNoise":
-        return DiagonalNoise(np.zeros(grid.shape))
-
 
 @dataclass(frozen=True)
 class SystemNoise:

@@ -83,7 +83,6 @@ class FourierSystem:
     first N indices always fill a centered ball of the frequency lattice.
     """
 
-    evaluable = True
     real = False
 
     def __init__(self, dim: int):
@@ -135,7 +134,6 @@ class HaarSystem:
     level-major.  The wavelet at level j has sup-norm ``2^(j d / 2)``.
     """
 
-    evaluable = True
     real = True
 
     def __init__(self, dim: int, j_min: int = 0, j_max: int = 6):
@@ -164,10 +162,6 @@ class HaarSystem:
                 f"hold only {len(out)}"
             )
         return out[:count]
-
-    def size(self) -> int:
-        per_level = len(self.orientations)
-        return sum(per_level * 2 ** (j * self.dim) for j in range(self.j_min, self.j_max + 1))
 
     def sup_norm(self, idx) -> float:
         _, j, _ = idx
@@ -199,7 +193,6 @@ class SyntheticGrowthSystem:
     Carries weights only; rendering raises ``NonEvaluableError``.
     """
 
-    evaluable = False
     real = True
 
     def __init__(self, dim: int, c: float = 1.0):
@@ -225,7 +218,6 @@ class ShiftedBumpSystem:
     for large periodic boxes whose length exceeds ``2 * extent + 1``.
     """
 
-    evaluable = True
     real = True
 
     def __init__(self, dim: int, extent: int, width: float = 0.5):
@@ -386,20 +378,6 @@ def frequency_block(N: int, dim: int) -> list:
 
 # ---------------------------------------------------------------------------
 # weighted sequence norms and the Haar criticality sums
-
-
-def ell_zeta_weighted_norm(mu: Coloring, system, zeta: float, N: int) -> float:
-    """Truncated weighted sequence norm with the system's squared sup-norms.
-
-    ``(sum_{n<=N} |mu_n|^zeta ||f_n||_inf^2)^(1/zeta)`` for finite zeta;
-    ``max_{n<=N} |mu_n|`` when zeta is infinite.
-    """
-    if zeta < 2:
-        raise ValueError(f"zeta must lie in [2, inf], got {zeta}")
-    if N < 1:
-        raise ValueError("truncation N must be >= 1")
-    idxs = system.indices(N)
-    return weighted_sequence_norm(mu.weights(idxs), [system.sup_norm(idx) for idx in idxs], zeta)
 
 
 def weighted_sequence_norm(weights, sup_norms, zeta: float) -> float:

@@ -250,6 +250,10 @@ class TestCliCommands:
         ("haar-divergence", "haar.zeta_values="),
         ("haar-divergence", "haar.j_max=1"),
         ("scaling", "scaling.alpha=0.0"),
+        ("series-norm", "system.kind=haar"),
+        ("series-norm", "system.kind=shifted_bump"),
+        ("series-norm", "coloring.kind=explicit"),
+        ("series-norm", "system.kind=haar series.n_terms=127"),
     ])
     def test_rejected_value_exit_code(self, tmp_path, capsys, command, override):
         # several space-separated overrides are passed in order; the first key is named
@@ -416,6 +420,14 @@ class TestCliCommands:
                      "--override", "heat.trajectories=2",
                      "--override", f"heat.dump_states={dump}"]) == 0
         assert hashlib.sha256(dump.read_bytes()).hexdigest() == HEAT_SIM_DUMP_SHA256
+
+    def test_heat_sim_csv_does_not_depend_on_the_dump_path(self, tmp_path):
+        # like run.out, heat.dump_states names a destination and stays out of the hash
+        args = ["heat-sim", "--override", "grid.n=32", "--override", "heat.trajectories=2"]
+        assert main([*args, "--out", str(tmp_path / "plain.csv")]) == 0
+        assert main([*args, "--out", str(tmp_path / "dumped.csv"),
+                     "--override", f"heat.dump_states={tmp_path / 'states.bin'}"]) == 0
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "dumped.csv").read_bytes()
 
     def test_sweep_empty_grid_succeeds(self, tmp_path):
         out = tmp_path / "empty.csv"

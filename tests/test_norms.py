@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammanoise.grid import Grid, constant_field, forward_transform, mode_field, zero_field
-from gammanoise.norms import (bessel_apply, bessel_kernel, hsq_norm, lp_block,
-                              lp_block_count, lq_norm, lq_norms, weak_lp_norm)
+from gammanoise.norms import bessel_apply, bessel_kernel, hsq_norm, lq_norm, lq_norms, weak_lp_norm
 from gammanoise.experiments import dirichlet_field
 from gammanoise.rng import stream
 
@@ -129,47 +128,17 @@ class TestHsqNorm:
 
 
 class TestLittlewoodPaley:
-    def test_partition_reconstructs(self, grid1d, rng):
-        f = forward_transform(grid1d, rng.standard_normal(grid1d.n))
-        total = np.zeros_like(f.coeffs)
-        for j in range(lp_block_count(grid1d)):
-            total += lp_block(f, j).coeffs
-        assert np.max(np.abs(total - f.coeffs)) == 0.0
-
-    def test_boundary_mode_in_upper_block(self):
-        g = Grid(1, 64)
-        f = mode_field(g, 8)  # |k| = 2^3 sits in block 4 = [2^3, 2^4)
-        assert np.sum(np.abs(lp_block(f, 4).coeffs)) == pytest.approx(1.0)
-        assert np.sum(np.abs(lp_block(f, 3).coeffs)) == 0.0
-
-    def test_block_supported_field_single_block(self):
-        # a field carried by one dyadic annulus has exactly one active block
-        from gammanoise.grid import SpectralField
-        g = Grid(1, 128)
-        coeffs = np.zeros(128, dtype=complex)
-        k = g.freq_axis()
-        coeffs[(np.abs(k) >= 16) & (np.abs(k) < 32)] = 1.0
-        f = SpectralField(g, coeffs)
-        active = [j for j in range(lp_block_count(g))
-                  if np.any(np.abs(lp_block(f, j).coeffs) > 1e-14)]
-        assert active == [5]
-
     def test_block_product_construction_collapses(self):
         # g e_n with g and n drawn from the dyadic block C_N lives on
-        # frequencies [2^{N+1}, 3 * 2^N]: exactly the one block N + 2
+        # frequencies [2^{N+1}, 3 * 2^N]: inside the one annulus [2^{N+1}, 2^{N+2})
         from gammanoise.experiments import block_field
-        from gammanoise.grid import product
         N = 3
         g = Grid(1, 256)
-        gf = block_field(g, N)
-        shifted = product(gf, mode_field(g, 3 * 2 ** (N - 1)), oversample=1)
-        active = [j for j in range(lp_block_count(g))
-                  if np.any(np.abs(lp_block(shifted, j).coeffs) > 1e-12)]
-        assert active == [N + 2]
-
-    def test_negative_index(self, grid1d):
-        with pytest.raises(ValueError):
-            lp_block(zero_field(grid1d), -1)
+        n = 3 * 2 ** (N - 1)
+        shifted = forward_transform(g, block_field(g, N).values() * mode_field(g, n).values())
+        active = g.freq_axis()[np.abs(shifted.coeffs) > 1e-12]
+        assert active.tolist() == list(range(2**N + n, 3 * 2 ** (N - 1) + n + 1))
+        assert 2 ** (N + 1) <= active.min() and active.max() < 2 ** (N + 2)
 
 
 class TestBesselKernel:

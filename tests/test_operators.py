@@ -7,9 +7,9 @@ from gammanoise.fit import linfit
 from gammanoise.grid import Grid, constant_field, forward_transform, zero_field
 from gammanoise.norms import bessel_kernel, lq_norm
 from gammanoise.operators import (ConvPair, ResourceError, afg_bruteforce_hs,
-                                  afg_gamma_norm, convolve, endpoint_checks,
-                                  gamma_young_check, heat_kernel_field,
-                                  mg_sobolev_gamma_norm, schatten_heat_norm)
+                                  afg_gamma_norm, convolve, gamma_young_check,
+                                  heat_kernel_field, mg_sobolev_gamma_norm,
+                                  schatten_heat_norm)
 from gammanoise.rng import stream
 from gammanoise.systems import bump_values
 
@@ -213,46 +213,6 @@ class TestSchattenHeat:
         grid = Grid(1, 64)
         with pytest.raises(ValueError):
             schatten_heat_norm(constant_field(grid, 1.0), 0.0)
-
-
-class TestEndpoints:
-    def test_eta2_q2_within_factor_two(self):
-        grid = Grid(1, 2048)
-        for i in range(20):
-            f = forward_transform(grid, stream(40, i).standard_normal(2048))
-            rep = endpoint_checks(f, "eta2", 2.0)
-            assert 0.5 <= rep.estimate / rep.reference <= 2.0
-
-    def test_zero_kernel(self):
-        grid = Grid(1, 2048)
-        rep = endpoint_checks(zero_field(grid), "eta2", 4.0)
-        assert rep.estimate == 0.0
-
-    def test_eta2_q4_mollifier_stabilizes(self):
-        grid = Grid(1, 2048)
-        k = grid.freq_abs()
-        coeffs = np.zeros(grid.shape, dtype=complex)
-        gen = stream(41, 0)
-        band = k <= 32
-        vals = gen.standard_normal(int(band.sum())) + 1j * gen.standard_normal(int(band.sum()))
-        coeffs[band] = vals / math.sqrt(2)
-        from gammanoise.grid import SpectralField
-        f = forward_transform(grid, SpectralField(grid, coeffs).values().real)
-        rep = endpoint_checks(f, "eta2", 4.0)
-        last, prev = rep.constants[-1], rep.constants[-2]
-        assert abs(last - prev) / last < 0.10
-
-    def test_etaq_recovers_l2_norm(self):
-        grid = Grid(1, 1024)
-        f = forward_transform(grid, stream(42, 0).standard_normal(1024))
-        rep = endpoint_checks(f, "etaq", 4.0)
-        assert rep.estimate == pytest.approx(rep.reference, rel=1e-8)
-        assert all(a <= b + 1e-12 for a, b in zip(rep.constants, rep.constants[1:]))
-
-    def test_unknown_mode(self):
-        grid = Grid(1, 64)
-        with pytest.raises(ValueError):
-            endpoint_checks(zero_field(grid), "bogus", 2.0)
 
 
 def test_convolve_is_multiplier_product():

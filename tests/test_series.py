@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from gammanoise.grid import Grid, constant_field, forward_transform, mode_field
+from gammanoise.grid import Grid, SpectralField, constant_field, forward_transform, mode_field
 from gammanoise.norms import hsq_norm
-from gammanoise.rng import stream
+from gammanoise.rng import standard_gaussians, stream
 from gammanoise.fit import classify_growth, linfit
 from gammanoise.series import (SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm,
-                               render_terms, sample_series, series_coeffs,
-                               sq_function_gamma_norm, term_values)
-from gammanoise.systems import Coloring, FourierSystem, HaarSystem, SyntheticGrowthSystem
+                               render_terms, series_coeffs, sq_function_gamma_norm,
+                               term_values)
+from gammanoise.systems import (Coloring, FourierSystem, HaarSystem, SyntheticGrowthSystem,
+                               bump_values)
 
 
 @pytest.fixture
@@ -20,18 +21,22 @@ def fourier_spec():
     return SeriesSpec(grid, FourierSystem(1), Coloring.matern(0.4), 32, 0.6, 2.0)
 
 
+def sample(spec, gen):
+    """Coefficients of one realization, drawn as ``mc_gamma_norm`` draws a sample."""
+    gam = standard_gaussians(gen, spec.N, real=spec.system.real)
+    return series_coeffs(spec, gam[None])[0]
+
+
 class TestSampleSeries:
     def test_zero_coloring(self):
         grid = Grid(1, 64)
         spec = SeriesSpec(grid, FourierSystem(1), Coloring.constant(0.0, 8), 8, 0.5, 2.0)
-        f = sample_series(spec, stream(1, 0))
-        assert np.all(f.coeffs == 0)
+        assert np.all(sample(spec, stream(1, 0)) == 0)
 
     def test_single_term_mode(self):
         grid = Grid(1, 64)
         spec = SeriesSpec(grid, FourierSystem(1), Coloring.constant(0.7, 1), 1, 0.5, 2.0)
-        samples = [abs(sample_series(spec, stream(5, i)).coeff_at(0)) ** 2
-                   for i in range(4000)]
+        samples = [abs(sample(spec, stream(5, i))[0]) ** 2 for i in range(4000)]
         assert np.mean(samples) == pytest.approx(0.49, rel=0.1)
 
     def test_coefficient_covariance_diagonal(self):
@@ -41,8 +46,9 @@ class TestSampleSeries:
         spec = SeriesSpec(grid, FourierSystem(1), Coloring.power_law(0.5), N, 0.5, 2.0)
         idxs = spec.system.indices(N)
         mus = np.array([spec.coloring.value(i, n + 1) for n, i in enumerate(idxs)])
-        draws = np.array([[sample_series(spec, stream(6, i)).coeff_at(k) for k in idxs]
-                          for i in range(10_000)])
+        cells = [grid.index_of_freq(k) for k in idxs]
+        draws = np.array([[c[cell] for cell in cells]
+                          for c in (sample(spec, stream(6, i)) for i in range(10_000))])
         cov = draws.conj().T @ draws / draws.shape[0]
         assert np.max(np.abs(np.diag(cov) - mus**2)) < 0.05 * mus.max() ** 2
         off = cov - np.diag(np.diag(cov))
@@ -52,21 +58,20 @@ class TestSampleSeries:
         grid = Grid(1, 64)
         a = SeriesSpec(grid, FourierSystem(1), Coloring.constant(1.0, 8), 8, 0.5, 2.0)
         b = SeriesSpec(grid, FourierSystem(1), Coloring.constant(2.5, 8), 8, 0.5, 2.0)
-        fa = sample_series(a, stream(7, 0))
-        fb = sample_series(b, stream(7, 0))
-        assert np.max(np.abs(fb.coeffs - 2.5 * fa.coeffs)) < 1e-12
+        fa = sample(a, stream(7, 0))
+        fb = sample(b, stream(7, 0))
+        assert np.max(np.abs(fb - 2.5 * fa)) < 1e-12
 
     def test_real_system_real_samples(self):
         grid = Grid(1, 256)
         spec = SeriesSpec(grid, HaarSystem(1, 0, 3), Coloring.power_law(0.5), 15, 0.5, 2.0)
-        f = sample_series(spec, stream(8, 0))
-        assert f.real
+        assert SpectralField(grid, sample(spec, stream(8, 0))).is_hermitian()
 
     def test_synthetic_growth_not_sampleable(self):
         grid = Grid(1, 64)
         spec = SeriesSpec(grid, SyntheticGrowthSystem(1), Coloring.power_law(1.0), 8, 0.5, 2.0)
         with pytest.raises(TypeError):
-            sample_series(spec, stream(9, 0))
+            sample(spec, stream(9, 0))
 
 
 class TestSeriesCoeffs:
@@ -197,6 +202,38 @@ class TestMcGammaNorm:
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+class TestMomentIdentity:
+    """``E ||X||_q^q = c_q ||S||_q^q`` for the series X and its square function S.
+
+    At every quadrature point X is a centred Gaussian of variance S^2 --
+    complex for Fourier, real for Haar -- so on the oversampled grid the
+    identity is exact, with c_q the q-th absolute moment of a unit Gaussian
+    of that kind.  The Monte Carlo mean of ``values^(q/2)`` must meet it.
+    """
+
+    C_Q = {"fourier": lambda q: math.gamma(1 + q / 2),
+           "haar": lambda q: 2 ** (q / 2) * math.gamma((q + 1) / 2) / math.sqrt(math.pi)}
+
+    @pytest.mark.parametrize("kind,with_g,q", [
+        ("fourier", True, 3.0), ("fourier", True, 4.0), ("fourier", False, 4.0),
+        ("haar", True, 3.0), ("haar", True, 4.0)])
+    def test_mean_qth_power_matches_square_function(self, kind, with_g, q):
+        grid = Grid(1, 64)
+        system = FourierSystem(1) if kind == "fourier" else HaarSystem(1, 0, 3)
+        g = forward_transform(grid, bump_values(grid.coords(), 0.5, 0.5)) if with_g else None
+        spec = SeriesSpec(grid, system, Coloring.power_law(0.5), 15, 0.3, q, g=g)
+        powers = mc_gamma_norm(spec, 16_000, seed=23).values ** (q / 2)
+        target = self.C_Q[kind](q) * sq_function_gamma_norm(spec) ** q
+        z = (powers.mean() - target) / (powers.std(ddof=1) / math.sqrt(powers.size))
+        assert abs(z) <= 4.0
+
+    def test_values_are_the_read_only_squared_norms(self, fourier_spec):
+        est = mc_gamma_norm(fourier_spec, 50, seed=2)
+        assert est.values.shape == (50,) and math.fsum(est.values) / 50 == est.mean
+        with pytest.raises(ValueError):
+            est.values[0] = 0.0
+
+
 class TestSqFunction:
     def test_q2_equals_exact(self, fourier_spec):
         sq = sq_function_gamma_norm(fourier_spec)
@@ -282,8 +319,8 @@ class TestHsExact:
         gen = stream(12, 0)
         g = forward_transform(grid, gen.standard_normal(256))
         spec = SeriesSpec(grid, FourierSystem(1), Coloring.explicit([0.6]), 1, 0.5, 2.0, g=g)
-        from gammanoise.grid import product
-        ref = 0.6 * hsq_norm(product(g, mode_field(grid, 0), oversample=1), -0.5, 2.0)
+        gh = forward_transform(grid, g.values() * mode_field(grid, 0).values())
+        ref = 0.6 * hsq_norm(gh, -0.5, 2.0)
         assert hs_gamma_norm_exact(spec) == pytest.approx(ref, rel=1e-10)
 
     def test_requires_q2(self, fourier_spec):

@@ -62,7 +62,7 @@ class TestConfigValidation:
 
 class TestSimulate:
     def test_zero_coloring_zero_trajectory(self, small_grid):
-        cfg = SpdeConfig(small_grid, DiagonalNoise.zero(small_grid), T=0.1, dt=0.01)
+        cfg = SpdeConfig(small_grid, DiagonalNoise(np.zeros(small_grid.shape)), T=0.1, dt=0.01)
         traj = simulate(cfg, seed=5)
         assert np.all(traj.coeffs == 0)
         assert traj.times[0] == 0.0 and len(traj.coeffs) == 11
@@ -267,7 +267,7 @@ class TestSpacetimeNorm:
         assert trajectory_norms(traj, 0.7, q).tolist() == ref
 
     def test_zero_trajectory(self, small_grid):
-        cfg = SpdeConfig(small_grid, DiagonalNoise.zero(small_grid), T=0.1, dt=0.01)
+        cfg = SpdeConfig(small_grid, DiagonalNoise(np.zeros(small_grid.shape)), T=0.1, dt=0.01)
         st = spacetime_norm(simulate(cfg, seed=0), 2.0, 0.9, 2.0)
         assert st.lp == 0.0 and st.max_h == 0.0
 

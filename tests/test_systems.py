@@ -7,9 +7,8 @@ from gammanoise.fit import linfit
 from gammanoise.grid import Grid
 from gammanoise.systems import (Coloring, FourierSystem, HaarSystem, IndexRangeError,
                                 NonEvaluableError, ShiftedBumpSystem,
-                                SyntheticGrowthSystem, ell_zeta_weighted_norm,
-                                frequency_block, haar_lattice_sums, in_frequency_block,
-                                rank_one_mu_norm, weighted_sequence_norm)
+                                SyntheticGrowthSystem, frequency_block, haar_lattice_sums,
+                                in_frequency_block, rank_one_mu_norm, weighted_sequence_norm)
 
 
 class TestColorings:
@@ -85,7 +84,7 @@ class TestHaarSystem:
 
     def test_level_truncation(self):
         sys = HaarSystem(1, 0, 2)
-        assert sys.size() == 7
+        assert len(sys.indices(7)) == 7
         with pytest.raises(IndexRangeError):
             sys.indices(8)
 
@@ -123,14 +122,6 @@ class TestSyntheticGrowth:
 
 
 class TestEllZetaNorm:
-    def test_fourier_matches_plain(self):
-        # unit sup-norms: the weighted norm is the plain truncated norm
-        sys = FourierSystem(1)
-        mu = Coloring.power_law(0.8)
-        got = ell_zeta_weighted_norm(mu, sys, 3.0, 10)
-        plain = sum(n ** (-0.8 * 3) for n in range(1, 11)) ** (1 / 3.0)
-        assert got == pytest.approx(plain, rel=1e-12)
-
     def test_sequence_norm_matches_term_loop(self):
         # Haar-like sup norms, summed term by term as the scaling diagnostic once did
         weights = [0.3, -1.2, 0.7, 2.0]
@@ -140,38 +131,27 @@ class TestEllZetaNorm:
         assert weighted_sequence_norm(weights, sups, math.inf) == 2.0
 
     def test_zero_coloring(self):
-        sys = FourierSystem(1)
-        assert ell_zeta_weighted_norm(Coloring.constant(0.0, 8), sys, 2.0, 8) == 0.0
-
-    def test_zeta_infinity(self):
-        sys = FourierSystem(1)
-        mu = Coloring.power_law(0.5)
-        assert ell_zeta_weighted_norm(mu, sys, math.inf, 7) == 1.0
-
-    def test_zeta_below_two(self):
-        with pytest.raises(ValueError):
-            ell_zeta_weighted_norm(Coloring.power_law(1.0), FourierSystem(1), 1.5, 4)
+        assert weighted_sequence_norm(np.zeros(8), np.ones(8), 2.0) == 0.0
 
     def test_monotone_in_truncation(self):
         sys = HaarSystem(1, 0, 5)
-        mu = Coloring.haar(0.5, 1.0, 1)
-        vals = [ell_zeta_weighted_norm(mu, sys, 2.0, N) for N in (4, 8, 16, 32)]
+        idxs = sys.indices(32)
+        weights = Coloring.haar(0.5, 1.0, 1).weights(idxs)
+        sups = [sys.sup_norm(idx) for idx in idxs]
+        vals = [weighted_sequence_norm(weights[:N], sups[:N], 2.0) for N in (4, 8, 16, 32)]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_homogeneous_in_mu(self):
-        sys = FourierSystem(1)
-        a = ell_zeta_weighted_norm(Coloring.constant(2.0, 8), sys, 2.5, 8)
-        b = ell_zeta_weighted_norm(Coloring.constant(1.0, 8), sys, 2.5, 8)
+        a = weighted_sequence_norm(np.full(8, 2.0), np.ones(8), 2.5)
+        b = weighted_sequence_norm(np.full(8, 1.0), np.ones(8), 2.5)
         assert a == pytest.approx(2.0 * b, rel=1e-12)
 
     def test_block_indicator_exact(self):
         # indicator coloring: the norm is the squared-sup-norm mass of the block
-        sys = FourierSystem(1)
-        mu = Coloring.block_indicator(2)
-        N = 32
-        idxs = sys.indices(N)
+        idxs = FourierSystem(1).indices(32)
         count = sum(in_frequency_block(i, 2) for i in idxs)
-        got = ell_zeta_weighted_norm(mu, sys, 4.0, N)
+        weights = Coloring.block_indicator(2).weights(idxs)
+        got = weighted_sequence_norm(weights, np.ones(len(idxs)), 4.0)
         assert got == pytest.approx(count ** (1 / 4.0), rel=1e-12)
 
 
