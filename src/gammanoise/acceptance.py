@@ -2,9 +2,9 @@
 
 Every criterion function takes a master seed and a worker count and returns
 ``(passed, metrics)`` where the metrics are reproducible to the bit for a
-fixed seed regardless of worker count (Monte Carlo streams are per-sample,
-reductions use exact summation).  Wall times are tracked separately so CSV
-output stays byte-identical across runs.
+fixed seed regardless of worker count (Monte Carlo streams are per sample
+block, reductions use exact summation).  Wall times are tracked separately
+so CSV output stays byte-identical across runs.
 """
 
 from __future__ import annotations

@@ -136,7 +136,10 @@ def run_series_norm(cfg, seed, workers, timer):
 
 
 def _check_series_members(cfg, system, coloring: Coloring) -> None:
-    """Raise ``ConfigError`` unless the system has ``series.n_terms`` members to color."""
+    """Raise ``ConfigError`` unless the system has ``series.n_terms`` members to color.
+
+    Shifted bumps also need ``grid.length >= 2 * system.extent + 2``.
+    """
     n, system_kind, kind = cfg["series"]["n_terms"], cfg["system"]["kind"], cfg["coloring"]["kind"]
     try:
         system.indices(n)
@@ -147,6 +150,10 @@ def _check_series_members(cfg, system, coloring: Coloring) -> None:
     if kind in ("matern", "block", "haar") and (kind == "haar") != (system_kind == "haar"):
         raise ConfigError(f"coloring.kind={kind} cannot weigh the members of "
                           f"system.kind={system_kind}")
+    if system_kind == "shifted_bump" and cfg["grid"]["length"] < 2 * system.extent + 2:
+        raise ConfigError(f"system.kind=shifted_bump with system.extent={system.extent} needs "
+                          f"grid.length >= {2 * system.extent + 2}, got grid.length="
+                          f"{cfg['grid']['length']:g}")
     if kind == "explicit" and len(coloring.params["values"]) < n:
         raise ConfigError(f"coloring.kind=explicit has {len(coloring.params['values'])} "
                           f"coloring.values, fewer than series.n_terms={n}")

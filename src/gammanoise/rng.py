@@ -4,10 +4,14 @@ A master seed splits into independent per-task streams through the splitmix64
 mixing function: ``state = splitmix64(seed XOR splitmix64(id_0))`` chained
 over the task id components.  The derived 64-bit state seeds a PCG64
 generator, so a task's stream depends only on (seed, task id), never on
-scheduling or worker count.
+scheduling or worker count.  A task is a unit of independent work (one
+trajectory, one block of Monte Carlo samples) and takes its draws from its
+stream in order.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,13 +41,18 @@ def stream(seed: int, *task_ids: int) -> np.random.Generator:
 
 
 def complex_standard_normal(gen: np.random.Generator, shape) -> np.ndarray:
-    """Standard complex Gaussians with ``E|z|^2 = 1``."""
-    a = gen.standard_normal(size=(2,) + tuple(shape))
-    return (a[0] + 1j * a[1]) / np.sqrt(2.0)
+    """Standard complex Gaussians with ``E|z|^2 = 1``; ``shape`` may be an int.
+
+    Each value takes the next (re, im) pair from ``gen``, scaled by ``1/sqrt(2)``.
+    """
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    pairs = gen.standard_normal(size=shape + (2,))
+    pairs *= math.sqrt(0.5)
+    return pairs.view(np.complex128)[..., 0]
 
 
-def standard_gaussians(gen: np.random.Generator, n: int, real: bool) -> np.ndarray:
-    """``n`` standard Gaussians: real, or complex with ``E|z|^2 = 1``."""
+def standard_gaussians(gen: np.random.Generator, shape, real: bool) -> np.ndarray:
+    """Standard Gaussians of ``shape`` (an int is a length): real, or complex."""
     if real:
-        return gen.standard_normal(n)
-    return complex_standard_normal(gen, (n,))
+        return gen.standard_normal(shape)
+    return complex_standard_normal(gen, shape)

@@ -30,6 +30,8 @@ from .systems import Coloring, FourierSystem
 
 from concurrent.futures import ThreadPoolExecutor
 
+MC_BLOCK = 256      # Monte Carlo samples per random stream; part of the stream layout
+
 
 @dataclass(frozen=True)
 class SeriesSpec:
@@ -146,31 +148,31 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
                   oversample: int = DEFAULT_OVERSAMPLE) -> MCEstimate:
     """Estimate ``E ||.||^2`` in the (-s, q) norm over M independent samples.
 
-    Sample i draws from the stream derived from (seed, i), so the estimate
-    is independent of worker count and chunking; the reduction uses exact
-    summation.
+    Block b of ``MC_BLOCK`` samples draws its (rows, N) Gaussians in one call
+    from the stream derived from (seed, b), and sample i is row
+    ``i % MC_BLOCK`` of block ``i // MC_BLOCK``.  Pool tasks are blocks, so
+    the estimate is independent of worker count, and the first samples are
+    the same whatever M is; the reduction uses exact summation.
     """
     if M < 2:
         raise ValueError("need at least M = 2 samples")
     mult = bessel_multiplier(spec.grid, -spec.s)
     norms_sq = np.empty(M)
-    chunk = 256
 
-    def run_chunk(lo: int) -> None:
-        hi = min(lo + chunk, M)
-        gam = np.stack([standard_gaussians(stream(seed, i), spec.N, spec.system.real)
-                        for i in range(lo, hi)])
+    def run_block(b: int) -> None:
+        lo, hi = b * MC_BLOCK, min((b + 1) * MC_BLOCK, M)
+        gam = standard_gaussians(stream(seed, b), (hi - lo, spec.N), spec.system.real)
         coeffs = series_coeffs(spec, gam)
         coeffs *= mult
         norms_sq[lo:hi] = lq_norms(spec.grid, coeffs, spec.q, oversample) ** 2
 
-    starts = list(range(0, M, chunk))
+    blocks = range(-(-M // MC_BLOCK))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, starts))
+            list(pool.map(run_block, blocks))
     else:
-        for lo in starts:
-            run_chunk(lo)
+        for b in blocks:
+            run_block(b)
 
     return MCEstimate.from_squared_norms(norms_sq, seed)
 

@@ -111,7 +111,10 @@ class Trajectory:
 
 def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
              keep_states: bool = True) -> Trajectory:
-    """Integrate one trajectory; per-step draws come from (seed, traj, step).
+    """Integrate one trajectory; its draws come in step order from one (seed, traj) stream.
+
+    Step m takes the next ``grid.shape`` complex draws (series noise: the
+    next N), so a run of steps drawn at once would give the same values.
 
     exact_ou updates each mode with the exact Ornstein-Uhlenbeck transition;
     exp_euler damps the previous state and the freshly built noise increment
@@ -137,8 +140,8 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
     times = np.arange(steps + 1) * dt if keep_states else np.array([0.0, config.T])
     coeffs = np.zeros((len(times),) + grid.shape, dtype=np.complex128)
     u = np.zeros(grid.shape, dtype=np.complex128)
+    gen = stream(seed, traj_index)
     for m in range(1, steps + 1):
-        gen = stream(seed, traj_index, m)
         if config.integrator == "exact_ou":
             gam = complex_standard_normal(gen, grid.shape)
             u = decay * u + sigma * gam
@@ -147,8 +150,8 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
                 gam = complex_standard_normal(gen, grid.shape)
                 incr_coeffs = mu_lattice * gam * math.sqrt(dt)
             else:
-                gam = standard_gaussians(gen, spec.N, real=spec.system.real)
-                incr_coeffs = series_coeffs(spec, gam[None])[0] * math.sqrt(dt)
+                gam = standard_gaussians(gen, (1, spec.N), real=spec.system.real)
+                incr_coeffs = series_coeffs(spec, gam)[0] * math.sqrt(dt)
             gv = config.g[m - 1].values() if isinstance(config.g, list) else g_const
             if gv is not None:
                 incr_coeffs = np.fft.fftn(np.fft.ifftn(incr_coeffs) * gv)

@@ -13,7 +13,7 @@ from gammanoise.config import COMMANDS, ConfigError, command_sections, load_conf
 from gammanoise.grid import Grid
 from gammanoise.output import (RunManifest, canonical_config, config_hash, csv_bytes,
                                read_csv, write_csv)
-from gammanoise.rng import derive_state, splitmix64, stream
+from gammanoise.rng import complex_standard_normal, derive_state, splitmix64, stream
 from gammanoise.spde import DiagonalNoise, SpdeConfig, simulate
 
 
@@ -132,6 +132,15 @@ class TestRngDerivation:
         assert np.array_equal(a[0], b[3])
         assert np.array_equal(a[1], b[1])
 
+    def test_complex_standard_normal_moments(self):
+        # E|z|^2 = 1, E z^2 = 0 and Var Re z = Var Im z = 1/2, each within 4 standard errors
+        z = complex_standard_normal(stream(61, 0), 200_000)
+        assert z.shape == (200_000,) and z.dtype == np.complex128
+        checks = [(np.abs(z) ** 2, 1.0), ((z**2).real, 0.0), ((z**2).imag, 0.0),
+                  (z.real**2, 0.5), (z.imag**2, 0.5)]
+        for x, expected in checks:
+            assert abs(x.mean() - expected) <= 4 * x.std(ddof=1) / math.sqrt(x.size)
+
     def test_chained_ids_distinct(self):
         assert derive_state(1, 2, 3) != derive_state(1, 3, 2)
         assert derive_state(1, 2) != derive_state(2, 1)
@@ -160,18 +169,18 @@ DEFAULT_CSV_SHA256 = {
     "freq-block": "0859d0137358615f049fca926fcb7b92cfda9cc20bcc47e3a7069fc1fa08da4c",
     "gamma-young": "7e6e1f060a18b2c382bd67cdb2a8bc86cd6785de0e3f60491ed2ac1d0f05bea1",
     "haar-divergence": "b4ad4132285f6fee286cf88262ebf72cc078b171cc70251426097e20e62d32a9",
-    "heat-sim": "93d98f44bb5a1f5811731096aaa4c8232c2e2eac46642a2bf4f1427c2b28cb9e",
+    "heat-sim": "03fc479924598cc5df6c95fdf3cea7e595ff09ccd859733631c8c80b0bf45fed",
     "mg-sobolev": "a454fb20dc1b2a273e62a24e43a90572e17cc270c23072b617bc19a34f2d5c30",
     "rescaled-bump": "7c8e1831a5d157cc7bbc2529482efca925d49a219c8eaa7b54d87c7307cc1b7f",
     "scaling": "7f2ed58a2109242f0b532e86c191d8b219c3b9a432922b0a1efbb9f090171edd",
     "schatten-heat": "c020fdc5d12ff660ca1645fc6a9742954a4eff6858c8847145e623851ab01c26",
-    "series-norm": "4da738ea52efc915103b9f1da74d16f92d9a6621bc926fa28d14ee29438babcd",
+    "series-norm": "b2fa46ea17fb0ec93555ecf345b31ec8ea3bd5466858af260e27726f25c76d4c",
     "shifted-bump": "3ff3d0170648ee1c0ebcd12f8d56bceca6aae5e56d71cc17d1805a8a9d620ef7",
     "sweep": "22a93c3d268bd0ef9212082e1f733516b4ff931c7361f102eb6a698747608aad",
 }
 
 # sha256 of the state dump of `heat-sim --override grid.n=32 --override heat.trajectories=2`
-HEAT_SIM_DUMP_SHA256 = "55f5b44a0381ad317ad7f2f918ebe0612641cf33fbdc24703a5526ffc680e068"
+HEAT_SIM_DUMP_SHA256 = "0da3c24a3d1f8a262d2e750d98f75581a146635fb78e24759976aceb71219b1f"
 
 
 class TestCliCommands:
@@ -252,6 +261,7 @@ class TestCliCommands:
         ("scaling", "scaling.alpha=0.0"),
         ("series-norm", "system.kind=haar"),
         ("series-norm", "system.kind=shifted_bump"),
+        ("series-norm", "system.kind=shifted_bump series.n_terms=8"),
         ("series-norm", "coloring.kind=explicit"),
         ("series-norm", "system.kind=haar series.n_terms=127"),
     ])

@@ -8,7 +8,7 @@ from gammanoise.grid import Grid, SpectralField, constant_field, forward_transfo
 from gammanoise.norms import hsq_norm
 from gammanoise.rng import standard_gaussians, stream
 from gammanoise.fit import classify_growth, linfit
-from gammanoise.series import (SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm,
+from gammanoise.series import (MC_BLOCK, SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm,
                                render_terms, series_coeffs, sq_function_gamma_norm,
                                term_values)
 from gammanoise.systems import (Coloring, FourierSystem, HaarSystem, SyntheticGrowthSystem,
@@ -22,9 +22,9 @@ def fourier_spec():
 
 
 def sample(spec, gen):
-    """Coefficients of one realization, drawn as ``mc_gamma_norm`` draws a sample."""
-    gam = standard_gaussians(gen, spec.N, real=spec.system.real)
-    return series_coeffs(spec, gam[None])[0]
+    """Coefficients of one realization, drawn as the first row of a Monte Carlo block."""
+    gam = standard_gaussians(gen, (1, spec.N), real=spec.system.real)
+    return series_coeffs(spec, gam)[0]
 
 
 class TestSampleSeries:
@@ -192,6 +192,17 @@ class TestMcGammaNorm:
         a = mc_gamma_norm(fourier_spec, 300, seed=9, workers=1)
         b = mc_gamma_norm(fourier_spec, 300, seed=9, workers=3)
         assert a.mean == b.mean and a.stderr == b.stderr
+
+    @pytest.mark.parametrize("system", [FourierSystem(1), HaarSystem(1, 0, 3)])
+    def test_block_layout_fixes_every_sample(self, system):
+        # 600 samples are 3 blocks; workers split blocks, and a shorter run
+        # keeps the first rows of the same block streams
+        spec = SeriesSpec(Grid(1, 64), system, Coloring.power_law(0.5), 15, 0.3, 2.0)
+        assert -(-600 // MC_BLOCK) == 3
+        one = mc_gamma_norm(spec, 600, seed=4, workers=1).values
+        two = mc_gamma_norm(spec, 600, seed=4, workers=2).values
+        assert np.array_equal(one, two)
+        assert np.array_equal(one[:300], mc_gamma_norm(spec, 300, seed=4).values)
 
     def test_truncation_monotone_exact(self):
         grid = Grid(1, 256)

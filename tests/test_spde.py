@@ -95,6 +95,24 @@ class TestSimulate:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 traj.coeffs = np.zeros_like(traj.coeffs)
 
+    def test_exact_ou_draws_its_steps_in_order_from_one_stream(self, small_grid):
+        # two steps by hand from one (seed, traj) stream drawn at once
+        from gammanoise.rng import complex_standard_normal, stream
+        noise = DiagonalNoise.matern(small_grid, 0.5)
+        T = 0.02
+        cfg = SpdeConfig(small_grid, noise, T=T, dt=T / 2)
+        got = simulate(cfg, seed=57, traj_index=4, keep_states=True).coeffs
+        gam = complex_standard_normal(stream(57, 4), (2, *small_grid.shape))
+        lam = 4 * np.pi**2 * small_grid.k2_physical()
+        decay = np.exp(-lam * T / 2)
+        var = np.where(lam == 0, T / 2, (1 - decay**2) / (2 * np.where(lam == 0, 1.0, lam)))
+        sigma = noise.mu * np.sqrt(var)
+        u1 = sigma * gam[0]
+        u2 = decay * u1 + sigma * gam[1]
+        assert got.shape == (3,) + small_grid.shape and np.all(got[0] == 0)
+        for m, ref in ((1, u1), (2, u2)):
+            assert np.max(np.abs(got[m] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_single_mode_ou_variance(self):
         # exact transition law: Var = mu^2 (1 - e^{-2 lam T}) / (2 lam)
         grid = Grid(1, 8)
@@ -162,7 +180,7 @@ class TestSimulate:
                          g=g if with_g else None)
         got = simulate(cfg, seed=53).final().coeffs
         assert "_terms" not in vars(noise._specs[small_grid])
-        gam = complex_standard_normal(stream(53, 0, 1), (noise.N,))
+        gam = complex_standard_normal(stream(53, 0), (noise.N,))
         vals = (gam @ term_values_for_system(noise, small_grid)) * math.sqrt(dt)
         if with_g:
             vals = vals * g.values()
