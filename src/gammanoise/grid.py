@@ -193,7 +193,10 @@ def upsampled_values(f: SpectralField, factor: int) -> np.ndarray:
     """Trigonometric interpolation of ``f`` on the ``factor * n`` grid.
 
     The Nyquist coefficient is split over ``+n/2`` and ``-n/2`` so real
-    fields stay real and original samples are reproduced exactly.
+    fields stay real and original samples are reproduced exactly.  Each axis
+    is zero-padded just before its own inverse transform, last axis first, so
+    the all-zero rows of the padded spectrum are never transformed; the
+    result is bit-identical to one ``ifftn`` of the fully padded array.
     """
     if factor < 1 or int(factor) != factor:
         raise ValueError(f"oversampling factor must be a positive integer, got {factor}")
@@ -201,10 +204,10 @@ def upsampled_values(f: SpectralField, factor: int) -> np.ndarray:
         return f.values()
     n, dim = f.grid.n, f.grid.dim
     m = n * factor
-    c = f.coeffs
-    for ax in range(dim):
-        c = _upsample_axis(c, ax, n, m)
-    v = np.fft.ifftn(c) * (m ** dim)
+    v = f.coeffs
+    for ax in reversed(range(dim)):
+        v = np.fft.ifftn(_upsample_axis(v, ax, n, m), axes=(ax,))
+    v *= m ** dim
     return v.real if f.real else v
 
 

@@ -1,7 +1,11 @@
 """Discrete function-space norms on the torus.
 
-Lebesgue norms use rectangle-rule quadrature on a trigonometrically
-oversampled grid (knob ``oversample``, default 4); the L2 case is evaluated
+Lebesgue norms use rectangle-rule quadrature on the trigonometric
+interpolant, sampled on a grid ``factor`` times finer than the field's.  At
+even q, ``|f|^q`` is a trigonometric polynomial of degree ``q n / 2`` per
+axis, so the rule is exact from factor ``q/2 + 1`` on, and the factor used is
+``min(oversample, q/2 + 1)``; at other q it is ``oversample`` as given
+(default 4) and the rule is an approximation.  The L2 case is evaluated
 through Plancherel and is exact.  Negative-order smoothing is coefficient
 multiplication by ``(1 + 4 pi^2 |k/L|^2)^(sigma/2)``.
 """
@@ -16,17 +20,35 @@ DEFAULT_OVERSAMPLE = 4
 SQ_FUNCTION_CHUNK = 64      # terms transformed at once by sq_function_from_terms
 
 
+def _is_even(q: float) -> bool:
+    return q % 2 == 0
+
+
+def _factor(q: float, oversample: int) -> int:
+    """Oversampling factor of the ``L^q`` rule: no finer than exactness needs at even q."""
+    return min(oversample, int(q) // 2 + 1) if _is_even(q) else oversample
+
+
+def _abs_power(v: np.ndarray, q: float) -> np.ndarray:
+    """``|v|^q``; at even q the integer power ``(re^2 + im^2)^(q/2)``, with no square root."""
+    if not _is_even(q):
+        return np.abs(v) ** q
+    sq = v.real**2 + v.imag**2 if np.iscomplexobj(v) else v * v
+    return sq ** (q / 2)
+
+
 def lq_norm(f: SpectralField, q: float, oversample: int = DEFAULT_OVERSAMPLE) -> float:
-    """``L^q`` norm by rectangle rule; exact for q = 2 by Plancherel."""
+    """``L^q`` norm by rectangle rule; exact at q = 2 and at even q from oversample q/2 + 1."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if not np.isfinite(q):
         raise ValueError("q must be finite")
     if q == 2:
         return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2) * f.grid.length ** f.grid.dim))
-    v = upsampled_values(f, oversample)
-    cell = (f.grid.length / (f.grid.n * oversample)) ** f.grid.dim
-    return float((np.sum(np.abs(v) ** q) * cell) ** (1.0 / q))
+    factor = _factor(q, oversample)
+    v = upsampled_values(f, factor)
+    cell = (f.grid.length / (f.grid.n * factor)) ** f.grid.dim
+    return float((np.sum(_abs_power(v, q)) * cell) ** (1.0 / q))
 
 
 def lq_norms(grid: Grid, coeffs: np.ndarray, q: float, oversample: int) -> np.ndarray:
@@ -46,7 +68,8 @@ def sq_function_from_terms(grid: Grid, terms: np.ndarray, s: float, q: float,
     if not (1 < q < np.inf):
         raise ValueError(f"q must lie in (1, inf), got {q}")
     mult = bessel_multiplier(grid, -s)
-    fine_shape = tuple(n * oversample for n in grid.shape)
+    factor = _factor(q, oversample)
+    fine_shape = tuple(n * factor for n in grid.shape)
     acc = np.zeros(fine_shape)
     axes = tuple(range(1, grid.dim + 1))
     for lo in range(0, terms.shape[0], SQ_FUNCTION_CHUNK):
@@ -54,9 +77,9 @@ def sq_function_from_terms(grid: Grid, terms: np.ndarray, s: float, q: float,
         coeffs = np.fft.fftn(block, axes=axes) / grid.n**grid.dim
         coeffs *= mult
         for c in coeffs:
-            fine = upsampled_values(SpectralField(grid, c), oversample)
-            acc += np.abs(fine) ** 2
-    cell = (grid.length / (grid.n * oversample)) ** grid.dim
+            fine = upsampled_values(SpectralField(grid, c), factor)
+            acc += _abs_power(fine, 2) if _is_even(q) else np.abs(fine) ** 2
+    cell = (grid.length / (grid.n * factor)) ** grid.dim
     return float((np.sum(acc ** (q / 2.0)) * cell) ** (1.0 / q))
 
 

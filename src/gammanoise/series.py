@@ -196,9 +196,12 @@ def hs_gamma_norm_exact(spec: SeriesSpec) -> float:
 def sq_function_gamma_norm(spec: SeriesSpec, oversample: int = DEFAULT_OVERSAMPLE) -> float:
     """Deterministic square-function surrogate of the mean-square norm.
 
-    ``|| (sum_n |(1-Lap)^{-s/2}(g mu_n f_n)|^2)^{1/2} ||_{L^q}`` -- equal to
-    the Hilbert-Schmidt value at q = 2 and to the true mean-square norm up
-    to q-dependent constants otherwise.
+    ``||S||_{L^q}`` with ``S = (sum_n |(1-Lap)^{-s/2}(g mu_n f_n)|^2)^{1/2}``.
+    At each quadrature point the series X is a centred Gaussian of variance
+    ``S^2``, so ``E ||X||_q^q = c_q ||S||_q^q`` exactly, with ``c_q`` the q-th
+    absolute moment of a unit Gaussian: ``Gamma(1 + q/2)`` for a complex
+    system, ``2^{q/2} Gamma((q+1)/2) / sqrt(pi)`` for a real one.  At q = 2
+    this is the Hilbert-Schmidt value.
     """
     terms = term_values(spec)
     return sq_function_from_terms(spec.grid, terms, spec.s, spec.q, oversample=oversample)

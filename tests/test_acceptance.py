@@ -18,7 +18,7 @@ RUNTIME_BUDGETS_S = {1: 120.0, 2: 60.0, 10: 300.0}
 
 # sha256 of the default ``selftest`` CSV at seed 7; any change to a criterion's
 # numbers or to the CSV format shows here
-SELFTEST_CSV_SHA256 = "1996b29ff0241fe6072ac54e303299a9ff0a8c30342dbc4d8534e35c9f3df0f1"
+SELFTEST_CSV_SHA256 = "b8bdf9bc2c7aa9fcf8c7c4f15c27dc42936bd813bad4439e399165199f25b27f"
 
 
 @pytest.fixture(scope="module")

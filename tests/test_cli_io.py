@@ -167,15 +167,15 @@ class TestBinaryDump:
 DEFAULT_CSV_SHA256 = {
     "dirichlet": "63a69dc7c234c6dcfcf0b80ad99252314a55424242859456a6deff2ecce978f8",
     "freq-block": "0859d0137358615f049fca926fcb7b92cfda9cc20bcc47e3a7069fc1fa08da4c",
-    "gamma-young": "7e6e1f060a18b2c382bd67cdb2a8bc86cd6785de0e3f60491ed2ac1d0f05bea1",
+    "gamma-young": "926dd6d35766c1af867b6d808ef69d0a6785cc8083b13e6e73dff006f47e5e84",
     "haar-divergence": "b4ad4132285f6fee286cf88262ebf72cc078b171cc70251426097e20e62d32a9",
     "heat-sim": "03fc479924598cc5df6c95fdf3cea7e595ff09ccd859733631c8c80b0bf45fed",
     "mg-sobolev": "a454fb20dc1b2a273e62a24e43a90572e17cc270c23072b617bc19a34f2d5c30",
-    "rescaled-bump": "7c8e1831a5d157cc7bbc2529482efca925d49a219c8eaa7b54d87c7307cc1b7f",
+    "rescaled-bump": "8c267f368279831662b45391d1bdb57dd98f7b272e50b9599b85a8068713054e",
     "scaling": "7f2ed58a2109242f0b532e86c191d8b219c3b9a432922b0a1efbb9f090171edd",
     "schatten-heat": "c020fdc5d12ff660ca1645fc6a9742954a4eff6858c8847145e623851ab01c26",
     "series-norm": "b2fa46ea17fb0ec93555ecf345b31ec8ea3bd5466858af260e27726f25c76d4c",
-    "shifted-bump": "3ff3d0170648ee1c0ebcd12f8d56bceca6aae5e56d71cc17d1805a8a9d620ef7",
+    "shifted-bump": "9d183c1a82c76229989c828a89cd7818572cf9b9feb7edf1491f66ac6fbac893",
     "sweep": "22a93c3d268bd0ef9212082e1f733516b4ff931c7361f102eb6a698747608aad",
 }
 

@@ -109,6 +109,34 @@ class TestUpsampling:
         x = np.arange(256) / 256
         assert np.max(np.abs(fine - np.exp(2j * np.pi * 3 * x))) < 1e-12
 
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_pruned_transform_equals_full_ifftn(self, rng, dim, n, factor, real):
+        # padding each axis just before its own transform skips only zero rows
+        grid = Grid(dim, n)
+        vals = rng.standard_normal(grid.shape)
+        if not real:
+            vals = vals + 1j * rng.standard_normal(grid.shape)
+        f = forward_transform(grid, vals)
+        m = n * factor
+        want = np.fft.ifftn(_zero_padded(f.coeffs, n, m)) * m**dim
+        got = upsampled_values(f, factor)
+        assert np.array_equal(got, want.real if real else want)
+        assert np.isrealobj(got) == real
+
+
+def _zero_padded(coeffs, n, m):
+    """The spectrum on m points per axis, the Nyquist bin split over +-n/2."""
+    if m == n:
+        return coeffs
+    out = coeffs
+    for ax in range(coeffs.ndim):
+        low, nyquist, high = np.split(out, [n // 2, n // 2 + 1], axis=ax)
+        zeros = np.zeros(low.shape[:ax] + (m - n - 1,) + low.shape[ax + 1:])
+        out = np.concatenate([low, nyquist / 2.0, zeros, nyquist / 2.0, high], axis=ax)
+    return out
+
 
 class TestProduct:
     def test_two_modes(self):

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammanoise.grid import Grid, constant_field, forward_transform, mode_field, zero_field
-from gammanoise.norms import bessel_apply, bessel_kernel, hsq_norm, lq_norm, lq_norms, weak_lp_norm
+from gammanoise.grid import (Grid, SpectralField, constant_field, forward_transform, mode_field,
+                             upsampled_values, zero_field)
+from gammanoise.norms import (bessel_apply, bessel_kernel, bessel_multiplier, hsq_norm, lq_norm,
+                              lq_norms, sq_function_from_terms, weak_lp_norm)
 from gammanoise.experiments import dirichlet_field
 from gammanoise.rng import stream
 
@@ -42,6 +44,77 @@ class TestLqNorm:
         want = [lq_norm(f, q, oversample=2) for f in fields]
         assert got.shape == (3,)
         assert got == pytest.approx(want, rel=1e-14)
+
+
+def _rectangle_rule(values, grid, factor, q):
+    cell = (grid.length / (grid.n * factor)) ** grid.dim
+    return (np.sum(values) * cell) ** (1.0 / q)
+
+
+def _sq_function_at(grid, terms, s, q, factor):
+    """The square-function norm summed term by term on the ``factor`` grid."""
+    coeffs = np.fft.fftn(terms, axes=tuple(range(1, grid.dim + 1))) / grid.n**grid.dim
+    coeffs *= bessel_multiplier(grid, -s)
+    acc = sum(np.abs(upsampled_values(SpectralField(grid, c), factor)) ** 2 for c in coeffs)
+    return _rectangle_rule(acc ** (q / 2.0), grid, factor, q)
+
+
+class TestQuadratureFactor:
+    """At even q the rule is exact from factor q/2 + 1 on; other q keep the user's factor."""
+
+    GRIDS = [Grid(1, 32), Grid(2, 16, 2.0)]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("q", [4.0, 6.0])
+    def test_even_q_exact_at_factor_q_half_plus_one(self, rng, grid, q):
+        # random coefficients on the whole lattice, so the Nyquist bins are set
+        f = SpectralField(grid, rng.standard_normal(grid.shape)
+                          + 1j * rng.standard_normal(grid.shape))
+        exact = int(q) // 2 + 1
+        fine = _rectangle_rule(np.abs(upsampled_values(f, 8)) ** q, grid, 8, q)
+        assert lq_norm(f, q, oversample=exact) == pytest.approx(fine, rel=1e-13)
+        assert lq_norm(f, q, oversample=8) == lq_norm(f, q, oversample=exact)
+        # one factor less is not exact, so the rule is not looser than it needs
+        coarse = _rectangle_rule(np.abs(upsampled_values(f, exact - 1)) ** q,
+                                 grid, exact - 1, q)
+        assert abs(coarse / fine - 1.0) > 1e-12
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("q", [4.0, 6.0])
+    def test_even_q_square_function_exact(self, rng, grid, q):
+        terms = rng.standard_normal((5,) + grid.shape)
+        assert np.all(np.fft.fftn(terms, axes=tuple(range(1, grid.dim + 1)))
+                      [(slice(None),) + (grid.n // 2,) * grid.dim] != 0)
+        exact = int(q) // 2 + 1
+        got = sq_function_from_terms(grid, terms, 0.4, q, oversample=exact)
+        assert got == pytest.approx(_sq_function_at(grid, terms, 0.4, q, 8), rel=1e-13)
+        assert sq_function_from_terms(grid, terms, 0.4, q, oversample=8) == got
+
+    @pytest.mark.parametrize("q,factor", [(3.0, 4), (3.0, 2), (4.0, 2)])
+    def test_user_factor_kept_below_exactness(self, rng, q, factor):
+        grid = Grid(2, 16, 2.0)
+        f = forward_transform(grid, rng.standard_normal(grid.shape))
+        v = upsampled_values(f, factor)
+        # at even q the power is taken from re^2 + im^2, without a square root
+        powers = np.abs(v) ** q if q == 3.0 else (v * v) ** (q / 2)
+        assert lq_norm(f, q, oversample=factor) == float(_rectangle_rule(powers, grid, factor, q))
+
+    def test_q4_transforms_only_the_exact_grid(self, rng, monkeypatch):
+        # 64 x 64 at q = 4 needs factor 3: only 192-point axes are transformed,
+        # and the 256 x 256 grid of factor 4 is never built
+        grid = Grid(2, 64)
+        f = SpectralField(grid, rng.standard_normal(grid.shape) + 0j)
+        seen = []
+        full_ifftn = np.fft.ifftn
+
+        def counting_ifftn(a, *args, axes=None, **kwargs):
+            transformed = range(a.ndim) if axes is None else axes
+            seen.append((a.shape, tuple(a.shape[ax] for ax in transformed)))
+            return full_ifftn(a, *args, axes=axes, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifftn", counting_ifftn)
+        lq_norm(f, 4.0, oversample=4)
+        assert seen == [((64, 192), (192,)), ((192, 192), (192,))]
 
 
 class TestWeakLp:

@@ -11,8 +11,8 @@ from gammanoise.fit import classify_growth, linfit
 from gammanoise.series import (MC_BLOCK, SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm,
                                render_terms, series_coeffs, sq_function_gamma_norm,
                                term_values)
-from gammanoise.systems import (Coloring, FourierSystem, HaarSystem, SyntheticGrowthSystem,
-                               bump_values)
+from gammanoise.systems import (Coloring, FourierSystem, HaarSystem, ShiftedBumpSystem,
+                               SyntheticGrowthSystem, bump_values)
 
 
 @pytest.fixture
@@ -217,24 +217,30 @@ class TestMomentIdentity:
     """``E ||X||_q^q = c_q ||S||_q^q`` for the series X and its square function S.
 
     At every quadrature point X is a centred Gaussian of variance S^2 --
-    complex for Fourier, real for Haar -- so on the oversampled grid the
-    identity is exact, with c_q the q-th absolute moment of a unit Gaussian
-    of that kind.  The Monte Carlo mean of ``values^(q/2)`` must meet it.
+    complex for Fourier, real for Haar and shifted bumps -- so on the
+    oversampled grid the identity is exact, with c_q the q-th absolute
+    moment of a unit Gaussian of that kind.  The Monte Carlo mean of
+    ``values^(q/2)`` must meet it.
     """
 
-    C_Q = {"fourier": lambda q: math.gamma(1 + q / 2),
-           "haar": lambda q: 2 ** (q / 2) * math.gamma((q + 1) / 2) / math.sqrt(math.pi)}
+    C_Q = {False: lambda q: math.gamma(1 + q / 2),
+           True: lambda q: 2 ** (q / 2) * math.gamma((q + 1) / 2) / math.sqrt(math.pi)}
 
     @pytest.mark.parametrize("kind,with_g,q", [
         ("fourier", True, 3.0), ("fourier", True, 4.0), ("fourier", False, 4.0),
-        ("haar", True, 3.0), ("haar", True, 4.0)])
+        ("haar", True, 3.0), ("haar", True, 4.0),
+        ("shifted", False, 3.0), ("shifted", False, 4.0)])
     def test_mean_qth_power_matches_square_function(self, kind, with_g, q):
-        grid = Grid(1, 64)
-        system = FourierSystem(1) if kind == "fourier" else HaarSystem(1, 0, 3)
+        if kind == "shifted":
+            # translates by 1 <= |k| <= 4 need a box of length 2 * 4 + 2
+            grid, system, N = Grid(1, 128, 10.0), ShiftedBumpSystem(1, 4), 8
+        else:
+            grid, N = Grid(1, 64), 15
+            system = FourierSystem(1) if kind == "fourier" else HaarSystem(1, 0, 3)
         g = forward_transform(grid, bump_values(grid.coords(), 0.5, 0.5)) if with_g else None
-        spec = SeriesSpec(grid, system, Coloring.power_law(0.5), 15, 0.3, q, g=g)
+        spec = SeriesSpec(grid, system, Coloring.power_law(0.5), N, 0.3, q, g=g)
         powers = mc_gamma_norm(spec, 16_000, seed=23).values ** (q / 2)
-        target = self.C_Q[kind](q) * sq_function_gamma_norm(spec) ** q
+        target = self.C_Q[system.real](q) * sq_function_gamma_norm(spec) ** q
         z = (powers.mean() - target) / (powers.std(ddof=1) / math.sqrt(powers.size))
         assert abs(z) <= 4.0
 
