@@ -61,7 +61,8 @@ class Command:
 
 
 def _grid(n):
-    return {"dim": ("int", 1), "n": ("int", n), "length": ("float", 1.0)}
+    return {"dim": ("int", 1, ">= 1 and <= 3"), "n": ("int", n),
+            "length": ("float", 1.0, "> 0")}
 
 
 def _params(s, q, eta):
@@ -99,7 +100,7 @@ COMMANDS = {
     "rescaled-bump": Command(4, {
         "params": _params(0.5, 4.0, 2.0),
         "rescaled_bump": {"m_min": ("int", 0), "m_max": ("int", 5, "> m_min"), "n": ("int", 2**14),
-                          "width": ("float", 0.25)},
+                          "width": ("float", 0.25, "> 0")},
     }, TWO_SIDED_COLUMNS),
     "shifted-bump": Command(2, {
         "params": _params(0.6, 2.0, 4.0),
@@ -119,7 +120,7 @@ COMMANDS = {
         "grid": _grid(8192),
         "mg_sobolev": {"s": ("float", 0.75), "q": ("float", 4.0),
                        "eta": ("float", 8.0 / 3.0, ">= 1"),
-                       "levels": ("int", 6, ">= 1"), "width": ("float", 0.25)},
+                       "levels": ("int", 6, ">= 1"), "width": ("float", 0.25, "> 0")},
     }, ("level", "s", "q", "eta", "gamma_norm", "g_eta_norm", "constant")),
     "schatten-heat": Command(None, {
         "schatten": {"d": ("int", 1), "n": ("int", 512), "t_min": ("float", 1e-3, "> 0"),

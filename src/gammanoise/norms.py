@@ -17,7 +17,6 @@ import numpy as np
 from .grid import Grid, SpectralField, upsampled_values
 
 DEFAULT_OVERSAMPLE = 4
-SQ_FUNCTION_CHUNK = 64      # terms transformed at once by sq_function_from_terms
 
 
 def _is_even(q: float) -> bool:
@@ -64,21 +63,14 @@ def lq_norms(grid: Grid, coeffs: np.ndarray, q: float, oversample: int) -> np.nd
 
 def sq_function_from_terms(grid: Grid, terms: np.ndarray, s: float, q: float,
                            oversample: int = DEFAULT_OVERSAMPLE) -> float:
-    """Square-function norm for explicit term samples of shape (N, *grid)."""
+    """Square-function norm of a stack of term coefficients, shape (N, *grid)."""
     if not (1 < q < np.inf):
         raise ValueError(f"q must lie in (1, inf), got {q}")
     mult = bessel_multiplier(grid, -s)
     factor = _factor(q, oversample)
-    fine_shape = tuple(n * factor for n in grid.shape)
-    acc = np.zeros(fine_shape)
-    axes = tuple(range(1, grid.dim + 1))
-    for lo in range(0, terms.shape[0], SQ_FUNCTION_CHUNK):
-        block = terms[lo:lo + SQ_FUNCTION_CHUNK]
-        coeffs = np.fft.fftn(block, axes=axes) / grid.n**grid.dim
-        coeffs *= mult
-        for c in coeffs:
-            fine = upsampled_values(SpectralField(grid, c), factor)
-            acc += _abs_power(fine, 2) if _is_even(q) else np.abs(fine) ** 2
+    acc = np.zeros(tuple(n * factor for n in grid.shape))
+    for c in terms:
+        acc += _abs_power(upsampled_values(SpectralField(grid, c * mult), factor), 2)
     cell = (grid.length / (grid.n * factor)) ** grid.dim
     return float((np.sum(acc ** (q / 2.0)) * cell) ** (1.0 / q))
 

@@ -6,13 +6,13 @@ multiplier field g, a truncation N and the target smoothness/integrability
 norms, the deterministic square-function surrogate, and the exact
 Hilbert-Schmidt value at q = 2.
 
-Samples are built in coefficient space by ``series_coeffs``.  For the
-Fourier system each term ``mu_n f_n`` is a single lattice coefficient, so a
-batch of draws is scattered onto the lattice and g, if set, is applied by one
-batched inverse/forward transform pair; no (N, *grid) term stack is built.
-Other systems multiply the draws into their physical term stack
-(``term_values``), which the square-function and Hilbert-Schmidt estimators
-use for every system.
+Everything is built in coefficient space.  ``render_terms`` stacks the
+coefficients of ``g w_i f_i``, shape (N, *grid); the square-function and
+Hilbert-Schmidt estimators read that stack (``term_values``) as it is.
+Samples come from ``series_coeffs``: a Fourier term ``mu_n f_n`` is a single
+lattice coefficient, so a batch of draws is scattered onto the lattice and
+g, if set, is applied by one batched inverse/forward transform pair, with no
+(N, *grid) stack built; other systems multiply the draws into the stack.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class SeriesSpec:
 
     @cached_property
     def _terms(self) -> np.ndarray:
-        """Stacked physical samples of ``g mu_n f_n``, shape (N, *grid)."""
+        """Stacked coefficients of ``g mu_n f_n``, shape (N, *grid)."""
         idxs = self.system.indices(self.N)
         return render_terms(self.system, idxs, self.grid, self.coloring.weights(idxs),
                             None if self.g is None else self.g.values())
@@ -102,22 +102,31 @@ class MCEstimate:
 
 
 def render_terms(system, idxs, grid: Grid, weights, g_values=None) -> np.ndarray:
-    """Stacked physical samples of ``g w_i f_i`` over ``idxs``, shape (len(idxs), *grid).
+    """Stacked coefficients of ``g w_i f_i`` over ``idxs``, shape (len(idxs), *grid).
 
-    Each member is rendered, multiplied by its weight, then by ``g_values``
-    when given, in that order; real systems give a real stack.
+    Rows are the members' rendered coefficients times their weights.  With
+    ``g_values`` the stack goes to the grid once, real part taken for a real
+    system, and the weights and then g are applied there before the way back.
     """
-    terms = np.empty((len(idxs),) + grid.shape, dtype=float if system.real else complex)
+    terms = np.empty((len(idxs),) + grid.shape, dtype=complex)
     for i, idx in enumerate(idxs):
-        terms[i] = system.render(idx, grid).values()
-    terms = terms * np.reshape(weights, (-1,) + (1,) * grid.dim)
-    if g_values is not None:
-        terms = terms * g_values
-    return terms
+        terms[i] = system.render(idx, grid).coeffs
+    weights = np.reshape(weights, (-1,) + (1,) * grid.dim)
+    if g_values is None:
+        terms *= weights
+        return terms
+    axes = tuple(range(1, grid.dim + 1))
+    vals = np.fft.ifftn(terms, axes=axes, out=terms)
+    if system.real:     # a complex g would not fit back into the real part
+        vals = vals.real * weights * g_values
+    else:
+        vals *= weights
+        vals *= g_values
+    return np.fft.fftn(vals, axes=axes)
 
 
 def term_values(spec: SeriesSpec) -> np.ndarray:
-    """Stacked physical samples of ``g mu_n f_n``, shape (N, *grid); cached."""
+    """Stacked coefficients of ``g mu_n f_n``, shape (N, *grid); cached."""
     return spec._terms
 
 
@@ -127,7 +136,8 @@ def series_coeffs(spec: SeriesSpec, gam: np.ndarray) -> np.ndarray:
     ``gam`` has shape (batch, N); the result has shape (batch, *grid).  A
     Fourier term is one lattice coefficient, so the draws are scattered
     straight onto the lattice and g, if set, is applied by one batched
-    transform pair; other systems go through their physical term stack.
+    transform pair; other systems multiply the draws into their coefficient
+    stack.
     """
     grid = spec.grid
     axes = tuple(range(1, grid.dim + 1))
@@ -139,9 +149,7 @@ def series_coeffs(spec: SeriesSpec, gam: np.ndarray) -> np.ndarray:
         if spec.g is None:
             return coeffs
         return np.fft.fftn(np.fft.ifftn(coeffs, axes=axes) * spec.g.values(), axes=axes)
-    flat = term_values(spec).reshape(spec.N, -1)
-    vals = (gam @ flat).reshape((-1,) + grid.shape)
-    return np.fft.fftn(vals, axes=axes) / grid.n**grid.dim
+    return (gam @ term_values(spec).reshape(spec.N, -1)).reshape((-1,) + grid.shape)
 
 
 def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
@@ -185,10 +193,7 @@ def hs_gamma_norm_exact(spec: SeriesSpec) -> float:
     """
     if spec.q != 2:
         raise ValueError("the Hilbert-Schmidt identity requires q = 2")
-    terms = term_values(spec)
-    coeffs = np.fft.fftn(terms, axes=tuple(range(1, spec.grid.dim + 1)))
-    coeffs /= spec.grid.n ** spec.grid.dim
-    coeffs *= bessel_multiplier(spec.grid, -spec.s)
+    coeffs = term_values(spec) * bessel_multiplier(spec.grid, -spec.s)
     total = np.sum(np.abs(coeffs) ** 2) * spec.grid.length**spec.grid.dim
     return float(np.sqrt(total))
 

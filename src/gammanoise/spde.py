@@ -174,7 +174,7 @@ def _noise_spec(noise: SystemNoise, grid: Grid) -> SeriesSpec:
 
 
 def term_values_for_system(noise: SystemNoise, grid: Grid) -> np.ndarray:
-    """Stacked samples of ``mu_n f_n`` on ``grid``, shape (N, *grid); cached per grid."""
+    """Stacked coefficients of ``mu_n f_n`` on ``grid``, shape (N, *grid); cached per grid."""
     return term_values(_noise_spec(noise, grid))
 
 

@@ -238,6 +238,8 @@ class TestCliCommands:
         ("freq-block", "freq_block.n_min=0"),
         ("freq-block", "freq_block.n_min=8 freq_block.n_max=3"),
         ("rescaled-bump", "rescaled_bump.m_max=0"),
+        ("rescaled-bump", "rescaled_bump.width=0"),
+        ("series-norm", "grid.dim=4"),
         ("rescaled-bump", "rescaled_bump.m_min=4 rescaled_bump.m_max=2"),
         ("scaling", "scaling.m_max=0"),
         ("scaling", "scaling.m_min=3 scaling.m_max=1"),

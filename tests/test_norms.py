@@ -52,10 +52,9 @@ def _rectangle_rule(values, grid, factor, q):
 
 
 def _sq_function_at(grid, terms, s, q, factor):
-    """The square-function norm summed term by term on the ``factor`` grid."""
-    coeffs = np.fft.fftn(terms, axes=tuple(range(1, grid.dim + 1))) / grid.n**grid.dim
-    coeffs *= bessel_multiplier(grid, -s)
-    acc = sum(np.abs(upsampled_values(SpectralField(grid, c), factor)) ** 2 for c in coeffs)
+    """Square-function norm of the coefficient stack ``terms``, summed on the ``factor`` grid."""
+    mult = bessel_multiplier(grid, -s)
+    acc = sum(np.abs(upsampled_values(SpectralField(grid, c * mult), factor)) ** 2 for c in terms)
     return _rectangle_rule(acc ** (q / 2.0), grid, factor, q)
 
 
@@ -82,9 +81,10 @@ class TestQuadratureFactor:
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("q", [4.0, 6.0])
     def test_even_q_square_function_exact(self, rng, grid, q):
-        terms = rng.standard_normal((5,) + grid.shape)
-        assert np.all(np.fft.fftn(terms, axes=tuple(range(1, grid.dim + 1)))
-                      [(slice(None),) + (grid.n // 2,) * grid.dim] != 0)
+        # coefficients of real terms, with every Nyquist bin set
+        terms = np.stack([forward_transform(grid, rng.standard_normal(grid.shape)).coeffs
+                          for _ in range(5)])
+        assert np.all(terms[(slice(None),) + (grid.n // 2,) * grid.dim] != 0)
         exact = int(q) // 2 + 1
         got = sq_function_from_terms(grid, terms, 0.4, q, oversample=exact)
         assert got == pytest.approx(_sq_function_at(grid, terms, 0.4, q, 8), rel=1e-13)

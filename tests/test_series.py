@@ -85,9 +85,7 @@ class TestSeriesCoeffs:
         gam = gen.standard_normal((5, N)) + 1j * gen.standard_normal((5, N))
         got = series_coeffs(spec, gam)
         assert "_terms" not in vars(spec)
-        flat = term_values(spec).reshape(N, -1)
-        axes = tuple(range(1, dim + 1))
-        ref = np.fft.fftn((gam @ flat).reshape((5,) + grid.shape), axes=axes) / n**dim
+        ref = (gam @ term_values(spec).reshape(N, -1)).reshape((5,) + grid.shape)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_mc_keeps_fourier_term_stack_unbuilt(self, fourier_spec):
@@ -143,6 +141,7 @@ class TestRenderTerms:
     @pytest.mark.parametrize("system,count,complex_g", [
         (HaarSystem(1, 0, 3), 15, False),
         (FourierSystem(2), 25, True),
+        (HaarSystem(2, 0, 1), 15, True),
     ])
     def test_matches_per_index_render_loop(self, system, count, complex_g):
         grid = Grid(system.dim, 32)
@@ -153,10 +152,30 @@ class TestRenderTerms:
         if complex_g:
             gv = gv + 1j * gen.standard_normal(grid.shape)
         got = render_terms(system, idxs, grid, weights, gv)
-        ref = np.array([(system.render(idx, grid).values() * w) * gv
+        ref = np.array([forward_transform(grid, (system.render(idx, grid).values() * w) * gv).coeffs
                         for idx, w in zip(idxs, weights)])
-        assert got.dtype == (float if system.real else complex)
+        assert got.dtype == complex
         assert np.array_equal(got, ref)
+        plain = np.array([system.render(idx, grid).coeffs * w for idx, w in zip(idxs, weights)])
+        assert np.array_equal(render_terms(system, idxs, grid, weights), plain)
+
+
+class TestCoefficientStack:
+    """Without g a Fourier stack is the weighted lattice, with no transform in between."""
+
+    @pytest.mark.parametrize("dim,n,N", [(1, 128, 40), (2, 32, 60)])
+    def test_fourier_stack_is_the_lattice(self, dim, n, N):
+        spec = SeriesSpec(Grid(dim, n), FourierSystem(dim), Coloring.matern(0.6), N, 0.7, 2.0)
+        assert np.array_equal(term_values(spec), series_coeffs(spec, np.eye(N)))
+
+    @pytest.mark.parametrize("dim,n,N", [(1, 128, 40), (2, 32, 60)])
+    def test_hs_exact_is_the_lattice_sum(self, dim, n, N):
+        spec = SeriesSpec(Grid(dim, n), FourierSystem(dim), Coloring.matern(0.6), N, 0.7, 2.0)
+        idxs = spec.system.indices(N)
+        mus = spec.coloring.weights(idxs)
+        direct = math.fsum(mu**2 * (1 + 4 * np.pi**2 * sum(x * x for x in k)) ** -spec.s
+                           for mu, k in zip(mus, idxs))
+        assert hs_gamma_norm_exact(spec) ** 2 == pytest.approx(direct, rel=1e-14)
 
 
 class TestMcGammaNorm:

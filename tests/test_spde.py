@@ -181,11 +181,12 @@ class TestSimulate:
         got = simulate(cfg, seed=53).final().coeffs
         assert "_terms" not in vars(noise._specs[small_grid])
         gam = complex_standard_normal(stream(53, 0), (noise.N,))
-        vals = (gam @ term_values_for_system(noise, small_grid)) * math.sqrt(dt)
+        incr = (gam @ term_values_for_system(noise, small_grid)) * math.sqrt(dt)
         if with_g:
-            vals = vals * g.values()
+            incr = forward_transform(small_grid, SpectralField(small_grid, incr).values()
+                                     * g.values()).coeffs
         decay = np.exp(-4 * np.pi**2 * small_grid.k2_physical() * dt)
-        ref = decay * np.fft.fft(vals) / small_grid.n
+        ref = decay * incr
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_exp_euler_unit_g_matches_transform_round_trip(self, small_grid):

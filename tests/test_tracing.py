@@ -66,6 +66,8 @@ def test_traced_layers_of_the_quadrature(tracing):
     assert stats["grid.upsampled_values"].calls == 8 + 16
     assert {sq_spans[s[3]][0] for s in sq_spans if s[0] == "grid.upsampled_values"} \
         == {"series.sq_function_from_terms"}
+    # the term stack is read in coefficient space: the only transforms are the quadrature's
+    assert {sq_spans[s[3]][0] for s in sq_spans if s[0] == "fft"} == {"grid.upsampled_values"}
 
     assert _bindings(tracing) == before
     assert not hasattr(series.mc_gamma_norm, "__wrapped__")
