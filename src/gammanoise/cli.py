@@ -15,6 +15,8 @@ import math
 import os
 import struct
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -47,46 +49,51 @@ def build_grid(block: dict) -> Grid:
 
 
 def build_system(block: dict, dim: int):
-    kind = block["kind"]
-    if kind == "fourier":
-        return FourierSystem(dim)
-    if kind == "haar":
-        return HaarSystem(dim, block.get("j_min", 0), block.get("j_max", 6))
-    if kind == "shifted_bump":
-        return ShiftedBumpSystem(dim, block.get("extent", 4), block.get("width", 0.5))
-    raise ConfigError(f"unknown system kind {kind!r}")
+    makers = {
+        "fourier": lambda: FourierSystem(dim),
+        "haar": lambda: HaarSystem(dim, block.get("j_min", 0), block.get("j_max", 6)),
+        "shifted_bump": lambda: ShiftedBumpSystem(dim, block.get("extent", 4),
+                                                  block.get("width", 0.5)),
+    }
+    return _pick(makers, "system.kind", block["kind"])()
 
 
 def build_coloring(block: dict, dim: int, n_terms: int) -> Coloring:
-    kind = block["kind"]
-    if kind == "matern":
-        return Coloring.matern(block["alpha"])
-    if kind == "power_law":
-        return Coloring.power_law(block["alpha"])
-    if kind == "block":
-        return Coloring.block_indicator(block.get("level", 3))
-    if kind == "haar":
-        return Coloring.haar(block["alpha"], block.get("beta", 1.0), dim)
-    if kind == "constant":
-        return Coloring.constant(block.get("value", 1.0), n_terms)
-    if kind == "explicit":
-        return Coloring.explicit(block.get("values", []))
-    raise ConfigError(f"unknown coloring kind {kind!r}")
+    makers = {
+        "matern": lambda: Coloring.matern(block["alpha"]),
+        "power_law": lambda: Coloring.power_law(block["alpha"]),
+        "block": lambda: Coloring.block_indicator(block.get("level", 3)),
+        "haar": lambda: Coloring.haar(block["alpha"], block.get("beta", 1.0), dim),
+        "constant": lambda: Coloring.constant(block.get("value", 1.0), n_terms),
+        "explicit": lambda: Coloring.explicit(block.get("values", [])),
+    }
+    return _pick(makers, "coloring.kind", block["kind"])()
 
 
 def build_g(block: dict, grid: Grid):
-    if not block:
-        return None
-    kind = block.get("kind", "one")
-    if kind == "one":
-        return None
-    if kind == "constant":
-        return constant_field(grid, block.get("value", 1.0))
-    if kind == "bump":
-        w = block.get("width", 0.5)
-        return forward_transform(grid, bump_values(grid.coords(), grid.length / 2.0,
-                                                   w * grid.length))
-    raise ConfigError(f"unknown g kind {kind!r}")
+    makers = {
+        "one": lambda: None,
+        "constant": lambda: constant_field(grid, block.get("value", 1.0)),
+        "bump": lambda: forward_transform(grid, bump_values(
+            grid.coords(), grid.length / 2.0, block.get("width", 0.5) * grid.length)),
+    }
+    return _pick(makers, "g.kind", block.get("kind", "one"))()
+
+
+def _pick(choices: dict, key: str, value):
+    """``choices[value]``; a ``ConfigError`` naming ``key`` and the choices if it is missing."""
+    if value not in choices:
+        raise ConfigError(f"unknown {key} {value!r}; expected one of {', '.join(choices)}")
+    return choices[value]
+
+
+@contextmanager
+def _named(key: str, value):
+    """Re-raise a library ``ValueError`` as a ``ConfigError`` that names ``key=value``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{key}={value}: {exc}") from None
 
 
 def _worker_count(cfg: dict, flag) -> int:
@@ -162,7 +169,8 @@ def _check_series_members(cfg, system, coloring: Coloring) -> None:
 def run_sweep(cfg, seed, workers, timer):
     blk = cfg["sweep"]
     tuples = [_params_from({**blk, "s": s}) for s in blk["s_values"]]
-    cells = boundary_sweep(tuples, blk["construction"], blk["scales"])
+    with _named("sweep.construction", blk["construction"]):
+        cells = boundary_sweep(tuples, blk["construction"], blk["scales"])
     rows = [{"d": c.params.d, "s": c.params.s, "q": c.params.q,
              "eta": c.params.eta, "zeta": c.params.zeta,
              "construction": c.construction, "slack": c.slack,
@@ -285,18 +293,20 @@ def run_schatten_heat(cfg, seed, workers, timer):
 def run_heat_sim(cfg, seed, workers, timer):
     grid = build_grid(cfg["grid"])
     blk = cfg["heat"]
-    kind = blk["noise"]
-    if kind == "matern":
-        noise = DiagonalNoise.matern(grid, blk["alpha"])
-    elif kind == "white":
-        noise = DiagonalNoise.white(grid, blk.get("cutoff"))
-    elif kind == "single_mode":
-        noise = DiagonalNoise.single_mode(grid, blk.get("mode", 1),
-                                          blk.get("amplitude", 1.0))
-    else:
-        raise ConfigError(f"unknown noise kind {kind!r}")
-    config = SpdeConfig(grid, noise, T=blk["t_horizon"], dt=blk["dt"],
-                        integrator=blk["integrator"])
+    makers = {
+        "matern": lambda: DiagonalNoise.matern(grid, blk["alpha"]),
+        "white": lambda: DiagonalNoise.white(grid, blk.get("cutoff")),
+        "single_mode": lambda: DiagonalNoise.single_mode(grid, blk.get("mode", 1),
+                                                         blk.get("amplitude", 1.0)),
+    }
+    make_noise = _pick(makers, "heat.noise", blk["noise"])
+    with _named("heat.mode", blk.get("mode", 1)):   # matern: heat.alpha > 0 is declared
+        noise = make_noise()
+    # built in two steps, so that a rejected value is named by its own key
+    with _named("heat.dt", blk["dt"]):
+        config = SpdeConfig(grid, noise, T=blk["t_horizon"], dt=blk["dt"])
+    with _named("heat.integrator", blk["integrator"]):
+        config = replace(config, integrator=blk["integrator"])
     rows = []
     dump = blk.get("dump_states")
     for i in range(blk["trajectories"]):

@@ -128,7 +128,7 @@ COMMANDS = {
     }, ("d", "t", "norm_g1", "scaled_g1", "norm_witness")),
     "heat-sim": Command(None, {
         "grid": _grid(256),
-        "heat": {"noise": ("str", "matern"), "alpha": ("float", 0.3), "cutoff": "float",
+        "heat": {"noise": ("str", "matern"), "alpha": ("float", 0.3, "> 0"), "cutoff": "float",
                  "mode": "int", "amplitude": "float", "t_horizon": ("float", 0.1, "> 0"),
                  "dt": ("float", 1e-3, "> 0 and <= t_horizon"),
                  "integrator": ("str", "exact_ou"), "trajectories": ("int", 100, ">= 1"),

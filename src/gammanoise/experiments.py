@@ -236,7 +236,8 @@ def boundary_sweep(tuples, construction: str, scale_range, **kwargs) -> list:
         "shifted_bump": lambda p: shifted_bump_test(p, scale_range, **kwargs)[:2],
     }
     if construction not in runners:
-        raise ValueError(f"unknown construction {construction!r}")
+        raise ValueError(f"unknown construction {construction!r}; "
+                         f"expected one of {', '.join(runners)}")
     regime = "unweighted" if construction == "shifted_bump" else "weighted"
     cells = []
     for params in tuples:

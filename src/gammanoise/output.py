@@ -119,25 +119,11 @@ class RunManifest:
 
 
 class OpTimer:
-    """Accumulates per-operation wall times for the manifest."""
+    """Run wall time, and the per-operation timings a runner reports, for the manifest."""
 
     def __init__(self):
         self.timings = {}
         self._start = time.monotonic()
-
-    def time(self, name: str):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.monotonic()
-                return self
-
-            def __exit__(self, *exc):
-                timer.timings[name] = timer.timings.get(name, 0.0) + time.monotonic() - self.t0
-                return False
-
-        return _Ctx()
 
     def total(self) -> float:
         return time.monotonic() - self._start

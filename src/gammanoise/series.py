@@ -140,7 +140,6 @@ def series_coeffs(spec: SeriesSpec, gam: np.ndarray) -> np.ndarray:
     stack.
     """
     grid = spec.grid
-    axes = tuple(range(1, grid.dim + 1))
     if isinstance(spec.system, FourierSystem):
         positions, mus = spec._lattice
         coeffs = np.zeros((gam.shape[0], grid.n**grid.dim), dtype=np.complex128)
@@ -148,8 +147,16 @@ def series_coeffs(spec: SeriesSpec, gam: np.ndarray) -> np.ndarray:
         coeffs = coeffs.reshape((-1,) + grid.shape)
         if spec.g is None:
             return coeffs
-        return np.fft.fftn(np.fft.ifftn(coeffs, axes=axes) * spec.g.values(), axes=axes)
+        return multiply_on_grid(coeffs, spec.g.values(), grid.dim)
     return (gam @ term_values(spec).reshape(spec.N, -1)).reshape((-1,) + grid.shape)
+
+
+def multiply_on_grid(coeffs: np.ndarray, g_values: np.ndarray, dim: int) -> np.ndarray:
+    """Coefficients of ``g f`` for each field of a stack (..., *grid), computed in place."""
+    axes = tuple(range(-dim, 0))
+    vals = np.fft.ifftn(coeffs, axes=axes, out=coeffs)
+    vals *= g_values
+    return np.fft.fftn(vals, axes=axes, out=vals)
 
 
 def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,

@@ -3,8 +3,10 @@
 ``du = Lap u dt + g R dW`` with zero initial data.  Diagonal noise evolves
 every Fourier mode as an independent Ornstein-Uhlenbeck process with the
 exact transition law; the exponential Euler scheme handles multiplier fields
-g and series noise.  Closed-form second moments are available for g = 1 and
-diagonal noise, both for the continuous-time law and for the Euler scheme.
+g and series noise.  A trajectory's increments are drawn and built in one
+batched pass, so the step loop holds only the recursion.  Closed-form second
+moments are available for g = 1 and diagonal noise, both for the
+continuous-time law and for the Euler scheme.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .norms import (bessel_multiplier, heat_eigenvalues, lq_norm, lq_norms,
                     sq_function_from_terms)
 from .rng import complex_standard_normal, standard_gaussians, stream
 from .fit import linfit
-from .series import SeriesSpec, render_terms, series_coeffs, term_values
+from .series import SeriesSpec, multiply_on_grid, render_terms, series_coeffs, term_values
 from .systems import Coloring, HaarSystem, bump_values, weighted_sequence_norm
 from .conditions import ParamTuple, predicted_exponent
 
@@ -76,7 +78,8 @@ class SpdeConfig:
         if steps < 1 or abs(steps * self.dt - self.T) > 1e-9 * max(1.0, self.T):
             raise ValueError("dt must divide the horizon T")
         if self.integrator not in ("exact_ou", "exp_euler"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
+            raise ValueError(f"unknown integrator {self.integrator!r}; "
+                             "expected one of exact_ou, exp_euler")
         if self.integrator == "exact_ou":
             if self.g is not None:
                 raise ValueError("exact_ou requires g = 1")
@@ -111,53 +114,45 @@ class Trajectory:
 
 def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
              keep_states: bool = True) -> Trajectory:
-    """Integrate one trajectory; its draws come in step order from one (seed, traj) stream.
+    """Integrate one trajectory; its draws come in one call from one (seed, traj) stream.
 
-    Step m takes the next ``grid.shape`` complex draws (series noise: the
-    next N), so a run of steps drawn at once would give the same values.
+    The draws have shape ``(steps, *grid)`` (series noise: ``(steps, N)``) and
+    row m is step m's, as drawing step by step would give.  Every increment is
+    built at once, so the noise array is as large as the states that
+    ``keep_states=True`` stores; a field g, or a list of one field per step,
+    multiplies all of them in one transform pair.
 
     exact_ou updates each mode with the exact Ornstein-Uhlenbeck transition;
-    exp_euler damps the previous state and the freshly built noise increment
-    by the semigroup.
+    exp_euler damps the previous state and the increment by the semigroup.
     """
-    grid = config.grid
+    grid, dt, steps = config.grid, config.dt, config.steps
     lam = heat_eigenvalues(grid)
-    dt = config.dt
-    steps = config.steps
     decay = np.exp(-lam * dt)
-
-    if config.integrator == "exact_ou":
-        var = _ou_step_variance(config.noise.mu, lam, dt)
-        sigma = np.sqrt(var)
-    else:
-        if isinstance(config.noise, DiagonalNoise):
-            mu_lattice = config.noise.mu
-            spec = None
+    exact_ou = config.integrator == "exact_ou"
+    gen = stream(seed, traj_index)
+    # built in place, so that the noise holds one (steps, *grid) array at a time
+    if isinstance(config.noise, DiagonalNoise):
+        dw = complex_standard_normal(gen, (steps,) + grid.shape)
+        if exact_ou:
+            dw *= np.sqrt(_ou_step_variance(config.noise.mu, lam, dt))
         else:
-            spec = _noise_spec(config.noise, grid)
-        g_const = config.g.values() if isinstance(config.g, SpectralField) else None
+            dw *= config.noise.mu
+            dw *= math.sqrt(dt)
+    else:
+        spec = _noise_spec(config.noise, grid)
+        dw = series_coeffs(spec, standard_gaussians(gen, (steps, spec.N), spec.system.real))
+        dw *= math.sqrt(dt)
+    if config.g is not None:
+        g = config.g if isinstance(config.g, list) else [config.g]
+        dw = multiply_on_grid(dw, np.stack([f.values() for f in g]), grid.dim)
 
     times = np.arange(steps + 1) * dt if keep_states else np.array([0.0, config.T])
     coeffs = np.zeros((len(times),) + grid.shape, dtype=np.complex128)
-    u = np.zeros(grid.shape, dtype=np.complex128)
-    gen = stream(seed, traj_index)
-    for m in range(1, steps + 1):
-        if config.integrator == "exact_ou":
-            gam = complex_standard_normal(gen, grid.shape)
-            u = decay * u + sigma * gam
-        else:
-            if spec is None:
-                gam = complex_standard_normal(gen, grid.shape)
-                incr_coeffs = mu_lattice * gam * math.sqrt(dt)
-            else:
-                gam = standard_gaussians(gen, (1, spec.N), real=spec.system.real)
-                incr_coeffs = series_coeffs(spec, gam)[0] * math.sqrt(dt)
-            gv = config.g[m - 1].values() if isinstance(config.g, list) else g_const
-            if gv is not None:
-                incr_coeffs = np.fft.fftn(np.fft.ifftn(incr_coeffs) * gv)
-            u = decay * (u + incr_coeffs)
+    u = coeffs[0]
+    for m in range(steps):
+        u = decay * u + dw[m] if exact_ou else decay * (u + dw[m])
         if keep_states:
-            coeffs[m] = u
+            coeffs[m + 1] = u
     coeffs[-1] = u
     coeffs.flags.writeable = False
     return Trajectory(grid, times, coeffs, seed)

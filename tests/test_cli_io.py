@@ -266,6 +266,15 @@ class TestCliCommands:
         ("series-norm", "system.kind=shifted_bump series.n_terms=8"),
         ("series-norm", "coloring.kind=explicit"),
         ("series-norm", "system.kind=haar series.n_terms=127"),
+        ("series-norm", "system.kind=foo"),
+        ("series-norm", "coloring.kind=foo"),
+        ("series-norm", "g.kind=foo"),
+        ("heat-sim", "heat.noise=foo"),
+        ("heat-sim", "heat.integrator=foo"),
+        ("sweep", "sweep.construction=foo"),
+        ("heat-sim", "heat.alpha=0"),
+        ("heat-sim", "heat.mode=1000 heat.noise=single_mode"),
+        ("heat-sim", "heat.dt=0.03"),
     ])
     def test_rejected_value_exit_code(self, tmp_path, capsys, command, override):
         # several space-separated overrides are passed in order; the first key is named
@@ -276,6 +285,20 @@ class TestCliCommands:
         assert err["error"] == "config"
         assert override.split("=")[0] in err["detail"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,key,allowed", [
+        ("series-norm", "system.kind", "fourier, haar, shifted_bump"),
+        ("series-norm", "coloring.kind", "matern, power_law, block, haar, constant, explicit"),
+        ("series-norm", "g.kind", "one, constant, bump"),
+        ("heat-sim", "heat.noise", "matern, white, single_mode"),
+        ("heat-sim", "heat.integrator", "exact_ou, exp_euler"),
+        ("sweep", "sweep.construction", "freq_block, rescaled_bump, shifted_bump"),
+    ])
+    def test_unknown_kind_lists_the_allowed_values(self, tmp_path, capsys, command, key,
+                                                   allowed):
+        assert main([command, "--override", f"{key}=foo", "--out", str(tmp_path / "x.csv")]) == 2
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert key in detail and "'foo'" in detail and f"expected one of {allowed}" in detail
 
     def test_every_declared_rule_rejects_its_violation(self, tmp_path, capsys,
                                                        monkeypatch):

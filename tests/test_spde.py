@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from gammanoise.conditions import ParamTuple
-from gammanoise.grid import Grid, SpectralField
-from gammanoise.norms import hsq_norm, lq_norm
+from gammanoise.grid import Grid, SpectralField, forward_transform
+from gammanoise.norms import heat_eigenvalues, hsq_norm, lq_norm
+from gammanoise.rng import complex_standard_normal, standard_gaussians, stream
+from gammanoise.series import SeriesSpec, series_coeffs
 from gammanoise.fit import linfit
 from gammanoise.spde import (DiagonalNoise, SpdeConfig, SystemNoise, Trajectory,
-                             scaling_diagnostic, second_moment_closed_form,
+                             _ou_step_variance, scaling_diagnostic, second_moment_closed_form,
                              second_moment_exp_euler, simulate, spacetime_norm,
                              term_values_for_system, trajectory_norms)
 from gammanoise.systems import Coloring, FourierSystem, HaarSystem
@@ -97,7 +99,6 @@ class TestSimulate:
 
     def test_exact_ou_draws_its_steps_in_order_from_one_stream(self, small_grid):
         # two steps by hand from one (seed, traj) stream drawn at once
-        from gammanoise.rng import complex_standard_normal, stream
         noise = DiagonalNoise.matern(small_grid, 0.5)
         T = 0.02
         cfg = SpdeConfig(small_grid, noise, T=T, dt=T / 2)
@@ -171,8 +172,6 @@ class TestSimulate:
     @pytest.mark.parametrize("with_g", [False, True])
     def test_exp_euler_fourier_series_noise_matches_term_stack(self, small_grid, with_g):
         # one Euler step: the lattice scatter equals the dense stack's increment
-        from gammanoise.grid import forward_transform
-        from gammanoise.rng import complex_standard_normal, stream
         noise = SystemNoise(FourierSystem(1), Coloring.matern(0.5), 20)
         g = forward_transform(small_grid, stream(7).standard_normal(small_grid.shape))
         dt = 0.01
@@ -200,6 +199,80 @@ class TestSimulate:
         a = simulate(plain, seed=52).final().coeffs
         b = simulate(unit, seed=52).final().coeffs
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+
+
+def _per_step_reference(config, seed, traj_index):
+    """States of the step-at-a-time loop: each step draws its own row and builds its increment."""
+    grid, dt = config.grid, config.dt
+    lam = heat_eigenvalues(grid)
+    decay = np.exp(-lam * dt)
+    noise = config.noise
+    if isinstance(noise, SystemNoise):
+        spec = SeriesSpec(grid, noise.system, noise.coloring, noise.N, s=0.0, q=2.0)
+    gen = stream(seed, traj_index)
+    u = np.zeros(grid.shape, dtype=np.complex128)
+    states = [u]
+    for m in range(config.steps):
+        if config.integrator == "exact_ou":
+            gam = complex_standard_normal(gen, grid.shape)
+            u = decay * u + np.sqrt(_ou_step_variance(noise.mu, lam, dt)) * gam
+        else:
+            if isinstance(noise, DiagonalNoise):
+                gam = complex_standard_normal(gen, grid.shape)
+                incr = noise.mu * gam * math.sqrt(dt)
+            else:
+                gam = standard_gaussians(gen, (1, spec.N), real=spec.system.real)
+                incr = series_coeffs(spec, gam)[0] * math.sqrt(dt)
+            g = config.g[m] if isinstance(config.g, list) else config.g
+            if g is not None:
+                incr = np.fft.fftn(np.fft.ifftn(incr) * g.values())
+            u = decay * (u + incr)
+        states.append(u)
+    return np.array(states)
+
+
+class TestBatchedNoiseMatchesPerStepLoop:
+    """``simulate`` draws a trajectory's noise in one call and builds every increment at once.
+
+    Diagonal and Fourier series noise give the per-step loop's bits.  A Haar
+    increment is a BLAS product whose summation order depends on the batch
+    size, so each increment agrees to 1e-15 relative and state m to m times that.
+    """
+
+    STEPS = 10
+
+    def _config(self, grid, noise_kind, g_kind):
+        fields = [forward_transform(grid, stream(8, m).standard_normal(grid.shape))
+                  for m in range(self.STEPS)]
+        g = {"none": None, "field": fields[0], "list": fields}[g_kind]
+        if noise_kind in ("exact_ou", "diagonal"):
+            noise = DiagonalNoise.matern(grid, 0.5)
+        elif noise_kind == "fourier":
+            noise = SystemNoise(FourierSystem(grid.dim), Coloring.matern(0.5), 20)
+        else:
+            noise = SystemNoise(HaarSystem(grid.dim, 0, 2), Coloring.power_law(0.5), 7)
+        integrator = "exact_ou" if noise_kind == "exact_ou" else "exp_euler"
+        return SpdeConfig(grid, noise, T=0.1, dt=0.1 / self.STEPS, integrator=integrator, g=g)
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 16)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("noise_kind,g_kind", [
+        ("exact_ou", "none"),
+        ("diagonal", "none"), ("diagonal", "field"), ("diagonal", "list"),
+        ("fourier", "none"), ("fourier", "field"), ("fourier", "list"),
+        ("haar", "none"), ("haar", "field"), ("haar", "list"),
+    ])
+    def test_states_match(self, grid, noise_kind, g_kind):
+        cfg = self._config(grid, noise_kind, g_kind)
+        ref = _per_step_reference(cfg, seed=5, traj_index=3)
+        full = simulate(cfg, seed=5, traj_index=3).coeffs
+        last = simulate(cfg, seed=5, traj_index=3, keep_states=False).coeffs
+        assert full.shape == ref.shape and last.shape == (2,) + grid.shape
+        assert np.array_equal(full[-1], last[-1]) and np.all(last[0] == 0)
+        if noise_kind != "haar":
+            assert np.array_equal(full, ref)
+            return
+        err = np.max(np.abs(full - ref), axis=tuple(range(1, grid.dim + 1)))
+        assert np.all(err <= 1e-15 * np.arange(self.STEPS + 1) * np.max(np.abs(ref)))
 
 
 class TestClosedForm:

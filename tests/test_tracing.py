@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import gammanoise.cli  # noqa: F401  (the tracer rebinds cli.RUNNERS)
-from gammanoise import Coloring, FourierSystem, Grid, SeriesSpec, series
+from gammanoise import (Coloring, DiagonalNoise, FourierSystem, Grid, SeriesSpec, SpdeConfig,
+                        SystemNoise, series, spde)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_DIR = REPO_ROOT / "perfbench"
@@ -71,3 +72,22 @@ def test_traced_layers_of_the_quadrature(tracing):
 
     assert _bindings(tracing) == before
     assert not hasattr(series.mc_gamma_norm, "__wrapped__")
+
+
+@pytest.mark.parametrize("integrator", ["exact_ou", "exp_euler"])
+def test_simulate_draws_its_trajectory_in_one_call(tracing, integrator):
+    # 10 steps: one stream and one draw call, not one draw call per step
+    grid = Grid(1, 64)
+    if integrator == "exact_ou":
+        noise = DiagonalNoise.matern(grid, 0.5)
+    else:
+        noise = SystemNoise(FourierSystem(1), Coloring.matern(0.5), 16)
+    cfg = SpdeConfig(grid, noise, T=0.1, dt=0.01, integrator=integrator)
+    tracer = tracing.Tracer()
+    with tracer:
+        spde.simulate(cfg, seed=1)
+        tracer.close_round()
+    assert cfg.steps == 10
+    assert tracer.stats["spde.simulate"].calls == 1
+    assert tracer.stats["rng.stream"].calls == 1
+    assert tracer.stats["rng.draw"].calls == 1
