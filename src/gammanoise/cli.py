@@ -23,9 +23,8 @@ import numpy as np
 from .acceptance import selftest
 from .conditions import ParamTuple
 from .config import COMMANDS, ConfigError, load_config
-from .experiments import (boundary_sweep, dirichlet_norm_test,
-                          frequency_block_test, rescaled_bump_test,
-                          shifted_bump_test)
+from .experiments import (CONSTRUCTION_REGIMES, boundary_sweep, dirichlet_norm_test,
+                          frequency_block_test, rescaled_bump_test, shifted_bump_test)
 from .fit import linfit
 from .grid import Grid, constant_field, forward_transform
 from .norms import bessel_kernel, lq_norm
@@ -166,8 +165,23 @@ def _check_series_members(cfg, system, coloring: Coloring) -> None:
                           f"coloring.values, fewer than series.n_terms={n}")
 
 
+def _check_sweep_regime(blk: dict) -> None:
+    """Raise ``ConfigError`` naming the keys that take a sweep out of its construction's regime."""
+    construction = blk["construction"]
+    regime = CONSTRUCTION_REGIMES.get(construction)
+    if regime == "weighted" and blk["eta"] > blk["q"]:
+        raise ConfigError(f"sweep.eta={blk['eta']:g} exceeds sweep.q={blk['q']:g}; "
+                          f"sweep.construction={construction} probes the weighted regime, "
+                          "which requires eta <= q")
+    if regime == "unweighted" and blk["zeta"] <= 0:
+        raise ConfigError(f"sweep.zeta={blk['zeta']:g} stands for zeta = inf; "
+                          f"sweep.construction={construction} probes the unweighted regime, "
+                          "which requires a finite zeta")
+
+
 def run_sweep(cfg, seed, workers, timer):
     blk = cfg["sweep"]
+    _check_sweep_regime(blk)
     tuples = [_params_from({**blk, "s": s}) for s in blk["s_values"]]
     with _named("sweep.construction", blk["construction"]):
         cells = boundary_sweep(tuples, blk["construction"], blk["scales"])

@@ -223,6 +223,11 @@ class SweepCell:
     error: str = ""   # exception type and message of a failed cell
 
 
+# the regime of conditions each construction probes
+CONSTRUCTION_REGIMES = {"freq_block": "weighted", "rescaled_bump": "weighted",
+                        "shifted_bump": "unweighted"}
+
+
 def boundary_sweep(tuples, construction: str, scale_range, **kwargs) -> list:
     """Run one construction over a grid of parameter tuples and label each cell.
 
@@ -238,7 +243,7 @@ def boundary_sweep(tuples, construction: str, scale_range, **kwargs) -> list:
     if construction not in runners:
         raise ValueError(f"unknown construction {construction!r}; "
                          f"expected one of {', '.join(runners)}")
-    regime = "unweighted" if construction == "shifted_bump" else "weighted"
+    regime = CONSTRUCTION_REGIMES[construction]
     cells = []
     for params in tuples:
         cond = sharp_condition(params, regime)

@@ -189,47 +189,83 @@ def field_from_function(grid: Grid, fn) -> SpectralField:
     return forward_transform(grid, np.asarray(vals, dtype=float))
 
 
-def upsampled_values(f: SpectralField, factor: int) -> np.ndarray:
-    """Trigonometric interpolation of ``f`` on the ``factor * n`` grid.
+def spectral_band(grid: Grid, coeffs: np.ndarray) -> int:
+    """Largest ``|k|`` on any axis at an exactly nonzero coefficient, 0 if there is none.
 
-    The Nyquist coefficient is split over ``+n/2`` and ``-n/2`` so real
-    fields stay real and original samples are reproduced exactly.  Each axis
-    is zero-padded just before its own inverse transform, last axis first, so
+    ``coeffs`` is one spectrum or a stack of them (leading batch axes), and
+    the Nyquist bin counts as ``n/2``.  No tolerance is applied, so every
+    coefficient outside the band is exactly zero.
+    """
+    # a reduction casts in buffered chunks, so a stack makes no full mask
+    nz = coeffs.any(axis=tuple(range(coeffs.ndim - grid.dim)))
+    k = np.abs(grid.freq_axis())
+    band = 0
+    for ax in range(grid.dim):
+        hit = nz.any(axis=tuple(a for a in range(grid.dim) if a != ax))
+        band = max(band, int(k[hit].max(initial=0)))
+    return band
+
+
+def upsampled_values(f: SpectralField, m: int, band: int = None) -> np.ndarray:
+    """Trigonometric interpolation of ``f`` on the grid of ``m`` points per axis.
+
+    ``band`` is ``spectral_band`` of ``f``, or any bound above it up to
+    ``n/2`` (found when not given).  Below ``n/2`` only the ``2 band + 1``
+    frequencies per axis are copied, so any ``m > 2 band`` works, ``m < n``
+    included; at ``n/2`` the spectrum is copied whole, ``m >= n`` is needed,
+    and the Nyquist coefficient is split over ``+n/2`` and ``-n/2`` so real
+    fields stay real and original samples are reproduced exactly.  Each axis is
+    zero-padded just before its own inverse transform, last axis first, so
     the all-zero rows of the padded spectrum are never transformed; the
     result is bit-identical to one ``ifftn`` of the fully padded array.
     """
-    if factor < 1 or int(factor) != factor:
-        raise ValueError(f"oversampling factor must be a positive integer, got {factor}")
-    if factor == 1:
-        return f.values()
     n, dim = f.grid.n, f.grid.dim
-    m = n * factor
+    if m < 1 or int(m) != m:
+        raise ValueError(f"points per axis must be a positive integer, got {m}")
+    if band is None:
+        band = spectral_band(f.grid, f.coeffs)
+    if m == n:
+        return f.values()
+    if m < (2 * band + 1 if 2 * band < n else n):
+        raise ValueError(f"{m} points per axis cannot hold the band |k| <= {band} of n = {n}")
     v = f.coeffs
+    if 2 * band < n:
+        # the axes transformed last keep only their band rows until their turn
+        for ax in range(dim - 1):
+            v = _pad_axis(v, ax, 2 * band + 1, band)
     for ax in reversed(range(dim)):
-        v = np.fft.ifftn(_upsample_axis(v, ax, n, m), axes=(ax,))
+        v = np.fft.ifftn(_pad_axis(v, ax, m, band), axes=(ax,))
     v *= m ** dim
     return v.real if f.real else v
 
 
-def _upsample_axis(c: np.ndarray, ax: int, n: int, m: int) -> np.ndarray:
+def _pad_axis(c: np.ndarray, ax: int, m: int, band: int) -> np.ndarray:
+    """The frequencies ``|k| <= band`` of ``c`` along ``ax``, laid into ``m`` bins.
+
+    When ``2 band`` is the axis length, its Nyquist bin is split over
+    ``+band`` and ``-band``.
+    """
+    size = c.shape[ax]
+    split = 2 * band == size
+    low, high = band + 1 - split, band - split   # bins 0..low-1 and the last `high`
     shape = list(c.shape)
     shape[ax] = m
     out = np.zeros(shape, dtype=np.complex128)
-    half = n // 2
     src = [slice(None)] * c.ndim
 
     dst = list(src)
-    src[ax] = slice(0, half)
-    dst[ax] = slice(0, half)
+    src[ax] = slice(0, low)
+    dst[ax] = slice(0, low)
     out[tuple(dst)] = c[tuple(src)]
 
-    src[ax] = slice(half + 1, n)
-    dst[ax] = slice(m - half + 1, m)
+    src[ax] = slice(size - high, size)
+    dst[ax] = slice(m - high, m)
     out[tuple(dst)] = c[tuple(src)]
 
-    src[ax] = half
-    dst[ax] = half
-    out[tuple(dst)] = c[tuple(src)] / 2.0
-    dst[ax] = m - half
-    out[tuple(dst)] = c[tuple(src)] / 2.0
+    if split:
+        src[ax] = band
+        dst[ax] = band
+        out[tuple(dst)] = c[tuple(src)] / 2.0
+        dst[ax] = m - band
+        out[tuple(dst)] = c[tuple(src)] / 2.0
     return out

@@ -1,20 +1,26 @@
 """Discrete function-space norms on the torus.
 
 Lebesgue norms use rectangle-rule quadrature on the trigonometric
-interpolant, sampled on a grid ``factor`` times finer than the field's.  At
-even q, ``|f|^q`` is a trigonometric polynomial of degree ``q n / 2`` per
-axis, so the rule is exact from factor ``q/2 + 1`` on, and the factor used is
-``min(oversample, q/2 + 1)``; at other q it is ``oversample`` as given
-(default 4) and the rule is an approximation.  The L2 case is evaluated
-through Plancherel and is exact.  Negative-order smoothing is coefficient
-multiplication by ``(1 + 4 pi^2 |k/L|^2)^(sigma/2)``.
+interpolant, sampled on ``m`` points per axis.  The rule integrates a
+trigonometric polynomial exactly when its degree per axis is below ``m``.
+At even q, ``|f|^q`` has degree ``q B``, where the band ``B`` is the largest
+``|k|`` on any axis at an exactly nonzero coefficient (at most ``n/2``).
+The base size is ``factor * n`` with factor ``min(oversample, q/2 + 1)``;
+when it is exact (``factor * n > q B``), ``m`` is the smaller of it and the
+least ``2^a 3^b 5^c`` above ``q B``, else it is kept, so no inexact value
+moves.  At other q, ``m`` is ``oversample * n`` (default 4) and the rule is an
+approximation.  The L2 case is evaluated through Plancherel and is exact.
+Negative-order smoothing is coefficient multiplication by
+``(1 + 4 pi^2 |k/L|^2)^(sigma/2)``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .grid import Grid, SpectralField, upsampled_values
+from .grid import Grid, SpectralField, spectral_band, upsampled_values
 
 DEFAULT_OVERSAMPLE = 4
 
@@ -24,8 +30,43 @@ def _is_even(q: float) -> bool:
 
 
 def _factor(q: float, oversample: int) -> int:
-    """Oversampling factor of the ``L^q`` rule: no finer than exactness needs at even q."""
+    """Factor of the base size ``factor * n``: ``min(oversample, q/2 + 1)`` at even q.
+
+    From ``q/2 + 1`` on the base size is exact at any band; ``_points`` then
+    shrinks it to fit the field's band ``B`` wherever it is exact
+    (``factor * n > q B``).  At other q the factor is ``oversample``.
+    """
     return min(oversample, int(q) // 2 + 1) if _is_even(q) else oversample
+
+
+def _smooth_above(x: int) -> int:
+    """Least ``2^a 3^b 5^c`` above ``x``, a size the FFT transforms fast."""
+    m = x + 1
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+@lru_cache(maxsize=256)
+def _points(q: float, oversample: int, n: int, band: int) -> int:
+    """Points per axis of the ``L^q`` rule for a field of band ``band`` on ``n`` points.
+
+    Where ``factor * n <= q B`` the 5-smooth size is the larger, so an inexact
+    base size is kept.  Cached, as the 5-smooth search is a Python loop and the
+    rule runs per field.
+    """
+    m = _factor(q, oversample) * n
+    return min(m, _smooth_above(int(q) * band)) if _is_even(q) else m
+
+
+def _band(grid: Grid, coeffs: np.ndarray, q: float) -> int:
+    """The band of ``coeffs`` at even q; ``n/2`` elsewhere, where the rule ignores it."""
+    return spectral_band(grid, coeffs) if _is_even(q) else grid.n // 2
 
 
 def _abs_power(v: np.ndarray, q: float) -> np.ndarray:
@@ -44,9 +85,10 @@ def lq_norm(f: SpectralField, q: float, oversample: int = DEFAULT_OVERSAMPLE) ->
         raise ValueError("q must be finite")
     if q == 2:
         return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2) * f.grid.length ** f.grid.dim))
-    factor = _factor(q, oversample)
-    v = upsampled_values(f, factor)
-    cell = (f.grid.length / (f.grid.n * factor)) ** f.grid.dim
+    band = _band(f.grid, f.coeffs, q)
+    m = _points(q, oversample, f.grid.n, band)
+    v = upsampled_values(f, m, band)
+    cell = (f.grid.length / m) ** f.grid.dim
     return float((np.sum(_abs_power(v, q)) * cell) ** (1.0 / q))
 
 
@@ -67,11 +109,12 @@ def sq_function_from_terms(grid: Grid, terms: np.ndarray, s: float, q: float,
     if not (1 < q < np.inf):
         raise ValueError(f"q must lie in (1, inf), got {q}")
     mult = bessel_multiplier(grid, -s)
-    factor = _factor(q, oversample)
-    acc = np.zeros(tuple(n * factor for n in grid.shape))
+    band = _band(grid, terms, q)
+    m = _points(q, oversample, grid.n, band)
+    acc = np.zeros((m,) * grid.dim)
     for c in terms:
-        acc += _abs_power(upsampled_values(SpectralField(grid, c * mult), factor), 2)
-    cell = (grid.length / (grid.n * factor)) ** grid.dim
+        acc += _abs_power(upsampled_values(SpectralField(grid, c * mult), m, band), 2)
+    cell = (grid.length / m) ** grid.dim
     return float((np.sum(acc ** (q / 2.0)) * cell) ** (1.0 / q))
 
 

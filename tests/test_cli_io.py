@@ -165,17 +165,17 @@ class TestBinaryDump:
 # sha256 of each command's CSV at its default config (selftest, at about 20 s,
 # is left to the acceptance tests)
 DEFAULT_CSV_SHA256 = {
-    "dirichlet": "63a69dc7c234c6dcfcf0b80ad99252314a55424242859456a6deff2ecce978f8",
+    "dirichlet": "e6823e65462edbdd0406820574ea149604fa7a947359a1ab8c30206ddd684f7c",
     "freq-block": "0859d0137358615f049fca926fcb7b92cfda9cc20bcc47e3a7069fc1fa08da4c",
-    "gamma-young": "926dd6d35766c1af867b6d808ef69d0a6785cc8083b13e6e73dff006f47e5e84",
+    "gamma-young": "f00fb9502790d2a67657d38d1b437928eadc9228e2508b57348f680a36f2f7e0",
     "haar-divergence": "b4ad4132285f6fee286cf88262ebf72cc078b171cc70251426097e20e62d32a9",
     "heat-sim": "03fc479924598cc5df6c95fdf3cea7e595ff09ccd859733631c8c80b0bf45fed",
     "mg-sobolev": "a454fb20dc1b2a273e62a24e43a90572e17cc270c23072b617bc19a34f2d5c30",
-    "rescaled-bump": "8c267f368279831662b45391d1bdb57dd98f7b272e50b9599b85a8068713054e",
+    "rescaled-bump": "efdc750a686c78b00a2a5f5981a00903ff7778e9834eeefffbb36b83ba814c44",
     "scaling": "7f2ed58a2109242f0b532e86c191d8b219c3b9a432922b0a1efbb9f090171edd",
     "schatten-heat": "c020fdc5d12ff660ca1645fc6a9742954a4eff6858c8847145e623851ab01c26",
     "series-norm": "b2fa46ea17fb0ec93555ecf345b31ec8ea3bd5466858af260e27726f25c76d4c",
-    "shifted-bump": "9d183c1a82c76229989c828a89cd7818572cf9b9feb7edf1491f66ac6fbac893",
+    "shifted-bump": "17423097a3a9ae4cc6aed5dff328f134c6803c353d5cc44b9125540265176143",
     "sweep": "22a93c3d268bd0ef9212082e1f733516b4ff931c7361f102eb6a698747608aad",
 }
 
@@ -299,6 +299,18 @@ class TestCliCommands:
         assert main([command, "--override", f"{key}=foo", "--out", str(tmp_path / "x.csv")]) == 2
         detail = json.loads(capsys.readouterr().err)["detail"]
         assert key in detail and "'foo'" in detail and f"expected one of {allowed}" in detail
+
+    @pytest.mark.parametrize("overrides,named", [
+        (["sweep.eta=5"], ["sweep.eta=5", "sweep.q=4"]),
+        (["sweep.construction=shifted_bump", "sweep.zeta=0"], ["sweep.zeta=0"]),
+    ])
+    def test_sweep_regime_names_its_keys(self, tmp_path, capsys, overrides, named):
+        args = [arg for o in overrides for arg in ("--override", o)]
+        out = tmp_path / "x.csv"
+        assert main(["sweep", *args, "--out", str(out)]) == 2
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert all(key in detail for key in named), detail
+        assert not out.exists()
 
     def test_every_declared_rule_rejects_its_violation(self, tmp_path, capsys,
                                                        monkeypatch):

@@ -1,14 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammanoise.grid import (Grid, SpectralField, constant_field, forward_transform, mode_field,
-                             upsampled_values, zero_field)
-from gammanoise.norms import (bessel_apply, bessel_kernel, bessel_multiplier, hsq_norm, lq_norm,
-                              lq_norms, sq_function_from_terms, weak_lp_norm)
+                             spectral_band, upsampled_values, zero_field)
+from gammanoise.norms import (_smooth_above, bessel_apply, bessel_kernel, bessel_multiplier,
+                              hsq_norm, lq_norm, lq_norms, sq_function_from_terms, weak_lp_norm)
 from gammanoise.experiments import dirichlet_field
-from gammanoise.rng import stream
+from gammanoise.rng import standard_gaussians, stream
+from gammanoise.series import SeriesSpec, series_coeffs
+from gammanoise.systems import Coloring, FourierSystem
 
 # independent fine-quadrature value of ||D_8||_{L^4}, from the closed form
 # sin(17 pi x)/sin(pi x) on 2^20 midpoints (stable to 8e-15 under refinement)
@@ -46,16 +50,17 @@ class TestLqNorm:
         assert got == pytest.approx(want, rel=1e-14)
 
 
-def _rectangle_rule(values, grid, factor, q):
-    cell = (grid.length / (grid.n * factor)) ** grid.dim
+def _rectangle_rule(values, grid, m, q):
+    cell = (grid.length / m) ** grid.dim
     return (np.sum(values) * cell) ** (1.0 / q)
 
 
-def _sq_function_at(grid, terms, s, q, factor):
-    """Square-function norm of the coefficient stack ``terms``, summed on the ``factor`` grid."""
+def _sq_function_at(grid, terms, s, q, m):
+    """Square-function norm of ``terms`` on ``m`` points per axis, from the whole spectrum."""
     mult = bessel_multiplier(grid, -s)
-    acc = sum(np.abs(upsampled_values(SpectralField(grid, c * mult), factor)) ** 2 for c in terms)
-    return _rectangle_rule(acc ** (q / 2.0), grid, factor, q)
+    acc = sum(np.abs(upsampled_values(SpectralField(grid, c * mult), m, grid.n // 2)) ** 2
+              for c in terms)
+    return _rectangle_rule(acc ** (q / 2.0), grid, m, q)
 
 
 class TestQuadratureFactor:
@@ -70,12 +75,12 @@ class TestQuadratureFactor:
         f = SpectralField(grid, rng.standard_normal(grid.shape)
                           + 1j * rng.standard_normal(grid.shape))
         exact = int(q) // 2 + 1
-        fine = _rectangle_rule(np.abs(upsampled_values(f, 8)) ** q, grid, 8, q)
+        fine = _rectangle_rule(np.abs(upsampled_values(f, 8 * grid.n)) ** q, grid, 8 * grid.n, q)
         assert lq_norm(f, q, oversample=exact) == pytest.approx(fine, rel=1e-13)
         assert lq_norm(f, q, oversample=8) == lq_norm(f, q, oversample=exact)
         # one factor less is not exact, so the rule is not looser than it needs
-        coarse = _rectangle_rule(np.abs(upsampled_values(f, exact - 1)) ** q,
-                                 grid, exact - 1, q)
+        m = (exact - 1) * grid.n
+        coarse = _rectangle_rule(np.abs(upsampled_values(f, m)) ** q, grid, m, q)
         assert abs(coarse / fine - 1.0) > 1e-12
 
     @pytest.mark.parametrize("grid", GRIDS)
@@ -87,21 +92,22 @@ class TestQuadratureFactor:
         assert np.all(terms[(slice(None),) + (grid.n // 2,) * grid.dim] != 0)
         exact = int(q) // 2 + 1
         got = sq_function_from_terms(grid, terms, 0.4, q, oversample=exact)
-        assert got == pytest.approx(_sq_function_at(grid, terms, 0.4, q, 8), rel=1e-13)
+        assert got == pytest.approx(_sq_function_at(grid, terms, 0.4, q, 8 * grid.n), rel=1e-13)
         assert sq_function_from_terms(grid, terms, 0.4, q, oversample=8) == got
 
     @pytest.mark.parametrize("q,factor", [(3.0, 4), (3.0, 2), (4.0, 2)])
     def test_user_factor_kept_below_exactness(self, rng, q, factor):
         grid = Grid(2, 16, 2.0)
         f = forward_transform(grid, rng.standard_normal(grid.shape))
-        v = upsampled_values(f, factor)
+        m = factor * grid.n
+        v = upsampled_values(f, m)
         # at even q the power is taken from re^2 + im^2, without a square root
         powers = np.abs(v) ** q if q == 3.0 else (v * v) ** (q / 2)
-        assert lq_norm(f, q, oversample=factor) == float(_rectangle_rule(powers, grid, factor, q))
+        assert lq_norm(f, q, oversample=factor) == float(_rectangle_rule(powers, grid, m, q))
 
     def test_q4_transforms_only_the_exact_grid(self, rng, monkeypatch):
-        # 64 x 64 at q = 4 needs factor 3: only 192-point axes are transformed,
-        # and the 256 x 256 grid of factor 4 is never built
+        # |f|^4 of a full-band 64 x 64 field has degree 4 * 32 = 128 per axis: only
+        # 135-point axes (3^3 * 5) are transformed, where factor 3 would take 192
         grid = Grid(2, 64)
         f = SpectralField(grid, rng.standard_normal(grid.shape) + 0j)
         seen = []
@@ -114,7 +120,82 @@ class TestQuadratureFactor:
 
         monkeypatch.setattr(np.fft, "ifftn", counting_ifftn)
         lq_norm(f, 4.0, oversample=4)
-        assert seen == [((64, 192), (192,)), ((192, 192), (192,))]
+        assert seen == [((64, 135), (135,)), ((135, 135), (135,))]
+        # the 2048-term 2-d Fourier series has band 25, so degree 100: 108-point axes
+        # (2^2 * 3^3), transformed from the 51 x 51 band alone
+        spec = SeriesSpec(grid, FourierSystem(2), Coloring.matern(0.5), 2048, 0.5, 4.0)
+        sample = series_coeffs(spec, standard_gaussians(stream(5, 0), (1, spec.N),
+                                                         spec.system.real))[0]
+        seen.clear()
+        lq_norm(SpectralField(grid, sample), 4.0, oversample=4)
+        assert seen == [((51, 108), (108,)), ((108, 108), (108,))]
+
+
+def _hermitian_part(c):
+    """``(c_k + conj(c_{-k})) / 2``, the spectrum of the real part."""
+    flipped = c
+    for ax in range(c.ndim):
+        flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
+    return (c + np.conj(flipped)) / 2.0
+
+
+MAX_LOG_N = {1: 5, 2: 4, 3: 3}
+
+
+class TestBandRule:
+    """At even q the rule runs on the least 5-smooth size above q B, if below factor * n."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.sampled_from([4.0, 6.0, 8.0]), st.booleans(),
+           st.integers(1, 5), st.sampled_from([0.0, 1.0]), st.integers(0, 10**6))
+    def test_exact_wherever_the_factor_rule_is(self, data, dim, q, real, oversample, scale, seed):
+        n = 2 ** data.draw(st.integers(1, MAX_LOG_N[dim]))
+        band = data.draw(st.integers(0, n // 2))
+        grid = Grid(dim, n, 1.5)
+        gen = stream(seed, 0)
+        inside = np.flatnonzero(np.abs(grid.freq_axis()) <= band)
+        terms = np.zeros((3,) + grid.shape, dtype=np.complex128)
+        cube = (slice(None),) + np.ix_(*(inside,) * dim)
+        terms[cube] = scale * (gen.standard_normal(terms[cube].shape)
+                               + 1j * gen.standard_normal(terms[cube].shape))
+        if real:
+            terms = np.stack([_hermitian_part(c) for c in terms])
+        f = SpectralField(grid, terms[0], real=real)
+        # every coefficient at |k| = band is set, the Nyquist bin counting as n/2
+        want_band = band if scale else 0
+        assert spectral_band(grid, f.coeffs) == spectral_band(grid, terms) == want_band
+
+        base = min(oversample, int(q) // 2 + 1) * n
+        dense = (int(q) // 2 + 1) * n
+        for norm, reference in (
+                (lambda: lq_norm(f, q, oversample=oversample),
+                 lambda: _rectangle_rule(np.abs(upsampled_values(f, dense, n // 2)) ** q,
+                                         grid, dense, q)),
+                (lambda: sq_function_from_terms(grid, terms, 0.4, q, oversample=oversample),
+                 lambda: _sq_function_at(grid, terms, 0.4, q, dense))):
+            with mock.patch("gammanoise.norms.upsampled_values",
+                            side_effect=upsampled_values) as spy:
+                got = norm()
+            (m,) = {call.args[1] for call in spy.call_args_list}
+            assert m <= base
+            if base > q * want_band:
+                assert m > q * want_band
+                assert got == pytest.approx(reference(), rel=1e-13, abs=0.0)
+            else:
+                assert m == base
+
+    def test_nyquist_mode_keeps_the_full_band(self):
+        grid = Grid(2, 8)
+        f = mode_field(grid, (4, 0))
+        assert spectral_band(grid, f.coeffs) == 4
+        # the split Nyquist bin interpolates as cos(8 pi x), and the rule runs on the
+        # 5-smooth size above 4 * 4, not on 8 * 3
+        with mock.patch("gammanoise.norms.upsampled_values", side_effect=upsampled_values) as spy:
+            assert lq_norm(f, 4.0) == pytest.approx((3 / 8) ** 0.25, rel=1e-14)
+        assert spy.call_args.args[1:] == (18, 4)
+
+    def test_smooth_sizes(self):
+        assert [_smooth_above(x) for x in (0, 1, 7, 100, 128, 243)] == [1, 2, 8, 108, 135, 250]
 
 
 class TestWeakLp:
