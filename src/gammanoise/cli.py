@@ -44,7 +44,8 @@ EXIT_PARTIAL = 3
 
 
 def build_grid(block: dict) -> Grid:
-    return Grid(block["dim"], block["n"], block["length"])
+    with _named("grid.n", block["n"]):     # grid.dim and grid.length have declared rules
+        return Grid(block["dim"], block["n"], block["length"])
 
 
 def build_system(block: dict, dim: int):
@@ -66,7 +67,11 @@ def build_coloring(block: dict, dim: int, n_terms: int) -> Coloring:
         "constant": lambda: Coloring.constant(block.get("value", 1.0), n_terms),
         "explicit": lambda: Coloring.explicit(block.get("values", [])),
     }
-    return _pick(makers, "coloring.kind", block["kind"])()
+    make = _pick(makers, "coloring.kind", block["kind"])
+    if block["kind"] not in ("matern", "power_law"):    # haar's messages name alpha or beta
+        return make()
+    with _named("coloring.alpha", block["alpha"]):
+        return make()
 
 
 def build_g(block: dict, grid: Grid):

@@ -13,6 +13,12 @@ Samples come from ``series_coeffs``: a Fourier term ``mu_n f_n`` is a single
 lattice coefficient, so a batch of draws is scattered onto the lattice and
 g, if set, is applied by one batched inverse/forward transform pair, with no
 (N, *grid) stack built; other systems multiply the draws into the stack.
+
+A Fourier series without g never leaves the lattice at q = 2: its
+``H^{-s,2}`` norm is ``||X||^2 = sum_n |gamma_n|^2 w_n`` with
+``w_n = L^d (mu_n m_n)^2`` and ``m_n`` the Bessel symbol at mode n, so the
+Monte Carlo estimator and the Hilbert-Schmidt value read the N weights and
+build no grid array.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .systems import Coloring, FourierSystem
 from concurrent.futures import ThreadPoolExecutor
 
 MC_BLOCK = 256      # Monte Carlo samples per random stream; part of the stream layout
+SCATTER_ROWS = 32   # rows per flat lattice scatter; bounds its index array at 32 * N
 
 
 @dataclass(frozen=True)
@@ -71,6 +78,22 @@ class SeriesSpec:
         """Fourier lattice positions of the N modes and their weights ``mu_n``."""
         idxs = self.system.indices(self.N)
         return self.system.lattice_positions(idxs, self.grid), self.coloring.weights(idxs)
+
+    @cached_property
+    def _lattice_weights(self) -> np.ndarray:
+        """``w_n = L^d (mu_n m_n)^2`` of a Fourier spec without g, m the symbol of order -s.
+
+        The squared ``H^{-s,2}`` norm of ``sum_n gamma_n mu_n f_n`` is
+        ``sum_n |gamma_n|^2 w_n`` and its mean is ``sum_n w_n``.
+        """
+        positions, mus = self._lattice
+        symbol = bessel_multiplier(self.grid, -self.s).reshape(-1)[positions]
+        return self.grid.length**self.grid.dim * (mus * symbol) ** 2
+
+    @property
+    def _on_lattice(self) -> bool:
+        """Whether each term is one lattice coefficient: a Fourier system without g."""
+        return self.g is None and isinstance(self.system, FourierSystem)
 
 
 @dataclass(frozen=True)
@@ -143,12 +166,26 @@ def series_coeffs(spec: SeriesSpec, gam: np.ndarray) -> np.ndarray:
     if isinstance(spec.system, FourierSystem):
         positions, mus = spec._lattice
         coeffs = np.zeros((gam.shape[0], grid.n**grid.dim), dtype=np.complex128)
-        coeffs[:, positions] = gam * mus
+        _scatter_rows(coeffs, positions, gam, mus)
         coeffs = coeffs.reshape((-1,) + grid.shape)
         if spec.g is None:
             return coeffs
         return multiply_on_grid(coeffs, spec.g.values(), grid.dim)
     return (gam @ term_values(spec).reshape(spec.N, -1)).reshape((-1,) + grid.shape)
+
+
+def _scatter_rows(out: np.ndarray, positions: np.ndarray, gam: np.ndarray,
+                  mus: np.ndarray) -> None:
+    """``out[:, positions] = gam * mus`` for a C-contiguous 2-d ``out``, as flat puts.
+
+    numpy's fancy assignment along axis 1 is slow; a put through the flat
+    array, ``SCATTER_ROWS`` rows at a time, writes the same entries with one
+    ``(SCATTER_ROWS, len(positions))`` index array and a product of that size.
+    """
+    offsets = np.arange(min(SCATTER_ROWS, out.shape[0]))[:, None] * out.shape[1] + positions
+    for lo in range(0, out.shape[0], SCATTER_ROWS):
+        hi = min(lo + SCATTER_ROWS, out.shape[0])
+        out[lo:hi].reshape(-1)[offsets[:hi - lo].reshape(-1)] = (gam[lo:hi] * mus).reshape(-1)
 
 
 def multiply_on_grid(coeffs: np.ndarray, g_values: np.ndarray, dim: int) -> np.ndarray:
@@ -168,18 +205,36 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
     ``i % MC_BLOCK`` of block ``i // MC_BLOCK``.  Pool tasks are blocks, so
     the estimate is independent of worker count, and the first samples are
     the same whatever M is; the reduction uses exact summation.
+
+    At q = 2 a Fourier spec without g stays on the lattice: a block's squared
+    norms are ``|gam|^2 @ w`` with the weights ``w_n`` of ``_lattice_weights``,
+    and no grid array is built.  Otherwise each sample is assembled on the
+    grid, smoothed by the Bessel symbol and measured by ``lq_norms``.
     """
     if M < 2:
         raise ValueError("need at least M = 2 samples")
-    mult = bessel_multiplier(spec.grid, -spec.s)
+    if spec.q == 2 and spec._on_lattice:
+        weights = spec._lattice_weights
+
+        def squared_norms(gam: np.ndarray) -> np.ndarray:
+            # squared in place: a block then allocates only one (rows, N) array
+            pairs = gam.view(np.float64).reshape(gam.shape + (2,))
+            np.square(pairs, out=pairs)
+            return (pairs[..., 0] + pairs[..., 1]) @ weights
+    else:
+        mult = bessel_multiplier(spec.grid, -spec.s)
+
+        def squared_norms(gam: np.ndarray) -> np.ndarray:
+            coeffs = series_coeffs(spec, gam)
+            coeffs *= mult
+            return lq_norms(spec.grid, coeffs, spec.q, oversample) ** 2
+
     norms_sq = np.empty(M)
 
     def run_block(b: int) -> None:
         lo, hi = b * MC_BLOCK, min((b + 1) * MC_BLOCK, M)
         gam = standard_gaussians(stream(seed, b), (hi - lo, spec.N), spec.system.real)
-        coeffs = series_coeffs(spec, gam)
-        coeffs *= mult
-        norms_sq[lo:hi] = lq_norms(spec.grid, coeffs, spec.q, oversample) ** 2
+        norms_sq[lo:hi] = squared_norms(gam)
 
     blocks = range(-(-M // MC_BLOCK))
     if workers > 1:
@@ -196,10 +251,13 @@ def hs_gamma_norm_exact(spec: SeriesSpec) -> float:
     """Exact mean-square norm at q = 2 through the Hilbert-Schmidt identity.
 
     ``(sum_n mu_n^2 ||(1-Lap)^{-s/2}(g f_n)||_2^2)^{1/2}``, evaluated
-    spectrally term by term.
+    spectrally term by term.  A Fourier spec without g sums its lattice
+    weights ``w_n`` and renders no term stack.
     """
     if spec.q != 2:
         raise ValueError("the Hilbert-Schmidt identity requires q = 2")
+    if spec._on_lattice:
+        return math.sqrt(math.fsum(spec._lattice_weights))
     coeffs = term_values(spec) * bessel_multiplier(spec.grid, -spec.s)
     total = np.sum(np.abs(coeffs) ** 2) * spec.grid.length**spec.grid.dim
     return float(np.sqrt(total))

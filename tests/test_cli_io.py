@@ -174,7 +174,7 @@ DEFAULT_CSV_SHA256 = {
     "rescaled-bump": "efdc750a686c78b00a2a5f5981a00903ff7778e9834eeefffbb36b83ba814c44",
     "scaling": "7f2ed58a2109242f0b532e86c191d8b219c3b9a432922b0a1efbb9f090171edd",
     "schatten-heat": "c020fdc5d12ff660ca1645fc6a9742954a4eff6858c8847145e623851ab01c26",
-    "series-norm": "b2fa46ea17fb0ec93555ecf345b31ec8ea3bd5466858af260e27726f25c76d4c",
+    "series-norm": "0260271585f37af8c4675aeb625a9b3b6e3fcdd4628912cd5495f7e5e582814f",
     "shifted-bump": "17423097a3a9ae4cc6aed5dff328f134c6803c353d5cc44b9125540265176143",
     "sweep": "22a93c3d268bd0ef9212082e1f733516b4ff931c7361f102eb6a698747608aad",
 }
@@ -275,6 +275,8 @@ class TestCliCommands:
         ("heat-sim", "heat.alpha=0"),
         ("heat-sim", "heat.mode=1000 heat.noise=single_mode"),
         ("heat-sim", "heat.dt=0.03"),
+        ("series-norm", "grid.n=3"),
+        ("series-norm", "coloring.alpha=0"),
     ])
     def test_rejected_value_exit_code(self, tmp_path, capsys, command, override):
         # several space-separated overrides are passed in order; the first key is named

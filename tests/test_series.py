@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gammanoise.grid import Grid, SpectralField, constant_field, forward_transform, mode_field
-from gammanoise.norms import hsq_norm
+from gammanoise.norms import bessel_multiplier, hsq_norm
 from gammanoise.rng import standard_gaussians, stream
 from gammanoise.fit import classify_growth, linfit
 from gammanoise.series import (MC_BLOCK, SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm,
@@ -176,6 +176,64 @@ class TestCoefficientStack:
         direct = math.fsum(mu**2 * (1 + 4 * np.pi**2 * sum(x * x for x in k)) ** -spec.s
                            for mu, k in zip(mus, idxs))
         assert hs_gamma_norm_exact(spec) ** 2 == pytest.approx(direct, rel=1e-14)
+
+
+def _scatter_reference(spec, gam):
+    """The axis-1 assignment ``coeffs[:, positions] = gam * mus``, shape (rows, n^d)."""
+    grid = spec.grid
+    idxs = spec.system.indices(spec.N)
+    rows = np.array([grid.index_of_freq(k) for k in idxs])
+    positions = np.ravel_multi_index(tuple(rows.T), grid.shape)
+    coeffs = np.zeros((gam.shape[0], grid.n**grid.dim), dtype=complex)
+    coeffs[:, positions] = gam * spec.coloring.weights(idxs)
+    return coeffs
+
+
+# the largest N per grid runs up to the Nyquist bin: the next mode would be -n/2
+LATTICE_CASES = [(1, 256, 100), (1, 16, 15), (2, 32, 300), (2, 8, 45), (3, 8, 120), (3, 4, 27)]
+
+
+class TestLatticePath:
+    """A Fourier spec without g stays on the lattice at q = 2; it must give the
+    values of the grid path: scatter, multiply by the symbol, Plancherel."""
+
+    @staticmethod
+    def grid_path_values(spec, M, seed):
+        out = []
+        for b in range(-(-M // MC_BLOCK)):
+            rows = min(MC_BLOCK, M - b * MC_BLOCK)
+            gam = standard_gaussians(stream(seed, b), (rows, spec.N), real=False)
+            coeffs = _scatter_reference(spec, gam) * bessel_multiplier(spec.grid, -spec.s).ravel()
+            out.append(np.sum(np.abs(coeffs) ** 2, axis=1) * spec.grid.length**spec.grid.dim)
+        return np.concatenate(out)
+
+    @pytest.mark.parametrize("dim,n,N", LATTICE_CASES)
+    def test_values_match_the_grid_path(self, dim, n, N):
+        spec = SeriesSpec(Grid(dim, n), FourierSystem(dim), Coloring.matern(0.6), N, 0.7, 2.0)
+        one = mc_gamma_norm(spec, 300, seed=5, workers=1)
+        ref = self.grid_path_values(spec, 300, 5)
+        assert np.max(np.abs(one.values - ref) / ref) <= 1e-13
+        two = mc_gamma_norm(spec, 300, seed=5, workers=2)
+        assert one.values.tobytes() == two.values.tobytes()
+        assert (one.mean, one.stderr, one.mean_norm) == (two.mean, two.stderr, two.mean_norm)
+
+    @pytest.mark.parametrize("dim,n,N", LATTICE_CASES)
+    def test_hs_exact_matches_the_stack_sum(self, dim, n, N):
+        spec = SeriesSpec(Grid(dim, n), FourierSystem(dim), Coloring.power_law(0.4), N, 0.3, 2.0)
+        got = hs_gamma_norm_exact(spec)
+        assert "_terms" not in vars(spec)
+        coeffs = term_values(spec) * bessel_multiplier(spec.grid, -spec.s)
+        ref = math.sqrt(np.sum(np.abs(coeffs) ** 2) * spec.grid.length**spec.grid.dim)
+        assert got == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("dim,n,N", [(1, 64, 40), (2, 16, 100), (3, 8, 120)])
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 256])
+    def test_scatter_is_the_axis_one_assignment(self, dim, n, N, rows):
+        spec = SeriesSpec(Grid(dim, n), FourierSystem(dim), Coloring.matern(0.6), N, 0.7, 2.0)
+        gam = standard_gaussians(stream(29, rows), (rows, N), real=False)
+        got = series_coeffs(spec, gam)
+        assert got.shape == (rows,) + spec.grid.shape
+        assert np.array_equal(got.reshape(rows, -1), _scatter_reference(spec, gam))
 
 
 class TestMcGammaNorm:

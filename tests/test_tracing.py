@@ -91,3 +91,19 @@ def test_simulate_draws_its_trajectory_in_one_call(tracing, integrator):
     assert tracer.stats["spde.simulate"].calls == 1
     assert tracer.stats["rng.stream"].calls == 1
     assert tracer.stats["rng.draw"].calls == 1
+
+
+def test_q2_fourier_without_g_stays_on_the_lattice(tracing):
+    # the Monte Carlo norms and the Hilbert-Schmidt value read the N lattice
+    # weights: no transform, no rendered member, no term stack
+    spec = SeriesSpec(Grid(2, 32), FourierSystem(2), Coloring.matern(0.5), 300, 0.4, 2.0)
+    tracer = tracing.Tracer()
+    with tracer:
+        series.mc_gamma_norm(spec, 300, seed=1)
+        series.hs_gamma_norm_exact(spec)
+        tracer.close_round()
+    assert tracer.stats["series.mc_gamma_norm"].calls == 1
+    assert tracer.stats["series.hs_gamma_norm_exact"].calls == 1
+    assert tracer.stats["fft"].calls == 0
+    assert tracer.stats["systems.render"].calls == 0
+    assert "_terms" not in vars(spec)
