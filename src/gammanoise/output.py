@@ -35,6 +35,11 @@ def format_value(v) -> str:
     return str(v)
 
 
+# %-formats giving ``format_value``'s text for exactly these types; a row with
+# any other type (bool, numpy scalars) is formatted cell by cell
+_CELL_FORMATS = {float: "%.17g", int: "%d", str: "%s"}
+
+
 def csv_bytes(records, columns=None) -> bytes:
     """Render records (dicts sharing one key set) as CSV bytes."""
     records = list(records)
@@ -45,10 +50,20 @@ def csv_bytes(records, columns=None) -> bytes:
     for r in records:
         if list(r.keys()) != list(columns):
             raise ValueError("records are not homogeneous")
-    lines = [",".join(columns)]
+    # each line is encoded as it is made: bytes are allocated at their size,
+    # where a %-formatted str can keep its over-allocated buffer
+    lines = [(",".join(columns) + "\n").encode("utf-8")]
+    row_formats = {}
     for r in records:
-        lines.append(",".join(format_value(r[c]) for c in columns))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        row = tuple(r.values())
+        types = tuple(map(type, row))
+        if types not in row_formats:
+            cells = [_CELL_FORMATS.get(t) for t in types]
+            row_formats[types] = None if None in cells else ",".join(cells) + "\n"
+        fmt = row_formats[types]
+        text = fmt % row if fmt else ",".join(map(format_value, row)) + "\n"
+        lines.append(text.encode("utf-8"))
+    return b"".join(lines)
 
 
 def write_csv(records, path, columns=None) -> None:

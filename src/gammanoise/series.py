@@ -7,18 +7,24 @@ norms, the deterministic square-function surrogate, and the exact
 Hilbert-Schmidt value at q = 2.
 
 Everything is built in coefficient space.  ``render_terms`` stacks the
-coefficients of ``g w_i f_i``, shape (N, *grid); the square-function and
-Hilbert-Schmidt estimators read that stack (``term_values``) as it is.
+coefficients of ``g w_i f_i``, shape (N, *grid); the square-function
+estimator, and the Hilbert-Schmidt value of a non-Fourier system, read that
+stack (``term_values``) as it is.
 Samples come from ``series_coeffs``: a Fourier term ``mu_n f_n`` is a single
 lattice coefficient, so a batch of draws is scattered onto the lattice and
 g, if set, is applied by one batched inverse/forward transform pair, with no
 (N, *grid) stack built; other systems multiply the draws into the stack.
 
-A Fourier series without g never leaves the lattice at q = 2: its
-``H^{-s,2}`` norm is ``||X||^2 = sum_n |gamma_n|^2 w_n`` with
-``w_n = L^d (mu_n m_n)^2`` and ``m_n`` the Bessel symbol at mode n, so the
-Monte Carlo estimator and the Hilbert-Schmidt value read the N weights and
-build no grid array.
+At q = 2 every squared norm is a weighted sum of squared moduli.  A
+Fourier series without g never leaves the lattice: ``||X||^2 =
+sum_n |gamma_n|^2 w_n`` with ``w_n = L^d (mu_n m_n)^2`` and ``m_n`` the
+Bessel symbol at mode n, so the Monte Carlo estimator and the
+Hilbert-Schmidt value read the N weights and build no grid array.  Other
+samples are ``sum_j |c_j|^2 L^d m_j^2`` over their coefficients c, with no
+symbol pass and no square root.  With g, each Fourier term is
+``L^d mu_n^2 sum_j m_j^2 |g^_{j-k_n}|^2``, so the Hilbert-Schmidt value is
+one periodic correlation of ``m^2`` with ``|g^|^2``, read at the N modes;
+only non-Fourier systems sum a term stack for it.
 """
 
 from __future__ import annotations
@@ -206,10 +212,13 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
     the estimate is independent of worker count, and the first samples are
     the same whatever M is; the reduction uses exact summation.
 
-    At q = 2 a Fourier spec without g stays on the lattice: a block's squared
-    norms are ``|gam|^2 @ w`` with the weights ``w_n`` of ``_lattice_weights``,
-    and no grid array is built.  Otherwise each sample is assembled on the
-    grid, smoothed by the Bessel symbol and measured by ``lq_norms``.
+    At q = 2 a block's squared norms are one weighted squared-modulus sum.  A
+    Fourier spec without g stays on the lattice: ``|gam|^2 @ w`` with the
+    weights ``w_n`` of ``_lattice_weights``, and no grid array is built.
+    Otherwise the samples' coefficients c give ``|c|^2 @ (L^d m^2)``, with the
+    squared symbol m^2 computed once per call.  At other q each sample is
+    assembled on the grid, smoothed by the Bessel symbol and measured by
+    ``lq_norms``.
     """
     if M < 2:
         raise ValueError("need at least M = 2 samples")
@@ -217,10 +226,14 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
         weights = spec._lattice_weights
 
         def squared_norms(gam: np.ndarray) -> np.ndarray:
-            # squared in place: a block then allocates only one (rows, N) array
-            pairs = gam.view(np.float64).reshape(gam.shape + (2,))
-            np.square(pairs, out=pairs)
-            return (pairs[..., 0] + pairs[..., 1]) @ weights
+            return _weighted_squared_moduli(gam, weights)
+    elif spec.q == 2:
+        grid = spec.grid
+        weights = grid.length**grid.dim * bessel_multiplier(grid, -spec.s).reshape(-1) ** 2
+
+        def squared_norms(gam: np.ndarray) -> np.ndarray:
+            return _weighted_squared_moduli(series_coeffs(spec, gam).reshape(gam.shape[0], -1),
+                                            weights)
     else:
         mult = bessel_multiplier(spec.grid, -spec.s)
 
@@ -247,19 +260,40 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
     return MCEstimate.from_squared_norms(norms_sq, seed)
 
 
+def _weighted_squared_moduli(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``|z|^2 @ weights`` for a C-contiguous complex (rows, K) array, which it overwrites.
+
+    The float view is squared in place and its halves added, so the only new
+    array is one (rows, K) float array: no ``abs``, square root or re-squaring.
+    """
+    pairs = z.view(np.float64).reshape(z.shape + (2,))
+    np.square(pairs, out=pairs)
+    return (pairs[..., 0] + pairs[..., 1]) @ weights
+
+
 def hs_gamma_norm_exact(spec: SeriesSpec) -> float:
     """Exact mean-square norm at q = 2 through the Hilbert-Schmidt identity.
 
     ``(sum_n mu_n^2 ||(1-Lap)^{-s/2}(g f_n)||_2^2)^{1/2}``, evaluated
-    spectrally term by term.  A Fourier spec without g sums its lattice
-    weights ``w_n`` and renders no term stack.
+    spectrally.  A Fourier spec without g sums its lattice weights ``w_n``.
+    With g, the term of mode ``k_n`` is ``L^d mu_n^2 c(k_n)``, where
+    ``c(k) = sum_j m_j^2 |g^_{j-k}|^2`` is the periodic correlation of the
+    squared symbol with ``|g^|^2``, made by one transform of each; so no
+    Fourier spec renders a term stack.  Other systems sum their stack.
     """
     if spec.q != 2:
         raise ValueError("the Hilbert-Schmidt identity requires q = 2")
+    grid = spec.grid
     if spec._on_lattice:
         return math.sqrt(math.fsum(spec._lattice_weights))
-    coeffs = term_values(spec) * bessel_multiplier(spec.grid, -spec.s)
-    total = np.sum(np.abs(coeffs) ** 2) * spec.grid.length**spec.grid.dim
+    mult = bessel_multiplier(grid, -spec.s)
+    if isinstance(spec.system, FourierSystem):
+        g_sq = np.abs(spec.g.coeffs) ** 2
+        corr = np.fft.ifftn(np.fft.fftn(mult**2) * np.conj(np.fft.fftn(g_sq))).real
+        positions, mus = spec._lattice
+        return math.sqrt(grid.length**grid.dim * math.fsum(mus**2 * corr.reshape(-1)[positions]))
+    coeffs = term_values(spec) * mult
+    total = np.sum(np.abs(coeffs) ** 2) * grid.length**grid.dim
     return float(np.sqrt(total))
 
 

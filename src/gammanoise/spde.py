@@ -3,10 +3,10 @@
 ``du = Lap u dt + g R dW`` with zero initial data.  Diagonal noise evolves
 every Fourier mode as an independent Ornstein-Uhlenbeck process with the
 exact transition law; the exponential Euler scheme handles multiplier fields
-g and series noise.  A trajectory's increments are drawn and built in one
-batched pass, so the step loop holds only the recursion.  Closed-form second
-moments are available for g = 1 and diagonal noise, both for the
-continuous-time law and for the Euler scheme.
+g and series noise.  A trajectory's increments are drawn and built in
+batched chunks of steps, so the step loop holds only the recursion.
+Closed-form second moments are available for g = 1 and diagonal noise, both
+for the continuous-time law and for the Euler scheme.
 """
 
 from __future__ import annotations
@@ -112,15 +112,22 @@ class Trajectory:
         return SpectralField(self.grid, self.coeffs[-1])
 
 
+NOISE_CHUNK_BYTES = 4 * 2**20     # most increment bytes built at once when states are not kept
+
+
 def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
              keep_states: bool = True) -> Trajectory:
-    """Integrate one trajectory; its draws come in one call from one (seed, traj) stream.
+    """Integrate one trajectory; its draws come in order from one (seed, traj) stream.
 
-    The draws have shape ``(steps, *grid)`` (series noise: ``(steps, N)``) and
-    row m is step m's, as drawing step by step would give.  Every increment is
-    built at once, so the noise array is as large as the states that
-    ``keep_states=True`` stores; a field g, or a list of one field per step,
-    multiplies all of them in one transform pair.
+    Increments are built in batched chunks of steps, and row m of the draws is
+    step m's, as drawing step by step would give; the generator draws in
+    sequence, so diagonal and Fourier noise keep their bits in any chunking (a
+    Haar increment is a BLAS product, whose last bits may follow the chunk's
+    size).  With ``keep_states`` the whole trajectory is one chunk, as large
+    as the states it stores; without, a chunk holds at most
+    ``NOISE_CHUNK_BYTES`` of increments, so memory stays flat in the step
+    count.  A field g, or the chunk's slice of a list of one field per step,
+    multiplies a chunk in one transform pair.
 
     exact_ou updates each mode with the exact Ornstein-Uhlenbeck transition;
     exp_euler damps the previous state and the increment by the semigroup.
@@ -130,32 +137,46 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
     decay = np.exp(-lam * dt)
     exact_ou = config.integrator == "exact_ou"
     gen = stream(seed, traj_index)
-    # built in place, so that the noise holds one (steps, *grid) array at a time
+    step_bytes = np.dtype(np.complex128).itemsize * grid.n**grid.dim
+    chunk = steps if keep_states else max(1, NOISE_CHUNK_BYTES // step_bytes)
+
+    times = np.arange(steps + 1) * dt if keep_states else np.array([0.0, config.T])
+    coeffs = np.zeros((len(times),) + grid.shape, dtype=np.complex128)
+    u = coeffs[0]
+    for lo in range(0, steps, chunk):
+        dw = _increments(config, gen, lam, lo, min(lo + chunk, steps))
+        for m, inc in enumerate(dw, start=lo):
+            u = decay * u + inc if exact_ou else decay * (u + inc)
+            if keep_states:
+                coeffs[m + 1] = u
+        del dw, inc     # free this chunk before the next one is built
+    coeffs[-1] = u
+    coeffs.flags.writeable = False
+    return Trajectory(grid, times, coeffs, seed)
+
+
+def _increments(config: SpdeConfig, gen: np.random.Generator, lam: np.ndarray,
+                lo: int, hi: int) -> np.ndarray:
+    """Noise increments of steps ``lo <= m < hi``, shape (hi - lo, *grid), from gen's next draws.
+
+    Built in place, so that one (hi - lo, *grid) array is held at a time.
+    """
+    grid, dt = config.grid, config.dt
     if isinstance(config.noise, DiagonalNoise):
-        dw = complex_standard_normal(gen, (steps,) + grid.shape)
-        if exact_ou:
+        dw = complex_standard_normal(gen, (hi - lo,) + grid.shape)
+        if config.integrator == "exact_ou":
             dw *= np.sqrt(_ou_step_variance(config.noise.mu, lam, dt))
         else:
             dw *= config.noise.mu
             dw *= math.sqrt(dt)
     else:
         spec = _noise_spec(config.noise, grid)
-        dw = series_coeffs(spec, standard_gaussians(gen, (steps, spec.N), spec.system.real))
+        dw = series_coeffs(spec, standard_gaussians(gen, (hi - lo, spec.N), spec.system.real))
         dw *= math.sqrt(dt)
     if config.g is not None:
-        g = config.g if isinstance(config.g, list) else [config.g]
+        g = config.g[lo:hi] if isinstance(config.g, list) else [config.g]
         dw = multiply_on_grid(dw, np.stack([f.values() for f in g]), grid.dim)
-
-    times = np.arange(steps + 1) * dt if keep_states else np.array([0.0, config.T])
-    coeffs = np.zeros((len(times),) + grid.shape, dtype=np.complex128)
-    u = coeffs[0]
-    for m in range(steps):
-        u = decay * u + dw[m] if exact_ou else decay * (u + dw[m])
-        if keep_states:
-            coeffs[m + 1] = u
-    coeffs[-1] = u
-    coeffs.flags.writeable = False
-    return Trajectory(grid, times, coeffs, seed)
+    return dw
 
 
 def _noise_spec(noise: SystemNoise, grid: Grid) -> SeriesSpec:

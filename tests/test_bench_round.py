@@ -25,7 +25,7 @@ def bench():
     return workloads, gn
 
 
-@pytest.mark.parametrize("name", ["series_1d_q2", "series_2d_q4", "heat"])
+@pytest.mark.parametrize("name", ["series_1d_q2", "series_2d_q4", "heat", "cli_defaults"])
 def test_one_round_passes_checks(bench, tmp_path, name):
     workloads, gn = bench
     workload = workloads.WORKLOADS[name]

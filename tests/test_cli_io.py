@@ -12,7 +12,7 @@ from gammanoise.cli import RUNNERS, dump_states, load_states, main
 from gammanoise.config import COMMANDS, ConfigError, command_sections, load_config
 from gammanoise.grid import Grid
 from gammanoise.output import (RunManifest, canonical_config, config_hash, csv_bytes,
-                               read_csv, write_csv)
+                               format_value, read_csv, write_csv)
 from gammanoise.rng import complex_standard_normal, derive_state, splitmix64, stream
 from gammanoise.spde import DiagonalNoise, SpdeConfig, simulate
 
@@ -42,6 +42,15 @@ class TestCsv:
         data = path.read_bytes()
         assert b"\r" not in data
         assert b"0.5" in data and b"0,5" not in data
+
+    def test_rows_match_the_per_cell_format(self):
+        cells = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1 + 0.2, True, False,
+                 0, -7, 2**70, np.float64(np.pi), np.float64(math.nan), np.int64(-3), "x", ""]
+        records = [dict(zip("abc", row)) for row in
+                   [(a, b, c) for a in cells for b in cells[::4] for c in cells[::5]]]
+        records += [{"a": 1.5, "b": 2, "c": "s"}] * 3
+        ref = [",".join("abc")] + [",".join(format_value(v) for v in r.values()) for r in records]
+        assert csv_bytes(records) == ("\n".join(ref) + "\n").encode("utf-8")
 
     def test_heterogeneous_rejected(self):
         with pytest.raises(ValueError):

@@ -81,6 +81,18 @@ class TestTransforms:
         f = forward_transform(grid1d, rng.standard_normal(grid1d.n))
         assert f.real and f.is_hermitian()
 
+    @pytest.mark.parametrize("dim,n", [(1, 64), (1, 2), (2, 16), (3, 8)])
+    def test_real_samples_give_hermitian_fields_without_a_check(self, dim, n, rng,
+                                                               monkeypatch):
+        grid = Grid(dim, n)
+        values = rng.standard_normal(grid.shape)
+        with monkeypatch.context() as mp:
+            mp.setattr(SpectralField, "is_hermitian", lambda self: pytest.fail("checked"))
+            f = forward_transform(grid, values)
+        assert f.real and f.is_hermitian()
+        assert np.array_equal(f.coeffs, np.fft.fftn(values) / n**dim)
+        assert not forward_transform(grid, values + 0j).real
+
     def test_values_follow_in_place_coeff_change(self, grid1d, rng):
         vals = rng.standard_normal(grid1d.n)
         f = forward_transform(grid1d, vals)

@@ -236,6 +236,63 @@ class TestLatticePath:
         assert np.array_equal(got.reshape(rows, -1), _scatter_reference(spec, gam))
 
 
+def _random_g(grid, seed, complex_g=False):
+    """A random field on ``grid``: real samples, or a complex field when ``complex_g``."""
+    gen = stream(seed, 0)
+    if not complex_g:
+        return forward_transform(grid, gen.standard_normal(grid.shape))
+    return SpectralField(grid, gen.standard_normal(grid.shape) + 1j * gen.standard_normal(grid.shape))
+
+
+class TestOffLatticePath:
+    """With g, or for Haar and bump systems, a q = 2 sample's squared norm is
+    ``|c|^2 @ (L^d m^2)`` over its coefficients c; it must give the values of
+    multiplying by the symbol and summing by Plancherel.  A Fourier spec with g
+    gets its Hilbert-Schmidt value from one lattice correlation, not a stack."""
+
+    @staticmethod
+    def plancherel_values(spec, M, seed):
+        grid = spec.grid
+        out = []
+        for b in range(-(-M // MC_BLOCK)):
+            rows = min(MC_BLOCK, M - b * MC_BLOCK)
+            gam = standard_gaussians(stream(seed, b), (rows, spec.N), real=spec.system.real)
+            coeffs = series_coeffs(spec, gam) * bessel_multiplier(grid, -spec.s)
+            axes = tuple(range(1, grid.dim + 1))
+            out.append(np.sum(np.abs(coeffs) ** 2, axis=axes) * grid.length**grid.dim)
+        return np.concatenate(out)
+
+    @pytest.mark.parametrize("kind,dim,with_g", [
+        ("fourier", 1, True), ("fourier", 2, True), ("fourier", 3, True),
+        ("haar", 1, False), ("haar", 1, True), ("haar", 2, True), ("shifted", 1, False)])
+    def test_values_match_the_plancherel_sum(self, kind, dim, with_g):
+        if kind == "shifted":
+            grid, system, N = Grid(1, 128, 10.0), ShiftedBumpSystem(1, 4), 8
+        elif kind == "haar":
+            grid, system, N = Grid(dim, 64 if dim == 1 else 16), HaarSystem(dim, 0, 3), 15
+        else:
+            grid, system, N = Grid(dim, {1: 256, 2: 32, 3: 8}[dim]), FourierSystem(dim), 40
+        g = _random_g(grid, 11) if with_g else None
+        spec = SeriesSpec(grid, system, Coloring.power_law(0.5), N, 0.4, 2.0, g=g)
+        one = mc_gamma_norm(spec, 300, seed=6, workers=1)
+        ref = self.plancherel_values(spec, 300, 6)
+        assert np.max(np.abs(one.values - ref) / ref) <= 1e-13
+        two = mc_gamma_norm(spec, 300, seed=6, workers=2)
+        assert one.values.tobytes() == two.values.tobytes()
+
+    @pytest.mark.parametrize("complex_g", [False, True], ids=["real_g", "complex_g"])
+    @pytest.mark.parametrize("dim,n,N", LATTICE_CASES)
+    def test_hs_exact_with_g_matches_the_stack_sum(self, dim, n, N, complex_g):
+        grid = Grid(dim, n)
+        spec = SeriesSpec(grid, FourierSystem(dim), Coloring.matern(0.6), N, 0.7, 2.0,
+                          g=_random_g(grid, 12, complex_g))
+        got = hs_gamma_norm_exact(spec)
+        assert "_terms" not in vars(spec)
+        coeffs = term_values(spec) * bessel_multiplier(grid, -spec.s)
+        ref = math.sqrt(np.sum(np.abs(coeffs) ** 2) * grid.length**grid.dim)
+        assert got == pytest.approx(ref, rel=1e-14)
+
+
 class TestMcGammaNorm:
     def test_matches_exact_q2(self, fourier_spec):
         est = mc_gamma_norm(fourier_spec, 2000, seed=42)

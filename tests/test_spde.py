@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gammanoise.norms import heat_eigenvalues, hsq_norm, lq_norm
 from gammanoise.rng import complex_standard_normal, standard_gaussians, stream
 from gammanoise.series import SeriesSpec, series_coeffs
 from gammanoise.fit import linfit
+from gammanoise import spde
 from gammanoise.spde import (DiagonalNoise, SpdeConfig, SystemNoise, Trajectory,
                              _ou_step_variance, scaling_diagnostic, second_moment_closed_form,
                              second_moment_exp_euler, simulate, spacetime_norm,
@@ -231,6 +233,20 @@ def _per_step_reference(config, seed, traj_index):
     return np.array(states)
 
 
+def _noise_config(grid, noise_kind, g_kind, steps):
+    fields = [forward_transform(grid, stream(8, m).standard_normal(grid.shape))
+              for m in range(steps)]
+    g = {"none": None, "field": fields[0], "list": fields}[g_kind]
+    if noise_kind in ("exact_ou", "diagonal"):
+        noise = DiagonalNoise.matern(grid, 0.5)
+    elif noise_kind == "fourier":
+        noise = SystemNoise(FourierSystem(grid.dim), Coloring.matern(0.5), 20)
+    else:
+        noise = SystemNoise(HaarSystem(grid.dim, 0, 2), Coloring.power_law(0.5), 7)
+    integrator = "exact_ou" if noise_kind == "exact_ou" else "exp_euler"
+    return SpdeConfig(grid, noise, T=0.1, dt=0.1 / steps, integrator=integrator, g=g)
+
+
 class TestBatchedNoiseMatchesPerStepLoop:
     """``simulate`` draws a trajectory's noise in one call and builds every increment at once.
 
@@ -242,17 +258,7 @@ class TestBatchedNoiseMatchesPerStepLoop:
     STEPS = 10
 
     def _config(self, grid, noise_kind, g_kind):
-        fields = [forward_transform(grid, stream(8, m).standard_normal(grid.shape))
-                  for m in range(self.STEPS)]
-        g = {"none": None, "field": fields[0], "list": fields}[g_kind]
-        if noise_kind in ("exact_ou", "diagonal"):
-            noise = DiagonalNoise.matern(grid, 0.5)
-        elif noise_kind == "fourier":
-            noise = SystemNoise(FourierSystem(grid.dim), Coloring.matern(0.5), 20)
-        else:
-            noise = SystemNoise(HaarSystem(grid.dim, 0, 2), Coloring.power_law(0.5), 7)
-        integrator = "exact_ou" if noise_kind == "exact_ou" else "exp_euler"
-        return SpdeConfig(grid, noise, T=0.1, dt=0.1 / self.STEPS, integrator=integrator, g=g)
+        return _noise_config(grid, noise_kind, g_kind, self.STEPS)
 
     @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 16)], ids=["1d", "2d"])
     @pytest.mark.parametrize("noise_kind,g_kind", [
@@ -273,6 +279,40 @@ class TestBatchedNoiseMatchesPerStepLoop:
             return
         err = np.max(np.abs(full - ref), axis=tuple(range(1, grid.dim + 1)))
         assert np.all(err <= 1e-15 * np.arange(self.STEPS + 1) * np.max(np.abs(ref)))
+
+
+class TestNoiseChunks:
+    """Without stored states the increments come in chunks of at most NOISE_CHUNK_BYTES."""
+
+    @pytest.mark.parametrize("noise_kind,g_kind", [
+        ("exact_ou", "none"), ("diagonal", "list"), ("fourier", "none"), ("fourier", "field")])
+    def test_final_state_matches_one_chunk(self, noise_kind, g_kind, monkeypatch):
+        grid = Grid(2, 16)
+        cfg = _noise_config(grid, noise_kind, g_kind, steps=10)
+        full = simulate(cfg, seed=5, traj_index=3)
+        # 3 steps of increments per chunk: the 10 steps are 4 chunks
+        monkeypatch.setattr(spde, "NOISE_CHUNK_BYTES", 3 * 16 * grid.n**grid.dim + 5)
+        chunks = []
+        increments = spde._increments
+        monkeypatch.setattr(spde, "_increments",
+                            lambda *a: chunks.append(a[-2:]) or increments(*a))
+        last = simulate(cfg, seed=5, traj_index=3, keep_states=False)
+        assert chunks == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert np.array_equal(last.coeffs[-1], full.coeffs[-1])
+
+    def test_memory_flat_in_step_count(self):
+        grid = Grid(2, 64)
+        noise = DiagonalNoise.matern(grid, 0.5)
+        peaks = []
+        for steps in (100, 400):
+            cfg = SpdeConfig(grid, noise, T=steps * 1e-3, dt=1e-3)
+            tracemalloc.start()
+            try:
+                simulate(cfg, seed=1, keep_states=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestClosedForm:
