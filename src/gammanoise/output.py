@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -22,26 +21,28 @@ NON_SCIENTIFIC_KEYS = {"workers", "out", "dump_states"}
 
 
 def format_value(v) -> str:
+    """CSV text of one cell: ``true``/``false`` for a bool, else ``_cell_format``'s."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int,)):
-        return str(v)
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return f"{v:.17g}"
-    return str(v)
+    return _cell_format(type(v)) % (v,)
 
 
-# %-formats giving ``format_value``'s text for exactly these types; a row with
-# any other type (bool, numpy scalars) is formatted cell by cell
-_CELL_FORMATS = {float: "%.17g", int: "%d", str: "%s"}
+def _cell_format(t: type) -> str:
+    """The %-format of a non-bool cell of type ``t``.
+
+    A float, numpy's included, takes 17 significant digits, which also gives
+    ``nan`` (whatever its sign), ``inf`` and ``-inf``; anything else is ``str``.
+    """
+    return "%.17g" if issubclass(t, float) else "%s"
 
 
 def csv_bytes(records, columns=None) -> bytes:
-    """Render records (dicts sharing one key set) as CSV bytes."""
+    """Render records (dicts sharing one key set) as CSV bytes.
+
+    A row is rendered by one %-format, made once per tuple of cell types from
+    ``_cell_format``; a row holding a bool goes cell by cell through
+    ``format_value``.
+    """
     records = list(records)
     if columns is None:
         if not records:
@@ -57,9 +58,8 @@ def csv_bytes(records, columns=None) -> bytes:
     for r in records:
         row = tuple(r.values())
         types = tuple(map(type, row))
-        if types not in row_formats:
-            cells = [_CELL_FORMATS.get(t) for t in types]
-            row_formats[types] = None if None in cells else ",".join(cells) + "\n"
+        if types not in row_formats:     # a bool cell is a word, not a %-format
+            row_formats[types] = None if bool in types else ",".join(map(_cell_format, types)) + "\n"
         fmt = row_formats[types]
         text = fmt % row if fmt else ",".join(map(format_value, row)) + "\n"
         lines.append(text.encode("utf-8"))

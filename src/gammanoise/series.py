@@ -18,13 +18,13 @@ g, if set, is applied by one batched inverse/forward transform pair, with no
 At q = 2 every squared norm is a weighted sum of squared moduli.  A
 Fourier series without g never leaves the lattice: ``||X||^2 =
 sum_n |gamma_n|^2 w_n`` with ``w_n = L^d (mu_n m_n)^2`` and ``m_n`` the
-Bessel symbol at mode n, so the Monte Carlo estimator and the
-Hilbert-Schmidt value read the N weights and build no grid array.  Other
+Bessel symbol at mode n, so the Monte Carlo estimator reads the N weights
+and, like the Hilbert-Schmidt value, builds no grid array.  Other
 samples are ``sum_j |c_j|^2 L^d m_j^2`` over their coefficients c, with no
 symbol pass and no square root.  With g, each Fourier term is
 ``L^d mu_n^2 sum_j m_j^2 |g^_{j-k_n}|^2``, so the Hilbert-Schmidt value is
-one periodic correlation of ``m^2`` with ``|g^|^2``, read at the N modes;
-only non-Fourier systems sum a term stack for it.
+the periodic correlation of ``m^2`` with ``|g^|^2``, summed directly at the
+N modes; only non-Fourier systems sum a term stack for it.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid, SpectralField
 from .norms import DEFAULT_OVERSAMPLE, bessel_multiplier, lq_norms, sq_function_from_terms
@@ -44,6 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 MC_BLOCK = 256      # Monte Carlo samples per random stream; part of the stream layout
 SCATTER_ROWS = 32   # rows per flat lattice scatter; bounds its index array at 32 * N
+CORRELATION_CELLS = 2**18   # window cells gathered at once by _periodic_correlation
 
 
 @dataclass(frozen=True)
@@ -275,26 +277,48 @@ def hs_gamma_norm_exact(spec: SeriesSpec) -> float:
     """Exact mean-square norm at q = 2 through the Hilbert-Schmidt identity.
 
     ``(sum_n mu_n^2 ||(1-Lap)^{-s/2}(g f_n)||_2^2)^{1/2}``, evaluated
-    spectrally.  A Fourier spec without g sums its lattice weights ``w_n``.
-    With g, the term of mode ``k_n`` is ``L^d mu_n^2 c(k_n)``, where
-    ``c(k) = sum_j m_j^2 |g^_{j-k}|^2`` is the periodic correlation of the
-    squared symbol with ``|g^|^2``, made by one transform of each; so no
-    Fourier spec renders a term stack.  Other systems sum their stack.
+    spectrally.  A Fourier term of mode ``k_n`` is ``L^d mu_n^2 c(k_n)`` with
+    ``c(k) = sum_j m_j^2 |g^_{j-k}|^2``, the periodic correlation of the
+    squared symbol with ``|g^|^2`` (``c = m^2`` without g), summed directly
+    so that every term is nonnegative and each ``c(k_n)`` keeps full relative
+    accuracy; so no Fourier spec renders a term stack.  Other systems sum
+    their stack.
     """
     if spec.q != 2:
         raise ValueError("the Hilbert-Schmidt identity requires q = 2")
     grid = spec.grid
-    if spec._on_lattice:
-        return math.sqrt(math.fsum(spec._lattice_weights))
     mult = bessel_multiplier(grid, -spec.s)
     if isinstance(spec.system, FourierSystem):
-        g_sq = np.abs(spec.g.coeffs) ** 2
-        corr = np.fft.ifftn(np.fft.fftn(mult**2) * np.conj(np.fft.fftn(g_sq))).real
         positions, mus = spec._lattice
-        return math.sqrt(grid.length**grid.dim * math.fsum(mus**2 * corr.reshape(-1)[positions]))
+        m_sq = mult**2
+        if spec.g is None:
+            c = m_sq.reshape(-1)[positions]
+        else:
+            c = _periodic_correlation(m_sq, np.abs(spec.g.coeffs) ** 2, positions)
+        return math.sqrt(grid.length**grid.dim * math.fsum(mus**2 * c))
     coeffs = term_values(spec) * mult
     total = np.sum(np.abs(coeffs) ** 2) * grid.length**grid.dim
     return float(np.sqrt(total))
+
+
+def _periodic_correlation(a: np.ndarray, b: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``c(k) = sum_j a_j b_{j-k}`` on the periodic lattice, at the flat ``positions`` of k.
+
+    Entry k reads b through the window of b tiled twice per axis that starts
+    at ``-k mod n``, ``CORRELATION_CELLS`` cells of windows at a time, and
+    dots it with a.  Unlike a transform-based correlation, whose rounding
+    error is absolute, a sum of nonnegative a and b is relatively exact
+    wherever c is small.
+    """
+    windows = sliding_window_view(np.tile(b, (2,) * b.ndim), b.shape)
+    starts = tuple(-k % b.shape[0] for k in np.unravel_index(positions, b.shape))
+    flat_a = a.reshape(-1)
+    out = np.empty(len(positions))
+    rows = max(1, CORRELATION_CELLS // a.size)
+    for lo in range(0, len(positions), rows):
+        block = windows[tuple(k[lo:lo + rows] for k in starts)]
+        out[lo:lo + rows] = block.reshape(-1, a.size) @ flat_a
+    return out
 
 
 def sq_function_gamma_norm(spec: SeriesSpec, oversample: int = DEFAULT_OVERSAMPLE) -> float:

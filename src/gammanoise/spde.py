@@ -112,22 +112,19 @@ class Trajectory:
         return SpectralField(self.grid, self.coeffs[-1])
 
 
-NOISE_CHUNK_BYTES = 4 * 2**20     # most increment bytes built at once when states are not kept
+NOISE_CHUNK_BYTES = 4 * 2**20     # most increment bytes built at once
 
 
 def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
              keep_states: bool = True) -> Trajectory:
     """Integrate one trajectory; its draws come in order from one (seed, traj) stream.
 
-    Increments are built in batched chunks of steps, and row m of the draws is
-    step m's, as drawing step by step would give; the generator draws in
-    sequence, so diagonal and Fourier noise keep their bits in any chunking (a
-    Haar increment is a BLAS product, whose last bits may follow the chunk's
-    size).  With ``keep_states`` the whole trajectory is one chunk, as large
-    as the states it stores; without, a chunk holds at most
-    ``NOISE_CHUNK_BYTES`` of increments, so memory stays flat in the step
-    count.  A field g, or the chunk's slice of a list of one field per step,
-    multiplies a chunk in one transform pair.
+    Increments are built in batched chunks of at most ``NOISE_CHUNK_BYTES``,
+    so the noise's memory stays flat in the step count, and row m of the
+    draws is step m's, as drawing step by step would give.  The chunking
+    does not depend on ``keep_states``, so both give the same bits.  A field
+    g, or the chunk's slice of a list of one field per step, multiplies a
+    chunk in one transform pair.
 
     exact_ou updates each mode with the exact Ornstein-Uhlenbeck transition;
     exp_euler damps the previous state and the increment by the semigroup.
@@ -138,7 +135,7 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
     exact_ou = config.integrator == "exact_ou"
     gen = stream(seed, traj_index)
     step_bytes = np.dtype(np.complex128).itemsize * grid.n**grid.dim
-    chunk = steps if keep_states else max(1, NOISE_CHUNK_BYTES // step_bytes)
+    chunk = max(1, NOISE_CHUNK_BYTES // step_bytes)
 
     times = np.arange(steps + 1) * dt if keep_states else np.array([0.0, config.T])
     coeffs = np.zeros((len(times),) + grid.shape, dtype=np.complex128)

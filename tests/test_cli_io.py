@@ -43,13 +43,30 @@ class TestCsv:
         assert b"\r" not in data
         assert b"0.5" in data and b"0,5" not in data
 
+    @staticmethod
+    def reference_cell(v) -> str:
+        # the cell rules spelled out case by case
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, int):
+            return str(v)
+        if isinstance(v, float):
+            if math.isnan(v):
+                return "nan"
+            if math.isinf(v):
+                return "inf" if v > 0 else "-inf"
+            return f"{v:.17g}"
+        return str(v)
+
     def test_rows_match_the_per_cell_format(self):
         cells = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1 + 0.2, True, False,
-                 0, -7, 2**70, np.float64(np.pi), np.float64(math.nan), np.int64(-3), "x", ""]
+                 0, -7, 2**70, np.float64(np.pi), np.float64(math.nan), np.float64(-math.inf),
+                 np.int64(-3), np.float32(0.1), np.bool_(True), "x", ""]
+        assert [format_value(v) for v in cells] == [self.reference_cell(v) for v in cells]
         records = [dict(zip("abc", row)) for row in
                    [(a, b, c) for a in cells for b in cells[::4] for c in cells[::5]]]
         records += [{"a": 1.5, "b": 2, "c": "s"}] * 3
-        ref = [",".join("abc")] + [",".join(format_value(v) for v in r.values()) for r in records]
+        ref = [",".join("abc")] + [",".join(map(self.reference_cell, r.values())) for r in records]
         assert csv_bytes(records) == ("\n".join(ref) + "\n").encode("utf-8")
 
     def test_heterogeneous_rejected(self):

@@ -293,6 +293,36 @@ class TestOffLatticePath:
         assert got == pytest.approx(ref, rel=1e-14)
 
 
+    @pytest.mark.parametrize("dim,n,N,level", [(1, 256, 255, 6), (2, 32, 600, 3)])
+    def test_hs_exact_keeps_small_terms_relatively_exact(self, dim, n, N, level):
+        # s = 4 and a high frequency block put every term where m^2 is below
+        # 1e-20 of its peak; a transform-based correlation's absolute rounding
+        # error swamps such terms, and can even make the sum negative
+        grid = Grid(dim, n)
+        spec = SeriesSpec(grid, FourierSystem(dim), Coloring.block_indicator(level), N, 4.0, 2.0,
+                          g=constant_field(grid, 1.7))
+        coeffs = term_values(spec) * bessel_multiplier(grid, -spec.s)
+        ref = math.sqrt(math.fsum((np.abs(coeffs) ** 2).ravel()) * grid.length**grid.dim)
+        assert hs_gamma_norm_exact(spec) == pytest.approx(ref, rel=1e-14)
+
+    def test_hs_exact_with_a_bump_g_matches_the_definition(self):
+        # c(k_n) = sum_j m_j^2 |g^_{j - k_n}|^2 summed term by term; a smooth g's
+        # spectrum spans many decades, so the terms do too
+        grid, s, N = Grid(1, 256), 4.0, 255
+        x = grid.coords()[0]
+        g = forward_transform(grid, np.exp(-((x - 0.5) / 0.1) ** 2))
+        system, coloring = FourierSystem(1), Coloring.block_indicator(6)
+        spec = SeriesSpec(grid, system, coloring, N, s, 2.0, g=g)
+        m_sq = bessel_multiplier(grid, -s) ** 2
+        g_sq = np.abs(g.coeffs) ** 2
+        idxs = system.indices(N)
+        total = math.fsum(coloring.weights(idxs)[i] ** 2
+                          * math.fsum(m_sq * np.roll(g_sq, grid.index_of_freq(k)[0]))
+                          for i, k in enumerate(idxs))
+        ref = math.sqrt(grid.length * total)
+        assert hs_gamma_norm_exact(spec) == pytest.approx(ref, rel=1e-14)
+
+
 class TestMcGammaNorm:
     def test_matches_exact_q2(self, fourier_spec):
         est = mc_gamma_norm(fourier_spec, 2000, seed=42)

@@ -282,23 +282,30 @@ class TestBatchedNoiseMatchesPerStepLoop:
 
 
 class TestNoiseChunks:
-    """Without stored states the increments come in chunks of at most NOISE_CHUNK_BYTES."""
+    """The increments come in chunks of at most NOISE_CHUNK_BYTES, with or without stored states."""
 
     @pytest.mark.parametrize("noise_kind,g_kind", [
-        ("exact_ou", "none"), ("diagonal", "list"), ("fourier", "none"), ("fourier", "field")])
-    def test_final_state_matches_one_chunk(self, noise_kind, g_kind, monkeypatch):
+        ("exact_ou", "none"), ("diagonal", "list"), ("fourier", "none"), ("fourier", "field"),
+        ("haar", "list")])
+    def test_chunks_keep_the_bits(self, noise_kind, g_kind, monkeypatch):
         grid = Grid(2, 16)
         cfg = _noise_config(grid, noise_kind, g_kind, steps=10)
-        full = simulate(cfg, seed=5, traj_index=3)
+        one = simulate(cfg, seed=5, traj_index=3).coeffs     # 10 steps are one chunk
         # 3 steps of increments per chunk: the 10 steps are 4 chunks
         monkeypatch.setattr(spde, "NOISE_CHUNK_BYTES", 3 * 16 * grid.n**grid.dim + 5)
         chunks = []
         increments = spde._increments
         monkeypatch.setattr(spde, "_increments",
                             lambda *a: chunks.append(a[-2:]) or increments(*a))
-        last = simulate(cfg, seed=5, traj_index=3, keep_states=False)
-        assert chunks == [(0, 3), (3, 6), (6, 9), (9, 10)]
-        assert np.array_equal(last.coeffs[-1], full.coeffs[-1])
+        full = simulate(cfg, seed=5, traj_index=3).coeffs
+        last = simulate(cfg, seed=5, traj_index=3, keep_states=False).coeffs
+        assert chunks == [(0, 3), (3, 6), (6, 9), (9, 10)] * 2
+        assert np.array_equal(last[-1], full[-1])
+        if noise_kind == "haar":
+            # a Haar increment is a BLAS product, whose last bits may follow the chunk's rows
+            np.testing.assert_allclose(full, one, rtol=0, atol=1e-14 * np.abs(one).max())
+        else:
+            assert np.array_equal(full, one)
 
     def test_memory_flat_in_step_count(self):
         grid = Grid(2, 64)

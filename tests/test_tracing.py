@@ -111,8 +111,8 @@ def test_q2_fourier_without_g_stays_on_the_lattice(tracing):
 
 
 def test_q2_fourier_hs_exact_with_g_renders_no_member(tracing):
-    # the Hilbert-Schmidt value with g is one lattice correlation: three
-    # transforms of n^d cells, no rendered member and no term stack
+    # the Hilbert-Schmidt value with g is one lattice correlation, summed
+    # directly: no transform, no rendered member and no term stack
     grid = Grid(2, 32)
     g = forward_transform(grid, stream(3, 0).standard_normal(grid.shape))
     spec = SeriesSpec(grid, FourierSystem(2), Coloring.matern(0.5), 300, 0.4, 2.0, g=g)
@@ -122,5 +122,5 @@ def test_q2_fourier_hs_exact_with_g_renders_no_member(tracing):
         tracer.close_round()
     assert tracer.stats["series.hs_gamma_norm_exact"].calls == 1
     assert tracer.stats["systems.render"].calls == 0
-    assert tracer.stats["fft"].calls == 3
+    assert tracer.stats["fft"].calls == 0
     assert "_terms" not in vars(spec)
