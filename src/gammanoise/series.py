@@ -79,7 +79,14 @@ class SeriesSpec:
         """Stacked coefficients of ``g mu_n f_n``, shape (N, *grid)."""
         idxs = self.system.indices(self.N)
         return render_terms(self.system, idxs, self.grid, self.coloring.weights(idxs),
-                            None if self.g is None else self.g.values())
+                            None if self.g is None else self._g_values)
+
+    @cached_property
+    def _g_values(self) -> np.ndarray:
+        """Read-only grid values of g, transformed once per spec."""
+        values = self.g.values()
+        values.flags.writeable = False
+        return values
 
     @cached_property
     def _lattice(self) -> tuple:
@@ -178,7 +185,7 @@ def series_coeffs(spec: SeriesSpec, gam: np.ndarray) -> np.ndarray:
         coeffs = coeffs.reshape((-1,) + grid.shape)
         if spec.g is None:
             return coeffs
-        return multiply_on_grid(coeffs, spec.g.values(), grid.dim)
+        return multiply_on_grid(coeffs, spec._g_values, grid.dim)
     return (gam @ term_values(spec).reshape(spec.N, -1)).reshape((-1,) + grid.shape)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +95,37 @@ class SpdeConfig:
     def steps(self) -> int:
         return round(self.T / self.dt)
 
+    @cached_property
+    def _lam(self) -> np.ndarray:
+        """Heat eigenvalues of the grid; read-only, like every per-config constant."""
+        return _read_only(heat_eigenvalues(self.grid))
+
+    @cached_property
+    def _decay(self) -> np.ndarray:
+        """One step of the semigroup, ``exp(-lam dt)``.
+
+        Held as complex (zero imaginary part) like the states it multiplies:
+        numpy casts a real factor to complex for that product anyway, so the
+        bits are the same and a step skips the cast.
+        """
+        return _read_only(np.exp(-self._lam * self.dt).astype(np.complex128))
+
+    @cached_property
+    def _ou_sigma(self) -> np.ndarray:
+        """Standard deviation of one exact Ornstein-Uhlenbeck step per mode; complex, as above."""
+        sigma = np.sqrt(_ou_step_variance(self.noise.mu, self._lam, self.dt))
+        return _read_only(sigma.astype(np.complex128))
+
+    @cached_property
+    def _g_values(self) -> np.ndarray:
+        """Grid values of a single field g."""
+        return _read_only(self.g.values())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -128,32 +160,38 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
 
     exact_ou updates each mode with the exact Ornstein-Uhlenbeck transition;
     exp_euler damps the previous state and the increment by the semigroup.
+    The eigenvalues, the decay and the OU step deviations are computed once
+    per config, and each step writes its state in place into the stored row
+    (or the one final row), with the step's operations in their usual order,
+    so a step allocates nothing.
     """
-    grid, dt, steps = config.grid, config.dt, config.steps
-    lam = heat_eigenvalues(grid)
-    decay = np.exp(-lam * dt)
+    grid, steps = config.grid, config.steps
+    decay = config._decay
     exact_ou = config.integrator == "exact_ou"
     gen = stream(seed, traj_index)
     step_bytes = np.dtype(np.complex128).itemsize * grid.n**grid.dim
     chunk = max(1, NOISE_CHUNK_BYTES // step_bytes)
 
-    times = np.arange(steps + 1) * dt if keep_states else np.array([0.0, config.T])
+    times = np.arange(steps + 1) * config.dt if keep_states else np.array([0.0, config.T])
     coeffs = np.zeros((len(times),) + grid.shape, dtype=np.complex128)
-    u = coeffs[0]
+    final = coeffs[-1]
+    mul, add = np.multiply, np.add      # positional out: the step is a few microseconds
     for lo in range(0, steps, chunk):
-        dw = _increments(config, gen, lam, lo, min(lo + chunk, steps))
+        dw = _increments(config, gen, lo, min(lo + chunk, steps))
         for m, inc in enumerate(dw, start=lo):
-            u = decay * u + inc if exact_ou else decay * (u + inc)
-            if keep_states:
-                coeffs[m + 1] = u
+            u, out = (coeffs[m], coeffs[m + 1]) if keep_states else (final, final)
+            if exact_ou:        # decay * u + inc
+                mul(decay, u, out)
+                add(out, inc, out)
+            else:               # decay * (u + inc)
+                add(u, inc, out)
+                mul(decay, out, out)
         del dw, inc     # free this chunk before the next one is built
-    coeffs[-1] = u
     coeffs.flags.writeable = False
     return Trajectory(grid, times, coeffs, seed)
 
 
-def _increments(config: SpdeConfig, gen: np.random.Generator, lam: np.ndarray,
-                lo: int, hi: int) -> np.ndarray:
+def _increments(config: SpdeConfig, gen: np.random.Generator, lo: int, hi: int) -> np.ndarray:
     """Noise increments of steps ``lo <= m < hi``, shape (hi - lo, *grid), from gen's next draws.
 
     Built in place, so that one (hi - lo, *grid) array is held at a time.
@@ -162,7 +200,7 @@ def _increments(config: SpdeConfig, gen: np.random.Generator, lam: np.ndarray,
     if isinstance(config.noise, DiagonalNoise):
         dw = complex_standard_normal(gen, (hi - lo,) + grid.shape)
         if config.integrator == "exact_ou":
-            dw *= np.sqrt(_ou_step_variance(config.noise.mu, lam, dt))
+            dw *= config._ou_sigma
         else:
             dw *= config.noise.mu
             dw *= math.sqrt(dt)
@@ -170,9 +208,10 @@ def _increments(config: SpdeConfig, gen: np.random.Generator, lam: np.ndarray,
         spec = _noise_spec(config.noise, grid)
         dw = series_coeffs(spec, standard_gaussians(gen, (hi - lo, spec.N), spec.system.real))
         dw *= math.sqrt(dt)
-    if config.g is not None:
-        g = config.g[lo:hi] if isinstance(config.g, list) else [config.g]
-        dw = multiply_on_grid(dw, np.stack([f.values() for f in g]), grid.dim)
+    if isinstance(config.g, list):
+        dw = multiply_on_grid(dw, np.stack([f.values() for f in config.g[lo:hi]]), grid.dim)
+    elif config.g is not None:
+        dw = multiply_on_grid(dw, config._g_values, grid.dim)
     return dw
 
 

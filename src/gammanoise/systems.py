@@ -99,12 +99,14 @@ class FourierSystem:
         return self._cache[:count]
 
     def ball_indices(self, radius: int) -> list:
-        """All lattice frequencies with ``|k| <= radius``."""
-        rng = range(-radius, radius + 1)
-        ks = [k for k in itertools.product(rng, repeat=self.dim)
-              if sum(x * x for x in k) <= radius * radius]
-        ks.sort(key=lambda k: (sum(x * x for x in k), k))
-        return ks
+        """All lattice frequencies with ``|k| <= radius``, as tuples of Python ints."""
+        axis = np.arange(-radius, radius + 1)
+        ks = np.stack(np.meshgrid(*(axis,) * self.dim, indexing="ij"), -1).reshape(-1, self.dim)
+        r2 = np.sum(ks * ks, axis=1)
+        inside = r2 <= radius * radius
+        ks, r2 = ks[inside], r2[inside]
+        order = np.lexsort(tuple(ks[:, ::-1].T) + (r2,))    # by |k|^2, then k_0, k_1, ...
+        return [tuple(k) for k in ks[order].tolist()]
 
     def sup_norm(self, idx) -> float:
         return 1.0
@@ -116,8 +118,14 @@ class FourierSystem:
     def lattice_positions(self, idxs, grid: Grid) -> np.ndarray:
         """Flat positions of the frequencies ``idxs`` in the grid's coefficient array."""
         self._check_grid(grid)
-        rows = np.array([grid.index_of_freq(k) for k in idxs], dtype=np.intp)
-        return np.ravel_multi_index(tuple(rows.T), grid.shape)
+        try:
+            ks = np.array(idxs, dtype=np.intp).reshape(len(idxs), grid.dim)
+        except ValueError:      # ragged, or the wrong number of axes
+            ks = None
+        if ks is None or np.any((ks <= -(grid.n // 2)) | (ks > grid.n // 2)):
+            for k in idxs:
+                grid.index_of_freq(k)       # raises the offending frequency's message
+        return np.ravel_multi_index(tuple((ks % grid.n).T), grid.shape)
 
     def _check_grid(self, grid: Grid) -> None:
         if grid.dim != self.dim:

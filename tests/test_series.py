@@ -129,6 +129,19 @@ class TestFrozenSpec:
         with pytest.raises(ValueError):
             spec.g.coeffs *= 2
 
+    def test_multiplier_is_transformed_once_per_spec(self, monkeypatch):
+        # the 1,000 samples are 4 Monte Carlo blocks; each used to take g to the grid again
+        grid = Grid(1, 64)
+        spec = SeriesSpec(grid, FourierSystem(1), Coloring.matern(0.5), 16, 0.5, 2.0,
+                          g=_random_g(grid, 3))
+        calls = []
+        values = SpectralField.values
+        monkeypatch.setattr(SpectralField, "values", lambda f: calls.append(f) or values(f))
+        mc_gamma_norm(spec, 1000, seed=2)
+        assert len(calls) == 1
+        with pytest.raises(ValueError):
+            spec._g_values[0] = 0.0
+
     def test_truncation_cannot_be_reassigned(self):
         spec = SeriesSpec(Grid(1, 64), FourierSystem(1), Coloring.matern(0.5), 16, 0.5, 2.0)
         mc_gamma_norm(spec, 4, seed=0)

@@ -99,6 +99,28 @@ class TestSimulate:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 traj.coeffs = np.zeros_like(traj.coeffs)
 
+    def test_constants_computed_once_per_config(self, small_grid, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spde, "heat_eigenvalues",
+                            lambda grid: calls.append(grid) or heat_eigenvalues(grid))
+        cfg = SpdeConfig(small_grid, DiagonalNoise.matern(small_grid, 0.5), T=0.05, dt=0.01)
+        for i in range(3):
+            simulate(cfg, seed=3, traj_index=i)
+        assert calls == [small_grid]
+
+    @pytest.mark.parametrize("integrator", ["exact_ou", "exp_euler"])
+    def test_cached_constants_are_read_only(self, small_grid, integrator):
+        g = None if integrator == "exact_ou" else forward_transform(
+            small_grid, stream(8, 0).standard_normal(small_grid.shape))
+        cfg = SpdeConfig(small_grid, DiagonalNoise.matern(small_grid, 0.5), T=0.05, dt=0.01,
+                         integrator=integrator, g=g)
+        first = simulate(cfg, seed=3).coeffs
+        names = ["_lam", "_decay"] + (["_ou_sigma"] if g is None else ["_g_values"])
+        for name in names:
+            with pytest.raises(ValueError):
+                getattr(cfg, name)[0] = 0.0
+        assert np.array_equal(simulate(cfg, seed=3).coeffs, first)
+
     def test_exact_ou_draws_its_steps_in_order_from_one_stream(self, small_grid):
         # two steps by hand from one (seed, traj) stream drawn at once
         noise = DiagonalNoise.matern(small_grid, 0.5)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -45,6 +46,35 @@ class TestFourierSystem:
     def test_order_fills_balls(self):
         sys = FourierSystem(1)
         assert sys.indices(5) == [(0,), (-1,), (1,), (-2,), (2,)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_ball_matches_sorted_enumeration(self, dim):
+        sys = FourierSystem(dim)
+        for radius in range(1, 17):
+            box = itertools.product(range(-radius, radius + 1), repeat=dim)
+            ref = sorted((k for k in box if sum(x * x for x in k) <= radius * radius),
+                         key=lambda k: (sum(x * x for x in k), k))
+            got = sys.ball_indices(radius)
+            assert got == ref
+            assert all(type(x) is int for k in got for x in k)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_lattice_positions_match_index_of_freq(self, dim):
+        grid = Grid(dim, 16)
+        idxs = FourierSystem(dim).ball_indices(7)
+        ref = [np.ravel_multi_index(grid.index_of_freq(k), grid.shape) for k in idxs]
+        assert FourierSystem(dim).lattice_positions(idxs, grid).tolist() == ref
+
+    def test_lattice_positions_reject_bad_frequencies(self):
+        sys, grid = FourierSystem(2), Grid(2, 8)
+        with pytest.raises(ValueError, match=r"^frequency -4 outside \(-n/2, n/2\] for n=8$"):
+            sys.lattice_positions([(0, 0), (1, -4)], grid)
+        with pytest.raises(ValueError, match=r"^frequency 5 outside \(-n/2, n/2\] for n=8$"):
+            sys.lattice_positions([(5, 0)], grid)
+        with pytest.raises(ValueError, match="^frequency index has 3 axes, grid has 2$"):
+            sys.lattice_positions([(0, 0), (1, 1, 1)], grid)
+        with pytest.raises(ValueError, match="^frequency index has 1 axes, grid has 2$"):
+            sys.lattice_positions([(1,), (2,)], grid)
 
     def test_sup_norm_one(self):
         sys = FourierSystem(2)
