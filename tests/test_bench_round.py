@@ -25,11 +25,16 @@ def bench():
     return workloads, gn
 
 
-@pytest.mark.parametrize("name", ["series_1d_q2", "series_2d_q4", "heat", "cli_defaults"])
-def test_one_round_passes_checks(bench, tmp_path, name):
+# the numeric workloads run at three seeds, so the checks see more than one draw of
+# each stream; a seed-1 round keeps the workload's bare name as its id
+@pytest.mark.parametrize("name,seed", [
+    pytest.param(name, seed, id=name if seed == 1 else f"{name}-seed{seed}")
+    for name in ("series_1d_q2", "series_2d_q4", "heat") for seed in (1, 2, 3)
+] + [pytest.param("cli_defaults", 1, id="cli_defaults")])
+def test_one_round_passes_checks(bench, tmp_path, name, seed):
     workloads, gn = bench
     workload = workloads.WORKLOADS[name]
-    inputs = workload.make_inputs(1, str(tmp_path))
+    inputs = workload.make_inputs(seed, str(tmp_path))
     outcomes = workload.run(gn, inputs)
     assert outcomes
     for out in outcomes:
