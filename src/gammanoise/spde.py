@@ -175,7 +175,7 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
     times = np.arange(steps + 1) * config.dt if keep_states else np.array([0.0, config.T])
     coeffs = np.zeros((len(times),) + grid.shape, dtype=np.complex128)
     final = coeffs[-1]
-    mul, add = np.multiply, np.add      # positional out: the step is a few microseconds
+    mul, add = np.multiply, np.add      # a step is two short ufunc calls; keep their overhead low
     for lo in range(0, steps, chunk):
         dw = _increments(config, gen, lo, min(lo + chunk, steps))
         for m, inc in enumerate(dw, start=lo):
