@@ -33,7 +33,7 @@ from .operators import (gamma_young_check, heat_witness, mg_sobolev_gamma_norm,
 from .output import OpTimer, RunManifest, config_hash, write_csv
 from .rng import stream
 from .series import SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm, sq_function_gamma_norm
-from .spde import DiagonalNoise, SpdeConfig, simulate, spacetime_norm
+from .spde import DiagonalNoise, SpdeConfig, scaling_diagnostic, simulate, spacetime_norm
 from .systems import (Coloring, FourierSystem, HaarSystem, IndexRangeError,
                       ShiftedBumpSystem, bump_values, haar_lattice_sums)
 
@@ -231,10 +231,10 @@ def run_rescaled_bump(cfg, seed, workers, timer):
 def run_shifted_bump(cfg, seed, workers, timer):
     params = _params_from(cfg["params"])
     blk = cfg["shifted_bump"]
-    records, fit, _ = shifted_bump_test(params, blk["extents"],
-                                        resolution=blk["resolution"],
-                                        width=blk["width"],
-                                        oversample=cfg["run"]["oversample"])
+    records, fit = shifted_bump_test(params, blk["extents"],
+                                     resolution=blk["resolution"],
+                                     width=blk["width"],
+                                     oversample=cfg["run"]["oversample"])
     return _two_sided_rows(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
@@ -340,20 +340,14 @@ def run_heat_sim(cfg, seed, workers, timer):
 
 
 def run_scaling(cfg, seed, workers, timer):
-    from .spde import scaling_diagnostic
     grid = build_grid(cfg["grid"])
     blk = cfg["scaling"]
-    zeta = 1.0 / blk["alpha"] * grid.dim
-    params = ParamTuple(grid.dim, blk["s"], blk["q"], blk["eta"], zeta)
-    rep = scaling_diagnostic(blk["alpha"], zeta, params,
-                             range(blk["m_min"], blk["m_max"] + 1), grid=grid,
-                             levels=blk["levels"], beta=blk["beta"],
-                             oversample=cfg["run"]["oversample"])
-    rows = [{"m": m, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
-             "fitted_exponent": rep.exponent, "predicted_exponent": rep.predicted,
-             "r2": rep.r2}
-            for m, lhs, rhs in rep.points]
-    return rows, {"fitted_exponent": rep.exponent}, EXIT_OK
+    params = ParamTuple(grid.dim, blk["s"], blk["q"], blk["eta"], 1.0 / blk["alpha"] * grid.dim)
+    records, fit = scaling_diagnostic(blk["alpha"], params,
+                                      range(blk["m_min"], blk["m_max"] + 1), grid=grid,
+                                      levels=blk["levels"], beta=blk["beta"],
+                                      oversample=cfg["run"]["oversample"])
+    return _two_sided_rows(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
 def run_haar_divergence(cfg, seed, workers, timer):

@@ -26,11 +26,11 @@ def inv(x: float) -> float:
 
 @dataclass(frozen=True)
 class ParamTuple:
-    """The parameter bundle (d, s, q, eta, zeta, p).
+    """The parameter bundle (d, s, q, eta, zeta).
 
     d: dimension; s: smoothness loss, in (0, d); q: target integrability in
     (1, inf); eta: integrability of the multiplier g, in (1, inf); zeta:
-    noise intensity in [2, inf]; p: time integrability, optional.
+    noise intensity in [2, inf].
     """
 
     d: int
@@ -38,7 +38,6 @@ class ParamTuple:
     q: float
     eta: float
     zeta: float
-    p: float = None
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -51,8 +50,6 @@ class ParamTuple:
             raise ValueError(f"eta must lie in (1, inf), got {self.eta}")
         if not self.zeta >= 2:
             raise ValueError(f"zeta must lie in [2, inf], got {self.zeta}")
-        if self.p is not None and not (1 <= self.p < math.inf):
-            raise ValueError(f"p must lie in [1, inf), got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +104,9 @@ def predicted_exponent(params: ParamTuple, construction: str, alpha: float = Non
 
     freq_block and rescaled_bump are rates per doubling of the scale index;
     shifted_bump is the power of the lattice size; spde_scaling is the rate
-    per doubling of the parabolic rescaling (the time-integrability terms
-    cancel between the two sides).
+    per doubling of the parabolic rescaling, where zeta must equal d/alpha
+    (the time-integrability terms cancel between the two sides, so no time
+    exponent enters).
     """
     d, s, q, eta, zeta = params.d, params.s, params.q, params.eta, params.zeta
     if construction == "freq_block":
@@ -120,8 +118,7 @@ def predicted_exponent(params: ParamTuple, construction: str, alpha: float = Non
     if construction == "spde_scaling":
         if alpha is not None and abs(zeta - d / alpha) > EQUALITY_TOL:
             raise ValueError(f"spde scaling pairs zeta with d/alpha = {d/alpha}, got zeta = {zeta}")
-        two_p = 2.0 * inv(params.p) if params.p is not None else 0.0
-        lhs = 1.0 - s - d * inv(q) - two_p
-        rhs = 1.0 - d / 2.0 + d * inv(zeta) - d * inv(eta) - two_p
+        lhs = 1.0 - s - d * inv(q)
+        rhs = 1.0 - d / 2.0 + d * inv(zeta) - d * inv(eta)
         return lhs - rhs
     raise ValueError(f"construction must be one of {CONSTRUCTIONS}, got {construction!r}")

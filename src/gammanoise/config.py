@@ -140,7 +140,7 @@ COMMANDS = {
         "scaling": {"alpha": ("float", 0.5, "> 0"), "beta": ("float", 1.0), "levels": ("int", 3),
                     "m_min": ("int", 0), "m_max": ("int", 5, "> m_min"), "s": ("float", 0.25),
                     "q": ("float", 4.0), "eta": ("float", 2.0)},
-    }, ("m", "lhs", "rhs", "ratio", "fitted_exponent", "predicted_exponent", "r2")),
+    }, TWO_SIDED_COLUMNS),
     "haar-divergence": Command(None, {
         "haar": {"d": ("int", 1, ">= 1 and <= 3"), "alpha": ("float", 0.5, "> 0"),
                  "beta": ("float", 1.0), "zeta_values": ("floats", [1.8, 2.0, 2.5], "1 distinct"),

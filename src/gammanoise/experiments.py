@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import ParamTuple, predicted_exponent, sharp_condition
-from .fit import fit_line, fit_ratio_exponent, growth_label
+from .fit import SweepRecord, fit_line, fit_ratio_exponent, growth_label
 from .grid import Grid, SpectralField, forward_transform
 from .norms import hsq_norm, lq_norm, sq_function_from_terms
 from .series import render_terms
@@ -24,22 +24,6 @@ from .systems import (FourierSystem, ShiftedBumpSystem, bump_values, frequency_b
 
 BLOCK_RESOLUTION_MARGIN = 3     # grid octaves above the top frequency block
 BLOCK_TERM_CELLS_MAX = 2**25    # cells of the largest block's term stack, |C_N| * n^d
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One scale point of a two-sided comparison."""
-
-    construction: str
-    scale_index: float
-    lhs: float
-    rhs: float
-
-    @property
-    def ratio(self) -> float:
-        if self.rhs > 0:
-            return self.lhs / self.rhs
-        return math.inf if self.lhs > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +96,12 @@ def rescaled_bump_test(params: ParamTuple, m_range, n: int = 2**14,
     records = []
     for m in m_range:
         w = width * 2.0**-m
-        gv = bump_values(coords, w / 2.0, w)
-        hv = bump_values(coords, w / 2.0, w)
-        gh = forward_transform(grid, gv * hv)
+        bump = bump_values(coords, w / 2.0, w)      # g_m and h_m are the same bump
+        gh = forward_transform(grid, bump * bump)
         lhs = hsq_norm(gh, -params.s, params.q, oversample=oversample)
-        g_field = forward_transform(grid, gv)
-        h_field = forward_transform(grid, hv)
-        h2 = lq_norm(h_field, 2)
-        mu_norm = rank_one_mu_norm(h2, float(np.max(np.abs(hv))), params.zeta)
-        rhs = lq_norm(g_field, params.eta, oversample=oversample) * mu_norm
+        field = forward_transform(grid, bump)
+        mu_norm = rank_one_mu_norm(lq_norm(field, 2), float(np.max(np.abs(bump))), params.zeta)
+        rhs = lq_norm(field, params.eta, oversample=oversample) * mu_norm
         records.append(SweepRecord("rescaled_bump", m, lhs, rhs))
     fit = fit_ratio_exponent(records, predicted_exponent(params, "rescaled_bump"))
     return records, fit
@@ -143,7 +124,6 @@ def shifted_bump_test(params: ParamTuple, N_range, resolution: int = 64,
         raise ValueError("shifted bumps are implemented for d = 1")
     N_range = sorted(int(N) for N in N_range)
     records = []
-    measured_g = []
     for N in N_range:
         length = 2.0 ** math.ceil(math.log2(2 * N + 2))
         n = int(length) * resolution
@@ -163,12 +143,10 @@ def shifted_bump_test(params: ParamTuple, N_range, resolution: int = 64,
                                      oversample=oversample)
         # unweighted regime: unit sup norms, whatever the bump's normalization
         mu_norm = weighted_sequence_norm(weights, weights, params.zeta)
-        g_eta = lq_norm(g, params.eta, oversample=oversample)
-        rhs = g_eta * mu_norm
+        rhs = lq_norm(g, params.eta, oversample=oversample) * mu_norm
         records.append(SweepRecord("shifted_bump", math.log2(N), lhs, rhs))
-        measured_g.append((N, len(idxs), g_eta))
     fit = fit_ratio_exponent(records, predicted_exponent(params, "shifted_bump"))
-    return records, fit, measured_g
+    return records, fit
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +214,9 @@ def boundary_sweep(tuples, construction: str, scale_range, **kwargs) -> list:
     exponent (bounded / divergent / log-divergent / inconclusive).
     """
     runners = {
-        "freq_block": lambda p: frequency_block_test(p, scale_range, **kwargs)[:2],
-        "rescaled_bump": lambda p: rescaled_bump_test(p, scale_range, **kwargs)[:2],
-        "shifted_bump": lambda p: shifted_bump_test(p, scale_range, **kwargs)[:2],
+        "freq_block": lambda p: frequency_block_test(p, scale_range, **kwargs),
+        "rescaled_bump": lambda p: rescaled_bump_test(p, scale_range, **kwargs),
+        "shifted_bump": lambda p: shifted_bump_test(p, scale_range, **kwargs),
     }
     if construction not in runners:
         raise ValueError(f"unknown construction {construction!r}; "

@@ -1,10 +1,11 @@
 """Line fits and growth labels: the one place an exponent is fitted.
 
 ``linfit`` is the least-squares regression every construction's exponent
-comes from.  Two label sets sit on top of it, and both reach CSVs as they
-are: ``growth_label`` turns a ratio fit into bounded / divergent /
-log-divergent / inconclusive, and ``classify_growth`` turns a norm sequence
-over truncations into convergent / divergent / log_divergent / inconclusive.
+comes from: each construction yields ``SweepRecord``s, and
+``fit_ratio_exponent`` fits the growth of their ratios.  One label set,
+bounded / divergent / log-divergent / inconclusive, sits on top:
+``growth_label`` reads it off a ratio fit, and ``classify_growth`` off a
+norm sequence over truncations.
 """
 
 from __future__ import annotations
@@ -39,6 +40,22 @@ def linfit(x, y):
     slope = sxy / sxx
     r2 = 1.0 if syy == 0 else (sxy * sxy) / (sxx * syy)
     return float(slope), float(r2)
+
+
+@dataclass(frozen=True)
+class SweepRecord:
+    """One scale point of a two-sided comparison."""
+
+    construction: str
+    scale_index: float
+    lhs: float
+    rhs: float
+
+    @property
+    def ratio(self) -> float:
+        if self.rhs > 0:
+            return self.lhs / self.rhs
+        return math.inf if self.lhs > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -79,7 +96,7 @@ def growth_label(fit: FitReport) -> str:
 
 @dataclass(frozen=True)
 class GrowthReport:
-    label: str      # convergent | divergent | log_divergent | inconclusive
+    label: str      # bounded | divergent | log-divergent | inconclusive
     slope: float    # log-log slope
     r2: float       # of the log-log fit
     log_r2: float   # of the value-versus-log-N fit
@@ -90,7 +107,7 @@ def classify_growth(points) -> GrowthReport:
     """Classify a norm sequence over geometric truncations N.
 
     Divergent when the log-log slope exceeds ``MARGINAL_EXPONENT`` with a good fit;
-    convergent when successive increments decay geometrically; log-divergent
+    bounded when successive increments decay geometrically; log-divergent
     when the values are affine in log N with small log-log slope.
     """
     pts = sorted((float(n), float(v)) for n, v in points)
@@ -103,7 +120,7 @@ def classify_growth(points) -> GrowthReport:
 
     scale = np.max(np.abs(vs))
     if scale == 0:
-        return GrowthReport("convergent", 0.0, 1.0, 1.0, len(pts))
+        return GrowthReport("bounded", 0.0, 1.0, 1.0, len(pts))
 
     log_n = np.log(ns)
     with np.errstate(divide="ignore"):
@@ -116,10 +133,10 @@ def classify_growth(points) -> GrowthReport:
 
     inc = np.diff(vs)
     if np.all(np.abs(inc) <= 1e-12 * scale):
-        return GrowthReport("convergent", slope, r2, log_r2, len(pts))
+        return GrowthReport("bounded", slope, r2, log_r2, len(pts))
     if np.all(inc > 0) and np.all(inc[1:] < INCREMENT_RATIO * inc[:-1]):
-        return GrowthReport("convergent", slope, r2, log_r2, len(pts))
+        return GrowthReport("bounded", slope, r2, log_r2, len(pts))
 
     if log_r2 > LOG_R2_MIN and slope <= MARGINAL_EXPONENT:
-        return GrowthReport("log_divergent", slope, r2, log_r2, len(pts))
+        return GrowthReport("log-divergent", slope, r2, log_r2, len(pts))
     return GrowthReport("inconclusive", slope, r2, log_r2, len(pts))

@@ -130,24 +130,6 @@ class SpectralField:
     def coeff_at(self, k) -> complex:
         return complex(self.coeffs[self.grid.index_of_freq(k)])
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs, real=self.real and other.real)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs, real=self.real and other.real)
-
-    def __mul__(self, c) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * c, real=self.real and np.isrealobj(np.asarray(c)))
-
-    __rmul__ = __mul__
-
-
-def _check_same_grid(a: SpectralField, b: SpectralField) -> None:
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-
 
 def _reverse_freq(c: np.ndarray) -> np.ndarray:
     """Coefficients at ``-k``, in the same DFT layout."""

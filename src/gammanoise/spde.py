@@ -21,7 +21,7 @@ from .grid import Grid, SpectralField, forward_transform
 from .norms import (bessel_multiplier, heat_eigenvalues, lq_norm, lq_norms,
                     sq_function_from_terms)
 from .rng import complex_standard_normal, standard_gaussians, stream
-from .fit import linfit
+from .fit import SweepRecord, fit_ratio_exponent
 from .series import SeriesSpec, multiply_on_grid, render_terms, series_coeffs, term_values
 from .systems import Coloring, HaarSystem, bump_values, weighted_sequence_norm
 from .conditions import ParamTuple, predicted_exponent
@@ -304,31 +304,19 @@ def spacetime_norm(traj: Trajectory, p: float, s: float, q: float) -> SpaceTimeN
 SCALING_G_WIDTH = 0.5       # width of the multiplier bump g at m = 0
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    exponent: float
-    predicted: float
-    r2: float
-    points: tuple   # (m, lhs, rhs) triples
-
-
-def scaling_diagnostic(alpha: float, zeta: float, params: ParamTuple, m_range,
-                       grid: Grid = None, levels: int = 3, beta: float = 1.0,
-                       oversample: int = 2) -> ScalingReport:
-    """Fitted dyadic-scaling exponent of the driving Haar series.
+def scaling_diagnostic(alpha: float, params: ParamTuple, m_range, grid: Grid = None,
+                       levels: int = 3, beta: float = 1.0, oversample: int = 2):
+    """Parabolic-scaling necessity sweep of the driving Haar series.
 
     For each m the composite ``g * noise`` is compressed by ``2^m`` (levels
-    shift up, the coloring picks up the self-similarity factor), the
+    shift up, the coloring picks up the self-similarity factor), and the
     square-function norm is measured against the product of the multiplier
-    norm and the weighted sequence norm, and the log ratio is regressed on
-    m.  The result is compared with the parabolic scaling prediction; both
-    are returned.
+    norm and the weighted sequence norm in ``params.zeta``, which must equal
+    d/alpha.  Returns the records and the fitted exponent of the log2 ratio
+    per dyadic compression, next to the parabolic scaling prediction.
     """
+    predicted = predicted_exponent(params, "spde_scaling", alpha=alpha)
     d = params.d
-    if abs(zeta - d / alpha) > 1e-9:
-        raise ValueError(f"scaling pairs zeta with d/alpha = {d / alpha}, got {zeta}")
-    if zeta < 2:
-        raise ValueError(f"zeta must be >= 2, got {zeta}")
     if grid is None:
         grid = Grid(d, 2 ** (13 if d == 1 else 7))
     m_range = sorted(int(m) for m in m_range)
@@ -339,7 +327,7 @@ def scaling_diagnostic(alpha: float, zeta: float, params: ParamTuple, m_range,
 
     base = Coloring.haar(alpha, beta, d)
     coords = grid.coords()
-    points = []
+    records = []
     for m in m_range:
         haar = HaarSystem(d, 0, j_hi + m)
         scale = 2.0 ** (m * (alpha - d / 2.0))
@@ -349,7 +337,8 @@ def scaling_diagnostic(alpha: float, zeta: float, params: ParamTuple, m_range,
                 sigma, _, k = idx
                 idxs.append((sigma, j + m, k))
                 weights.append(scale * base.value(idx, 1))
-        mu_norm = weighted_sequence_norm(weights, [haar.sup_norm(idx) for idx in idxs], zeta)
+        mu_norm = weighted_sequence_norm(weights, [haar.sup_norm(idx) for idx in idxs],
+                                         params.zeta)
 
         gm = bump_values(coords, SCALING_G_WIDTH * 2.0 ** (-m - 1),
                          SCALING_G_WIDTH * 2.0 ** (-m))
@@ -357,11 +346,5 @@ def scaling_diagnostic(alpha: float, zeta: float, params: ParamTuple, m_range,
         lhs = sq_function_from_terms(grid, terms, params.s, params.q, oversample=oversample)
         g_field = forward_transform(grid, gm)
         rhs = lq_norm(g_field, params.eta, oversample=oversample) * mu_norm
-        points.append((m, lhs, rhs))
-
-    ms = np.array([p[0] for p in points], dtype=float)
-    ratios = np.array([p[1] / p[2] for p in points])
-    slope, r2 = linfit(ms, np.log2(ratios))
-    pred = predicted_exponent(params, "spde_scaling", alpha=alpha)
-    return ScalingReport(exponent=float(slope), predicted=pred, r2=float(r2),
-                         points=tuple(points))
+        records.append(SweepRecord("spde_scaling", m, lhs, rhs))
+    return records, fit_ratio_exponent(records, predicted)

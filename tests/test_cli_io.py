@@ -209,7 +209,7 @@ DEFAULT_CSV_SHA256 = {
     "heat-sim": "113de8df1dd647a20a7905c932ac1e573d4892edfb794b4801d798a4c001bd72",
     "mg-sobolev": "a454fb20dc1b2a273e62a24e43a90572e17cc270c23072b617bc19a34f2d5c30",
     "rescaled-bump": "efdc750a686c78b00a2a5f5981a00903ff7778e9834eeefffbb36b83ba814c44",
-    "scaling": "7f2ed58a2109242f0b532e86c191d8b219c3b9a432922b0a1efbb9f090171edd",
+    "scaling": "c15f02f34e2714402b3fa76171947353c449b080f2027bb959b4e138638b3a26",
     "schatten-heat": "c020fdc5d12ff660ca1645fc6a9742954a4eff6858c8847145e623851ab01c26",
     "series-norm": "fd516b8a113feec346c761de054aa3abb16e11d2de3db7b8d6b7bdead6e900bc",
     "shifted-bump": "17423097a3a9ae4cc6aed5dff328f134c6803c353d5cc44b9125540265176143",

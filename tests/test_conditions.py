@@ -9,7 +9,7 @@ from gammanoise.rng import stream
 class TestParamTuple:
     def test_valid(self):
         ParamTuple(1, 0.5, 4.0, 2.0, 4.0)
-        ParamTuple(2, 1.0, 2.0, 1.5, math.inf, p=4.0)
+        ParamTuple(2, 1.0, 2.0, 1.5, math.inf)
 
     @pytest.mark.parametrize("kwargs", [
         dict(d=1, s=0.0, q=4.0, eta=2.0, zeta=4.0),
@@ -115,7 +115,7 @@ class TestPredictedExponent:
 
     def test_spde_scaling_matches_rescaled_bump(self):
         # the time-integrability terms cancel, leaving the spatial exponent
-        p = ParamTuple(1, 0.55, 4.0, 2.0, 2.0, p=8.0)
+        p = ParamTuple(1, 0.55, 4.0, 2.0, 2.0)
         a = predicted_exponent(p, "spde_scaling", alpha=0.5)
         b = predicted_exponent(p, "rescaled_bump")
         assert a == pytest.approx(b)

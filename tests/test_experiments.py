@@ -116,25 +116,28 @@ class TestRescaledBump:
 
 class TestShiftedBump:
     def test_g_norm_disjoint_supports(self):
-        # plateau sums over disjoint cells: ||g||_eta = ||psi||_eta count^{1/eta}
+        # plateau sums over disjoint cells: ||g||_eta = ||psi||_eta count^{1/eta};
+        # rhs is ||g||_eta times the mu-norm (2N)^{1/zeta} of the 2N unit weights
         params = ParamTuple(1, 0.6, 2.0, 4.0, 4.0)
-        _, _, measured = shifted_bump_test(params, [2, 4, 8])
+        records, _ = shifted_bump_test(params, [2, 4, 8])
         base = None
-        for N, count, g_eta in measured:
-            per = g_eta / count ** (1 / 4.0)
+        for r in records:
+            count = 2 * 2**r.scale_index
+            g_eta = r.rhs / count ** (1 / params.zeta)
+            per = g_eta / count ** (1 / params.eta)
             if base is None:
                 base = per
             assert per == pytest.approx(base, rel=0.01)
 
     def test_boundary_tuple_flat(self):
         params = ParamTuple(1, 0.6, 2.0, 4.0, 4.0)  # 1/eta + 1/zeta = 1/q
-        _, fit, _ = shifted_bump_test(params, [2, 4, 8, 16])
+        _, fit = shifted_bump_test(params, [2, 4, 8, 16])
         assert fit.predicted == pytest.approx(0.0, abs=1e-12)
         assert abs(fit.exponent) <= 0.15
 
     def test_growing_tuple(self):
         params = ParamTuple(1, 0.6, 2.0, 8.0, 8.0)  # exponent d/4
-        _, fit, _ = shifted_bump_test(params, [2, 4, 8, 16])
+        _, fit = shifted_bump_test(params, [2, 4, 8, 16])
         assert fit.predicted == pytest.approx(0.25)
         assert abs(fit.exponent - 0.25) <= 0.15
 

@@ -187,12 +187,6 @@ class TestProduct:
         b = forward_transform(grid1d, rng.standard_normal(grid1d.n))
         assert forward_transform(grid1d, a.values() * b.values()).real
 
-    def test_grid_mismatch(self):
-        with pytest.raises(ValueError):
-            zero_field(Grid(1, 32)) + zero_field(Grid(1, 64))
-        with pytest.raises(ValueError):
-            zero_field(Grid(1, 32)) - zero_field(Grid(1, 64))
-
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=1_000_000))

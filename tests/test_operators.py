@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gammanoise.fit import linfit
-from gammanoise.grid import Grid, constant_field, forward_transform, zero_field
+from gammanoise.grid import Grid, SpectralField, constant_field, forward_transform, zero_field
 from gammanoise.norms import bessel_kernel, lq_norm
 from gammanoise.operators import (ConvPair, ResourceError, afg_bruteforce_hs,
                                   afg_gamma_norm, convolve, gamma_young_check,
@@ -51,7 +51,8 @@ class TestAfgGammaNorm:
 
     def test_homogeneity(self):
         pair = random_pair(stream(34, 0), q=4.0)
-        scaled = ConvPair(-2.5 * pair.f, pair.g, 4.0)
+        scaled = ConvPair(SpectralField(pair.f.grid, -2.5 * pair.f.coeffs, real=pair.f.real),
+                          pair.g, 4.0)
         assert afg_gamma_norm(scaled) == pytest.approx(2.5 * afg_gamma_norm(pair), rel=1e-12)
 
     def test_modulus_of_g_irrelevant(self):
@@ -132,7 +133,8 @@ class TestGammaYoung:
         kernel = bessel_kernel(grid, 0.75)
         g = forward_transform(grid, stream(38, 0).standard_normal(256))
         _, _, r1 = gamma_young_check(kernel, g, 8.0, 4.0, 8.0 / 3.0)
-        _, _, r2 = gamma_young_check(3.0 * kernel, g, 8.0, 4.0, 8.0 / 3.0)
+        scaled = SpectralField(grid, 3.0 * kernel.coeffs, real=kernel.real)
+        _, _, r2 = gamma_young_check(scaled, g, 8.0, 4.0, 8.0 / 3.0)
         assert r1 == pytest.approx(r2, rel=1e-12)
 
     def test_exponent_relation_enforced(self):

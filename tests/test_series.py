@@ -437,7 +437,7 @@ class TestSqFunction:
         grid = Grid(1, 128)
         spec = SeriesSpec(grid, FourierSystem(1), Coloring.constant(0.8, 1), 1, 0.7, 4.0)
         got = sq_function_gamma_norm(spec)
-        ref = hsq_norm(0.8 * mode_field(grid, 0), -0.7, 4.0)
+        ref = hsq_norm(SpectralField(grid, 0.8 * mode_field(grid, 0).coeffs), -0.7, 4.0)
         assert got == pytest.approx(ref, rel=1e-10)
 
     def test_q4_constant_stable_against_mc(self):
@@ -527,7 +527,7 @@ class TestHsExact:
 class TestClassifyGrowth:
     def test_constant_sequence(self):
         rep = classify_growth([(2**j, 5.0) for j in range(4, 10)])
-        assert rep.label == "convergent"
+        assert rep.label == "bounded"
 
     def test_power_law_slope(self):
         rep = classify_growth([(2**j, (2**j) ** 0.3) for j in range(4, 12)])
@@ -537,11 +537,11 @@ class TestClassifyGrowth:
     def test_sqrt_log_flagged(self):
         ns = [2**j for j in range(15, 23)]
         rep = classify_growth([(n, math.sqrt(math.log(n))) for n in ns])
-        assert rep.label == "log_divergent"
+        assert rep.label == "log-divergent"
 
     def test_geometric_saturation(self):
         rep = classify_growth([(2**j, 3.0 - 2.0**-j) for j in range(2, 9)])
-        assert rep.label == "convergent"
+        assert rep.label == "bounded"
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):

@@ -474,22 +474,23 @@ class TestSpacetimeNorm:
 class TestScalingDiagnostic:
     def test_equality_tuple_flat(self):
         params = ParamTuple(1, 0.25, 4.0, 2.0, 2.0)
-        rep = scaling_diagnostic(0.5, 2.0, params, range(0, 6))
-        assert abs(rep.exponent - rep.predicted) <= 0.2
-        assert rep.predicted == pytest.approx(0.0, abs=1e-12)
+        _, fit = scaling_diagnostic(0.5, params, range(0, 6))
+        assert abs(fit.exponent - fit.predicted) <= 0.2
+        assert fit.predicted == pytest.approx(0.0, abs=1e-12)
 
     def test_off_equality_tuple(self):
         params = ParamTuple(1, 0.55, 4.0, 2.0, 2.0)
-        rep = scaling_diagnostic(0.5, 2.0, params, range(0, 6))
-        assert rep.predicted == pytest.approx(-0.3)
-        assert abs(rep.exponent - rep.predicted) <= 0.2
+        _, fit = scaling_diagnostic(0.5, params, range(0, 6))
+        assert fit.predicted == pytest.approx(-0.3)
+        assert abs(fit.exponent - fit.predicted) <= 0.2
 
     def test_alpha_equal_d_rejected(self):
         params = ParamTuple(1, 0.25, 4.0, 2.0, 2.0)
         with pytest.raises(ValueError):
-            scaling_diagnostic(1.0, 1.0, params, range(0, 4))
+            scaling_diagnostic(1.0, params, range(0, 4))
 
     def test_zeta_must_match(self):
-        params = ParamTuple(1, 0.25, 4.0, 2.0, 2.0)
-        with pytest.raises(ValueError):
-            scaling_diagnostic(0.5, 3.0, params, range(0, 4))
+        # zeta = 3 is not d/alpha = 2; the tuple fails before the too-coarse grid is checked
+        params = ParamTuple(1, 0.25, 4.0, 2.0, 3.0)
+        with pytest.raises(ValueError, match="d/alpha"):
+            scaling_diagnostic(0.5, params, range(0, 4), grid=Grid(1, 8))
