@@ -192,37 +192,52 @@ def spectral_band(grid: Grid, coeffs: np.ndarray) -> int:
     return band
 
 
-def upsampled_values(f: SpectralField, m: int, band: int = None) -> np.ndarray:
-    """Trigonometric interpolation of ``f`` on the grid of ``m`` points per axis.
+def upsampled_values(f, m: int, band: int = None) -> np.ndarray:
+    """Trigonometric interpolation on the grid of ``m`` points per axis.
 
-    ``band`` is ``spectral_band`` of ``f``, or any bound above it up to
-    ``n/2`` (found when not given).  Below ``n/2`` only the ``2 band + 1``
-    frequencies per axis are copied, so any ``m > 2 band`` works, ``m < n``
-    included; at ``n/2`` the spectrum is copied whole, ``m >= n`` is needed,
-    and the Nyquist coefficient is split over ``+n/2`` and ``-n/2`` so real
-    fields stay real and original samples are reproduced exactly.  Each axis is
-    zero-padded just before its own inverse transform, last axis first, so
-    the all-zero rows of the padded spectrum are never transformed; the
-    result is bit-identical to one ``ifftn`` of the fully padded array.
+    ``f`` is a ``SpectralField``, or a stack of spectra: an array of shape
+    ``(rows, s, ..., s)``, each row a spectrum in DFT order with ``s`` points
+    per axis, ``s`` being the grid's ``n`` or the band-cropped ``2 band + 1``.
+    ``band`` is ``spectral_band`` of the spectra, or any bound above it up to
+    ``s/2``; it is found for a field when not given, and a stack needs it.
+    Below ``s/2`` only the ``2 band + 1`` frequencies per axis are copied, so
+    any ``m > 2 band`` works, ``m < s`` included; at ``s/2`` the spectrum is
+    copied whole, ``m >= s`` is needed, and the Nyquist coefficient is split
+    over ``+s/2`` and ``-s/2`` so real fields stay real and original samples
+    are reproduced exactly.  Each axis is zero-padded just before its own
+    inverse transform, last axis first, so the all-zero rows of the padded
+    spectrum are never transformed; the result is bit-identical to one
+    ``ifftn`` of the fully padded array.  A field gives shape ``(m,) * dim``,
+    real when the field is flagged real; a stack gives complex
+    ``(rows, m, ..., m)``.
     """
-    n, dim = f.grid.n, f.grid.dim
+    if isinstance(f, SpectralField):
+        coeffs, dim, real = f.coeffs, f.grid.dim, f.real
+        if band is None:
+            band = spectral_band(f.grid, coeffs)
+    else:
+        coeffs, dim, real = f, f.ndim - 1, False
+        if band is None:
+            raise ValueError("a stack of spectra needs its band")
+    n = coeffs.shape[-1]
     if m < 1 or int(m) != m:
         raise ValueError(f"points per axis must be a positive integer, got {m}")
-    if band is None:
-        band = spectral_band(f.grid, f.coeffs)
-    if m == n:
-        return f.values()
-    if m < (2 * band + 1 if 2 * band < n else n):
+    if m != n and m < (2 * band + 1 if 2 * band < n else n):
         raise ValueError(f"{m} points per axis cannot hold the band |k| <= {band} of n = {n}")
-    v = f.coeffs
-    if 2 * band < n:
-        # the axes transformed last keep only their band rows until their turn
-        for ax in range(dim - 1):
-            v = _pad_axis(v, ax, 2 * band + 1, band)
-    for ax in reversed(range(dim)):
-        v = np.fft.ifftn(_pad_axis(v, ax, m, band), axes=(ax,))
+    axes = range(coeffs.ndim - dim, coeffs.ndim)
+    if m == n:
+        v = np.fft.ifftn(coeffs, axes=tuple(axes))
+    else:
+        v = coeffs
+        if 2 * band + 1 < n:
+            # the axes transformed last keep only their band rows until their turn
+            for ax in axes[:-1]:
+                v = _pad_axis(v, ax, 2 * band + 1, band)
+        for ax in reversed(axes):
+            v = _pad_axis(v, ax, m, band)
+            np.fft.ifftn(v, axes=(ax,), out=v)
     v *= m ** dim
-    return v.real if f.real else v
+    return v.real if real else v
 
 
 def _pad_axis(c: np.ndarray, ax: int, m: int, band: int) -> np.ndarray:

@@ -10,6 +10,10 @@ when it is exact (``factor * n > q B``), ``m`` is the smaller of it and the
 least ``2^a 3^b 5^c`` above ``q B``, else it is kept, so no inexact value
 moves.  At other q, ``m`` is ``oversample * n`` (default 4) and the rule is an
 approximation.  The L2 case is evaluated through Plancherel and is exact.
+``lq_rule`` is the one rule: it takes a stack of rows a cache-sized chunk at
+a time, rows of one band together, and asks its caller for each chunk's
+spectra, so samples of a Fourier series at even q go from the lattice into
+the rule chunk by chunk, cropped to their band, with no full grid per sample.
 Negative-order smoothing is coefficient multiplication by
 ``(1 + 4 pi^2 |k/L|^2)^(sigma/2)``.
 """
@@ -23,6 +27,7 @@ import numpy as np
 from .grid import Grid, SpectralField, spectral_band, upsampled_values
 
 DEFAULT_OVERSAMPLE = 4
+QUADRATURE_CELLS = 2**15   # fine-grid cells per chunk of the L^q rule: 512 KiB of complex values
 
 
 def _is_even(q: float) -> bool:
@@ -70,36 +75,86 @@ def _band(grid: Grid, coeffs: np.ndarray, q: float) -> int:
 
 
 def _abs_power(v: np.ndarray, q: float) -> np.ndarray:
-    """``|v|^q``; at even q the integer power ``(re^2 + im^2)^(q/2)``, with no square root."""
+    """``|v|^q``; at even q the integer power ``(re^2 + im^2)^(q/2)``, with no square root.
+
+    At even q the float view of a C-contiguous complex ``v`` is squared in
+    place, overwriting ``v``, and its halves added.
+    """
     if not _is_even(q):
-        return np.abs(v) ** q
-    sq = v.real**2 + v.imag**2 if np.iscomplexobj(v) else v * v
-    return sq ** (q / 2)
+        p = np.abs(v)
+        p **= q
+        return p
+    if np.iscomplexobj(v):
+        pairs = v.view(np.float64).reshape(v.shape + (2,))
+        np.square(pairs, out=pairs)
+        sq = pairs[..., 0] + pairs[..., 1]
+    else:
+        sq = v * v
+    sq **= q / 2
+    return sq
 
 
-def lq_norm(f: SpectralField, q: float, oversample: int = DEFAULT_OVERSAMPLE) -> float:
-    """``L^q`` norm by rectangle rule; exact at q = 2 and at even q from oversample q/2 + 1."""
+def _check_q(q: float) -> None:
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if not np.isfinite(q):
         raise ValueError("q must be finite")
+
+
+def lq_norm(f: SpectralField, q: float, oversample: int = DEFAULT_OVERSAMPLE) -> float:
+    """``L^q`` norm by rectangle rule; exact at q = 2 and at even q from oversample q/2 + 1.
+
+    ``lq_norms`` on a stack of one, except that ``lq_rule`` transforms the
+    field itself: with no row axis, and through the real part of its values
+    if it is flagged real.
+    """
+    _check_q(q)
     if q == 2:
-        return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2) * f.grid.length ** f.grid.dim))
-    band = _band(f.grid, f.coeffs, q)
-    m = _points(q, oversample, f.grid.n, band)
-    v = upsampled_values(f, m, band)
-    cell = (f.grid.length / m) ** f.grid.dim
-    return float((np.sum(_abs_power(v, q)) * cell) ** (1.0 / q))
+        return float(lq_norms(f.grid, f.coeffs[None], q, oversample)[0])
+    return float(lq_rule(f.grid, q, oversample, [_band(f.grid, f.coeffs, q)],
+                         lambda rows, band: f)[0])
 
 
 def lq_norms(grid: Grid, coeffs: np.ndarray, q: float, oversample: int) -> np.ndarray:
-    """``L^q`` norms of a stack of coefficient arrays (leading batch axis), row by row."""
+    """``L^q`` norms of a stack of coefficient arrays (leading batch axis), row by row.
+
+    At q = 2 the norms are Plancherel sums; otherwise each row's band
+    (``n/2`` where q is not even) sizes its rule in ``lq_rule``.
+    """
+    _check_q(q)
     if q == 2:
         axes = tuple(range(1, coeffs.ndim))
         return np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=axes) * grid.length**grid.dim)
-    out = np.empty(coeffs.shape[0])
-    for b in range(coeffs.shape[0]):
-        out[b] = lq_norm(SpectralField(grid, coeffs[b]), q, oversample=oversample)
+    bands = [_band(grid, c, q) for c in coeffs]
+    return lq_rule(grid, q, oversample, bands, lambda rows, band: coeffs[rows])
+
+
+def lq_rule(grid: Grid, q: float, oversample: int, bands, spectra) -> np.ndarray:
+    """``L^q`` norms by the rectangle rule of rows whose spectra are made a chunk at a time.
+
+    The one ``L^q`` quadrature.  ``bands[i]`` is row i's band, ``n/2`` where
+    q is not even.  ``spectra(rows, band)`` returns what ``upsampled_values``
+    takes for the rows ``rows`` (an index array, all of band ``band``): a
+    stack of spectra, full or cropped to ``2 band + 1`` points per axis, or
+    for a single row its ``SpectralField``, whose values are real if it is
+    flagged real.  Rows of one band share the rule's ``m`` points per axis, found
+    from the grid's own n, and go through it ``QUADRATURE_CELLS // m^d`` at a
+    time, so a chunk of fine-grid values stays in cache; each row's
+    ``|v|^q`` is then summed on its own.
+    """
+    bands = np.asarray(bands, dtype=int)
+    out = np.empty(bands.size)
+    for band in sorted(set(bands.tolist())):     # np.unique would import numpy.ma
+        rows = np.flatnonzero(bands == band)
+        m = _points(q, oversample, grid.n, band)
+        cell = (grid.length / m) ** grid.dim
+        step = max(1, QUADRATURE_CELLS // m**grid.dim)
+        for lo in range(0, rows.size, step):
+            chunk = rows[lo:lo + step]
+            v = upsampled_values(spectra(chunk, band), m, band).reshape(chunk.size, -1)
+            powers = _abs_power(v, q)
+            for i, row in enumerate(chunk.tolist()):
+                out[row] = (np.sum(powers[i]) * cell) ** (1.0 / q)
     return out
 
 
@@ -141,11 +196,19 @@ def bessel_multiplier(grid: Grid, sigma: float) -> np.ndarray:
     return (1.0 + heat_eigenvalues(grid)) ** (sigma / 2.0)
 
 
+@lru_cache(maxsize=8)
+def _bessel_symbol(grid: Grid, sigma: float) -> np.ndarray:
+    """``bessel_multiplier(grid, sigma)``, built once per (grid, sigma) and read-only."""
+    mult = bessel_multiplier(grid, sigma)
+    mult.flags.writeable = False
+    return mult
+
+
 def bessel_apply(f: SpectralField, sigma: float) -> SpectralField:
     """Multiply coefficients by ``(1 + 4 pi^2 |k/L|^2)^(sigma/2)``."""
     if sigma == 0:
         return f
-    return SpectralField(f.grid, f.coeffs * bessel_multiplier(f.grid, sigma), real=f.real)
+    return SpectralField(f.grid, f.coeffs * _bessel_symbol(f.grid, sigma), real=f.real)
 
 
 def hsq_norm(f: SpectralField, sigma: float, q: float,

@@ -25,6 +25,11 @@ symbol pass and no square root.  With g, each Fourier term is
 ``L^d mu_n^2 sum_j m_j^2 |g^_{j-k_n}|^2``, so the Hilbert-Schmidt value is
 the periodic correlation of ``m^2`` with ``|g^|^2``, summed directly at the
 N modes; only non-Fourier systems sum a term stack for it.
+
+At even q != 2 a Fourier series without g goes from the lattice into the
+``L^q`` rule chunk by chunk: the scaled draws ``gamma_n mu_n m_n`` of a few
+samples at a time are put into zeroed spectra cropped to the samples' band,
+``(2 B + 1)^d`` coefficients each, with no (batch, *grid) array.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid, SpectralField
-from .norms import DEFAULT_OVERSAMPLE, bessel_multiplier, lq_norms, sq_function_from_terms
+from .norms import (DEFAULT_OVERSAMPLE, bessel_multiplier, lq_norms, lq_rule,
+                    sq_function_from_terms)
 from .rng import standard_gaussians, stream
 from .systems import Coloring, FourierSystem
 
@@ -104,6 +110,13 @@ class SeriesSpec:
         positions, mus = self._lattice
         symbol = bessel_multiplier(self.grid, -self.s).reshape(-1)[positions]
         return self.grid.length**self.grid.dim * (mus * symbol) ** 2
+
+    @cached_property
+    def _lattice_modes(self) -> tuple:
+        """Signed frequencies of the N modes, shape (N, d), and each one's largest ``|k_i|``."""
+        ks = np.stack(np.unravel_index(self._lattice[0], self.grid.shape), axis=-1)
+        ks = np.where(ks > self.grid.n // 2, ks - self.grid.n, ks)
+        return ks, np.abs(ks).max(axis=1)
 
     @property
     def _on_lattice(self) -> bool:
@@ -225,9 +238,11 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
     Fourier spec without g stays on the lattice: ``|gam|^2 @ w`` with the
     weights ``w_n`` of ``_lattice_weights``, and no grid array is built.
     Otherwise the samples' coefficients c give ``|c|^2 @ (L^d m^2)``, with the
-    squared symbol m^2 computed once per call.  At other q each sample is
-    assembled on the grid, smoothed by the Bessel symbol and measured by
-    ``lq_norms``.
+    squared symbol m^2 computed once per call.  At other even q a Fourier
+    spec without g scales its draws by ``mu_n m_n`` in place and hands them
+    to ``lq_rule`` through band-cropped spectra (``_lattice_lq_norms``).
+    Otherwise each sample is assembled on the grid, smoothed by the Bessel
+    symbol and measured by ``lq_norms``.
     """
     if M < 2:
         raise ValueError("need at least M = 2 samples")
@@ -243,6 +258,14 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
         def squared_norms(gam: np.ndarray) -> np.ndarray:
             return _weighted_squared_moduli(series_coeffs(spec, gam).reshape(gam.shape[0], -1),
                                             weights)
+    elif spec._on_lattice and spec.q % 2 == 0 and 2 * spec._lattice_modes[1].max() < spec.grid.n:
+        positions, mus = spec._lattice
+        symbol = bessel_multiplier(spec.grid, -spec.s).reshape(-1)[positions]
+
+        def squared_norms(gam: np.ndarray) -> np.ndarray:
+            gam *= mus
+            gam *= symbol
+            return _lattice_lq_norms(spec, gam, oversample) ** 2
     else:
         mult = bessel_multiplier(spec.grid, -spec.s)
 
@@ -267,6 +290,38 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
             run_block(b)
 
     return MCEstimate.from_squared_norms(norms_sq, seed)
+
+
+def _lattice_lq_norms(spec: SeriesSpec, amps: np.ndarray, oversample: int) -> np.ndarray:
+    """``L^q`` norms of the fields ``sum_n amps[b, n] f_n`` of a Fourier spec at even q.
+
+    A row's band is the largest ``|k_i|`` at an exactly nonzero amplitude,
+    below ``n/2``.  ``lq_rule`` asks for a chunk of rows at a time, and their
+    amplitudes are put into zeroed ``(rows, (2 band + 1)^d)`` spectra, so no
+    ``(rows, n^d)`` array is built.
+    """
+    ks, kmax = spec._lattice_modes
+    if amps.all():
+        bands = np.full(amps.shape[0], kmax.max())
+    else:
+        bands = np.where(amps != 0, kmax, 0).max(axis=1)
+    dim = spec.grid.dim
+    puts = {}
+
+    def spectra(rows: np.ndarray, band: int) -> np.ndarray:
+        size = 2 * band + 1
+        if band not in puts:
+            keep = kmax <= band     # the modes beyond a row's band are zero in it
+            flat = np.ravel_multi_index(tuple((ks[keep] % size).T), (size,) * dim)
+            puts[band] = (None if keep.all() else keep), flat
+        keep, flat = puts[band]
+        vals = amps[rows] if keep is None else amps[np.ix_(rows, keep)]
+        out = np.zeros((rows.size, size**dim), dtype=np.complex128)
+        out.reshape(-1)[(np.arange(rows.size)[:, None] * size**dim + flat).reshape(-1)] = \
+            vals.reshape(-1)
+        return out.reshape((rows.size,) + (size,) * dim)
+
+    return lq_rule(spec.grid, spec.q, oversample, bands, spectra)
 
 
 def _weighted_squared_moduli(z: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -358,7 +358,19 @@ class Coloring:
         raise ValueError(f"unknown coloring kind {self.kind!r}")
 
     def weights(self, idxs) -> np.ndarray:
-        """Weights of the structured indices ``idxs``, taken in order."""
+        """Weights of the structured indices ``idxs``, taken in order; ``value`` at each.
+
+        A power law or a Matern coloring builds its bases as an array but takes
+        each power with the scalar ``**``, whose last bit numpy's array ``**``
+        does not always reproduce.
+        """
+        if self.kind == "power_law" and len(idxs):
+            bases = np.arange(1.0, len(idxs) + 1)
+            return np.array([b ** -self.params["alpha"] for b in bases.tolist()])
+        if self.kind == "matern" and len(idxs):
+            ks = np.array(idxs, dtype=np.int64).reshape(len(idxs), -1)
+            bases = 1.0 + 4.0 * np.pi**2 * (ks * ks).sum(axis=1).astype(float)
+            return np.array([b ** (-self.params["alpha"] / 2.0) for b in bases.tolist()])
         return np.array([self.value(idx, i + 1) for i, idx in enumerate(idxs)])
 
 

@@ -9,6 +9,7 @@ from gammanoise.grid import (Grid, SpectralField, constant_field, forward_transf
                              spectral_band, upsampled_values, zero_field)
 from gammanoise.norms import (_smooth_above, bessel_apply, bessel_kernel, bessel_multiplier,
                               hsq_norm, lq_norm, lq_norms, sq_function_from_terms, weak_lp_norm)
+from gammanoise import norms
 from gammanoise.experiments import dirichlet_field
 from gammanoise.rng import standard_gaussians, stream
 from gammanoise.series import SeriesSpec, series_coeffs
@@ -48,6 +49,41 @@ class TestLqNorm:
         want = [lq_norm(f, q, oversample=2) for f in fields]
         assert got.shape == (3,)
         assert got == pytest.approx(want, rel=1e-14)
+
+
+    @pytest.mark.parametrize("q", [3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_batch_of_mixed_bands_matches_per_field(self, q, real):
+        # rows of one band share a rule and a chunk; 70 full-band rows take two chunks
+        grid = Grid(1, 256, 1.5)
+        gen = stream(17, 0)
+        k = np.abs(grid.freq_axis())
+        bands = gen.permutation([128] * 70 + [5] * 40 + [0] * 3 + [2] * 17)
+        stack = np.where(k <= bands[:, None], gen.standard_normal((bands.size, grid.n))
+                         + 1j * gen.standard_normal((bands.size, grid.n)), 0)
+        stack[7] = 0
+        if real:
+            stack = np.stack([_hermitian_part(c) for c in stack])
+        got = lq_norms(grid, stack, q, 3)
+        assert np.array_equal(got, [lq_norm(SpectralField(grid, c), q, oversample=3)
+                                    for c in stack])
+        if real:
+            # a field flagged real is measured through the real part of its values
+            flagged = [lq_norm(SpectralField(grid, c, real=True), q, oversample=3) for c in stack]
+            assert got == pytest.approx(flagged, rel=1e-13)
+
+    def test_hsq_norm_reads_one_symbol_per_grid_and_order(self, monkeypatch):
+        grid = Grid(1, 64, 1.25)
+        f = forward_transform(grid, stream(2, 0).standard_normal(grid.shape))
+        want = lq_norm(SpectralField(grid, f.coeffs * bessel_multiplier(grid, -0.3125), real=True),
+                       4.0)
+        calls = []
+        monkeypatch.setattr(norms, "bessel_multiplier",
+                            lambda *a: calls.append(a) or bessel_multiplier(*a))
+        assert [hsq_norm(f, -0.3125, 4.0) for _ in range(3)] == [want] * 3
+        assert len(calls) <= 1
+        # the public symbol is still a fresh array of its own
+        assert bessel_multiplier(grid, -0.3125).flags.writeable
 
 
 def _rectangle_rule(values, grid, m, q):

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from gammanoise.grid import Grid, SpectralField, constant_field, forward_transform, mode_field
-from gammanoise.norms import bessel_multiplier, hsq_norm
+from gammanoise.norms import bessel_multiplier, hsq_norm, lq_norm
 from gammanoise.rng import standard_gaussians, stream
 from gammanoise.fit import classify_growth, linfit
-from gammanoise.series import (MC_BLOCK, SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm,
-                               render_terms, series_coeffs, sq_function_gamma_norm,
-                               term_values)
+from gammanoise.series import (MC_BLOCK, SeriesSpec, _lattice_lq_norms, hs_gamma_norm_exact,
+                               mc_gamma_norm, render_terms, series_coeffs,
+                               sq_function_gamma_norm, term_values)
 from gammanoise.systems import (Coloring, FourierSystem, HaarSystem, ShiftedBumpSystem,
                                SyntheticGrowthSystem, bump_values)
 
@@ -247,6 +247,62 @@ class TestLatticePath:
         got = series_coeffs(spec, gam)
         assert got.shape == (rows,) + spec.grid.shape
         assert np.array_equal(got.reshape(rows, -1), _scatter_reference(spec, gam))
+
+
+# (dim, n, N, q, oversample, workers, coloring, M)
+EVEN_Q_CASES = [
+    (1, 64, 16, 4.0, 4, 1, "matern", 40),
+    (1, 64, 16, 4.0, 1, 1, "matern", 40),
+    (1, 64, 16, 4.0, 2, 2, "power_law", 40),
+    (1, 64, 63, 4.0, 1, 1, "matern", 40),      # inexact base size: the rule runs on m = n
+    (2, 32, 200, 6.0, 4, 1, "matern", 40),
+    (2, 32, 200, 6.0, 2, 2, "power_law", 40),
+    (3, 16, 100, 4.0, 4, 1, "matern", 40),
+    (2, 64, 2048, 4.0, 3, 1, "matern", 40),
+    # chunks of 60 rows on 540-point axes: the blocks of 256 and 44 rows are no multiple of 60
+    (1, 1024, 256, 4.0, 4, 1, "matern", 300),
+]
+
+
+class TestEvenQLatticePath:
+    """At even q a Fourier spec without g goes from the lattice into the quadrature;
+    it must give the bits of the grid path: the sample's coefficients, the
+    symbol, one ``lq_norm`` per sample."""
+
+    @staticmethod
+    def grid_path_values(spec, M, seed, oversample):
+        mult = bessel_multiplier(spec.grid, -spec.s)
+        norms = []
+        for b in range(-(-M // MC_BLOCK)):
+            rows = min(MC_BLOCK, M - b * MC_BLOCK)
+            coeffs = series_coeffs(spec, standard_gaussians(stream(seed, b), (rows, spec.N),
+                                                            real=spec.system.real))
+            coeffs *= mult
+            norms.extend(lq_norm(SpectralField(spec.grid, c), spec.q, oversample=oversample)
+                         for c in coeffs)
+        return np.array(norms) ** 2
+
+    @pytest.mark.parametrize("dim,n,N,q,oversample,workers,coloring,M", EVEN_Q_CASES)
+    def test_values_match_the_grid_path(self, dim, n, N, q, oversample, workers, coloring, M):
+        col = Coloring.matern(0.6) if coloring == "matern" else Coloring.power_law(0.7)
+        spec = SeriesSpec(Grid(dim, n), FourierSystem(dim), col, N, 0.4, q)
+        got = mc_gamma_norm(spec, M, seed=13, workers=workers, oversample=oversample)
+        assert np.array_equal(got.values, self.grid_path_values(spec, M, 13, oversample))
+
+    def test_rows_of_different_bands(self):
+        # a row whose amplitudes vanish beyond some |k| runs on its own, smaller rule
+        spec = SeriesSpec(Grid(2, 32), FourierSystem(2), Coloring.matern(0.6), 200, 0.4, 4.0)
+        _, kmax = spec._lattice_modes
+        amps = standard_gaussians(stream(3, 0), (6, spec.N), real=False)
+        amps[1, kmax > 3] = 0
+        amps[2, kmax > 0] = 0
+        amps[3] = 0
+        amps[4, 5] = 0      # a zero inside the band changes nothing
+        coeffs = np.zeros((6, spec.grid.n**2), dtype=complex)
+        coeffs[:, spec._lattice[0]] = amps
+        want = [lq_norm(SpectralField(spec.grid, c.reshape(spec.grid.shape)), 4.0, oversample=3)
+                for c in coeffs]
+        assert np.array_equal(_lattice_lq_norms(spec, amps, 3), want)
 
 
 def _random_g(grid, seed, complex_g=False):

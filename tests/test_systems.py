@@ -33,6 +33,15 @@ class TestColorings:
         with pytest.raises(ValueError):
             Coloring.haar(0.5, 0.4, 1)  # beta must exceed d/2
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("coloring", [Coloring.matern(0.7), Coloring.power_law(0.7)],
+                             ids=["matern", "power_law"])
+    def test_weights_are_the_values_bit_for_bit(self, dim, coloring):
+        # numpy's array ** misses the scalar ** in the last bit for some of these bases
+        idxs = FourierSystem(dim).indices(3000)
+        want = np.array([coloring.value(idx, i + 1) for i, idx in enumerate(idxs)])
+        assert np.array_equal(coloring.weights(idxs), want)
+
     def test_explicit(self):
         c = Coloring.explicit([1.0, 0.5])
         assert c.value(None, 2) == 0.5

@@ -54,7 +54,11 @@ def test_traced_layers_of_the_quadrature(tracing):
         series.mc_gamma_norm(spec, 8, seed=1)
         top_level = tracer.close_round()
         mc_spans, stats = tracer.spans, tracer.stats
-        assert stats["norms.lq_norm"].calls == 8
+        # the 8 samples go from the lattice into the quadrature as one chunk on
+        # 36-point axes (the 5-smooth size above q B = 4 * 8), with no lq_norm call
+        assert stats["norms.lq_norm"].calls == 0
+        assert stats["grid.upsampled_values"].calls == 1
+        assert stats["grid.upsampled_values"].sizes["cells"] == 8 * 36
         assert sum(st.self_s for st in stats.values()) == pytest.approx(top_level, rel=1e-9)
         series.sq_function_gamma_norm(spec)
         tracer.close_round()
@@ -62,10 +66,10 @@ def test_traced_layers_of_the_quadrature(tracing):
 
     assert [s[0] for s in mc_spans if s[3] == -1] == ["series.mc_gamma_norm"]
     assert {mc_spans[s[3]][0] for s in mc_spans if s[0] == "grid.upsampled_values"} \
-        == {"norms.lq_norm"}
+        == {"series.mc_gamma_norm"}
     # the square function is reached through the name the tracer looks up in series
     assert stats["series.sq_function_from_terms"].calls == 1
-    assert stats["grid.upsampled_values"].calls == 8 + 16
+    assert stats["grid.upsampled_values"].calls == 1 + 16
     assert {sq_spans[s[3]][0] for s in sq_spans if s[0] == "grid.upsampled_values"} \
         == {"series.sq_function_from_terms"}
     # the term stack is read in coefficient space: the only transforms are the quadrature's
