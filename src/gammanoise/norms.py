@@ -137,9 +137,9 @@ def lq_rule(grid: Grid, q: float, oversample: int, bands, spectra) -> np.ndarray
     takes for the rows ``rows`` (an index array, all of band ``band``): a
     stack of spectra, full or cropped to ``2 band + 1`` points per axis, or
     for a single row its ``SpectralField``, whose values are real if it is
-    flagged real.  Rows of one band share the rule's ``m`` points per axis, found
-    from the grid's own n, and go through it ``QUADRATURE_CELLS // m^d`` at a
-    time, so a chunk of fine-grid values stays in cache; each row's
+    flagged real.  Rows of one band share the rule's ``m`` points per axis,
+    found from the grid's own n, and go through it ``QUADRATURE_CELLS // m^d``
+    at a time, so a chunk of fine-grid values stays in cache; each row's
     ``|v|^q`` is then summed on its own.
     """
     bands = np.asarray(bands, dtype=int)

@@ -360,13 +360,12 @@ class Coloring:
     def weights(self, idxs) -> np.ndarray:
         """Weights of the structured indices ``idxs``, taken in order; ``value`` at each.
 
-        A power law or a Matern coloring builds its bases as an array but takes
-        each power with the scalar ``**``, whose last bit numpy's array ``**``
-        does not always reproduce.
+        A power law skips the per-index dispatch; a Matern coloring builds its
+        bases as an array.  Both take each power with the scalar ``**``, whose
+        last bit numpy's array ``**`` does not always reproduce.
         """
-        if self.kind == "power_law" and len(idxs):
-            bases = np.arange(1.0, len(idxs) + 1)
-            return np.array([b ** -self.params["alpha"] for b in bases.tolist()])
+        if self.kind == "power_law":
+            return np.array([float(i) ** -self.params["alpha"] for i in range(1, len(idxs) + 1)])
         if self.kind == "matern" and len(idxs):
             ks = np.array(idxs, dtype=np.int64).reshape(len(idxs), -1)
             bases = 1.0 + 4.0 * np.pi**2 * (ks * ks).sum(axis=1).astype(float)
