@@ -206,7 +206,7 @@ CONSTRUCTION_REGIMES = {"freq_block": "weighted", "rescaled_bump": "weighted",
                         "shifted_bump": "unweighted"}
 
 
-def boundary_sweep(tuples, construction: str, scale_range, **kwargs) -> list:
+def boundary_sweep(tuples, construction: str, scale_range) -> list:
     """Run one construction over a grid of parameter tuples and label each cell.
 
     Cells that raise are recorded as failed, with the exception's type and
@@ -214,9 +214,9 @@ def boundary_sweep(tuples, construction: str, scale_range, **kwargs) -> list:
     exponent (bounded / divergent / log-divergent / inconclusive).
     """
     runners = {
-        "freq_block": lambda p: frequency_block_test(p, scale_range, **kwargs),
-        "rescaled_bump": lambda p: rescaled_bump_test(p, scale_range, **kwargs),
-        "shifted_bump": lambda p: shifted_bump_test(p, scale_range, **kwargs),
+        "freq_block": frequency_block_test,
+        "rescaled_bump": rescaled_bump_test,
+        "shifted_bump": shifted_bump_test,
     }
     if construction not in runners:
         raise ValueError(f"unknown construction {construction!r}; "
@@ -226,7 +226,7 @@ def boundary_sweep(tuples, construction: str, scale_range, **kwargs) -> list:
     for params in tuples:
         cond = sharp_condition(params, regime)
         try:
-            _, fit = runners[construction](params)
+            _, fit = runners[construction](params, scale_range)
             cells.append(SweepCell(params, construction, growth_label(fit),
                                    fit.exponent, fit.r2, cond.slack,
                                    cond.classification, "ok"))

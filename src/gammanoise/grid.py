@@ -5,7 +5,8 @@ stored through its Fourier coefficients ``c_k`` against the modes
 ``e_k(x) = exp(2*pi*i k.x / L)`` with integer frequencies
 ``k in (-n/2, n/2]`` per axis.  The Nyquist frequency is assigned to the
 positive bin ``+n/2`` so every multiplier is evaluated at a single signed
-frequency.
+frequency.  ``upsampled_values`` interpolates stacks of spectra only; a
+single field enters it as a stack of one.
 """
 
 from __future__ import annotations
@@ -152,10 +153,6 @@ def forward_transform(grid: Grid, values: np.ndarray) -> SpectralField:
     return field
 
 
-def zero_field(grid: Grid, real: bool = True) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128), real=real)
-
-
 def constant_field(grid: Grid, c: complex) -> SpectralField:
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
     coeffs[(0,) * grid.dim] = c
@@ -192,39 +189,30 @@ def spectral_band(grid: Grid, coeffs: np.ndarray) -> int:
     return band
 
 
-def upsampled_values(f, m: int, band: int = None) -> np.ndarray:
+def upsampled_values(coeffs: np.ndarray, m: int, band: int) -> np.ndarray:
     """Trigonometric interpolation on the grid of ``m`` points per axis.
 
-    ``f`` is a ``SpectralField``, or a stack of spectra: an array of shape
-    ``(rows, s, ..., s)``, each row a spectrum in DFT order with ``s`` points
-    per axis, ``s`` being the grid's ``n`` or the band-cropped ``2 band + 1``.
-    ``band`` is ``spectral_band`` of the spectra, or any bound above it up to
-    ``s/2``; it is found for a field when not given, and a stack needs it.
-    Below ``s/2`` only the ``2 band + 1`` frequencies per axis are copied, so
-    any ``m > 2 band`` works, ``m < s`` included; at ``s/2`` the spectrum is
-    copied whole, ``m >= s`` is needed, and the Nyquist coefficient is split
-    over ``+s/2`` and ``-s/2`` so real fields stay real and original samples
-    are reproduced exactly.  Each axis is zero-padded just before its own
-    inverse transform, last axis first, so the all-zero rows of the padded
-    spectrum are never transformed; the result is bit-identical to one
-    ``ifftn`` of the fully padded array.  A field gives shape ``(m,) * dim``,
-    real when the field is flagged real; a stack gives complex
-    ``(rows, m, ..., m)``.
+    ``coeffs`` is a stack of spectra, shape ``(rows, s, ..., s)``: each row a
+    spectrum in DFT order with ``s`` points per axis, ``s`` being the grid's
+    ``n`` or the band-cropped ``2 band + 1``; a single field enters as a stack
+    of one.  ``band`` is ``spectral_band`` of the spectra, or any bound above
+    it up to ``s/2``.  Below ``s/2`` only the ``2 band + 1`` frequencies per
+    axis are copied, so any ``m > 2 band`` works, ``m < s`` included; at
+    ``s/2`` the spectrum is copied whole, ``m >= s`` is needed, and the
+    Nyquist coefficient is split over ``+s/2`` and ``-s/2`` so real fields
+    stay real and original samples are reproduced exactly.  Each axis is
+    zero-padded just before its own inverse transform, last axis first, so
+    the all-zero rows of the padded spectrum are never transformed; the
+    result is bit-identical to one ``ifftn`` of the fully padded array.
+    Returns complex ``(rows, m, ..., m)``; the real part is the values of a
+    real field.
     """
-    if isinstance(f, SpectralField):
-        coeffs, dim, real = f.coeffs, f.grid.dim, f.real
-        if band is None:
-            band = spectral_band(f.grid, coeffs)
-    else:
-        coeffs, dim, real = f, f.ndim - 1, False
-        if band is None:
-            raise ValueError("a stack of spectra needs its band")
     n = coeffs.shape[-1]
     if m < 1 or int(m) != m:
         raise ValueError(f"points per axis must be a positive integer, got {m}")
     if m != n and m < (2 * band + 1 if 2 * band < n else n):
         raise ValueError(f"{m} points per axis cannot hold the band |k| <= {band} of n = {n}")
-    axes = range(coeffs.ndim - dim, coeffs.ndim)
+    axes = range(1, coeffs.ndim)
     if m == n:
         v = np.fft.ifftn(coeffs, axes=tuple(axes))
     else:
@@ -236,8 +224,8 @@ def upsampled_values(f, m: int, band: int = None) -> np.ndarray:
         for ax in reversed(axes):
             v = _pad_axis(v, ax, m, band)
             np.fft.ifftn(v, axes=(ax,), out=v)
-    v *= m ** dim
-    return v.real if real else v
+    v *= m ** (coeffs.ndim - 1)
+    return v
 
 
 def _pad_axis(c: np.ndarray, ax: int, m: int, band: int) -> np.ndarray:

@@ -14,6 +14,8 @@ approximation.  The L2 case is evaluated through Plancherel and is exact.
 a time, rows of one band together, and asks its caller for each chunk's
 spectra, so samples of a Fourier series at even q go from the lattice into
 the rule chunk by chunk, cropped to their band, with no full grid per sample.
+A single field enters it as a stack of one, and the square function sends
+its terms through the same interpolation in chunks of ``QUADRATURE_CELLS``.
 Negative-order smoothing is coefficient multiplication by
 ``(1 + 4 pi^2 |k/L|^2)^(sigma/2)``.
 """
@@ -102,45 +104,39 @@ def _check_q(q: float) -> None:
 
 
 def lq_norm(f: SpectralField, q: float, oversample: int = DEFAULT_OVERSAMPLE) -> float:
-    """``L^q`` norm by rectangle rule; exact at q = 2 and at even q from oversample q/2 + 1.
-
-    ``lq_norms`` on a stack of one, except that ``lq_rule`` transforms the
-    field itself: with no row axis, and through the real part of its values
-    if it is flagged real.
-    """
-    _check_q(q)
-    if q == 2:
-        return float(lq_norms(f.grid, f.coeffs[None], q, oversample)[0])
-    return float(lq_rule(f.grid, q, oversample, [_band(f.grid, f.coeffs, q)],
-                         lambda rows, band: f)[0])
+    """``L^q`` norm by rectangle rule; exact at q = 2 and at even q from oversample q/2 + 1."""
+    return float(lq_norms(f.grid, f.coeffs[None], q, oversample, real=f.real)[0])
 
 
-def lq_norms(grid: Grid, coeffs: np.ndarray, q: float, oversample: int) -> np.ndarray:
+def lq_norms(grid: Grid, coeffs: np.ndarray, q: float, oversample: int,
+             real: bool = False) -> np.ndarray:
     """``L^q`` norms of a stack of coefficient arrays (leading batch axis), row by row.
 
     At q = 2 the norms are Plancherel sums; otherwise each row's band
-    (``n/2`` where q is not even) sizes its rule in ``lq_rule``.
+    (``n/2`` where q is not even) sizes its rule in ``lq_rule``, and rows
+    flagged ``real`` are measured through the real part of their values.
     """
     _check_q(q)
     if q == 2:
         axes = tuple(range(1, coeffs.ndim))
         return np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=axes) * grid.length**grid.dim)
     bands = [_band(grid, c, q) for c in coeffs]
-    return lq_rule(grid, q, oversample, bands, lambda rows, band: coeffs[rows])
+    return lq_rule(grid, q, oversample, bands, lambda rows, band: coeffs[rows], real=real)
 
 
-def lq_rule(grid: Grid, q: float, oversample: int, bands, spectra) -> np.ndarray:
+def lq_rule(grid: Grid, q: float, oversample: int, bands, spectra,
+            real: bool = False) -> np.ndarray:
     """``L^q`` norms by the rectangle rule of rows whose spectra are made a chunk at a time.
 
     The one ``L^q`` quadrature.  ``bands[i]`` is row i's band, ``n/2`` where
-    q is not even.  ``spectra(rows, band)`` returns what ``upsampled_values``
-    takes for the rows ``rows`` (an index array, all of band ``band``): a
-    stack of spectra, full or cropped to ``2 band + 1`` points per axis, or
-    for a single row its ``SpectralField``, whose values are real if it is
-    flagged real.  Rows of one band share the rule's ``m`` points per axis,
-    found from the grid's own n, and go through it ``QUADRATURE_CELLS // m^d``
-    at a time, so a chunk of fine-grid values stays in cache; each row's
-    ``|v|^q`` is then summed on its own.
+    q is not even.  ``spectra(rows, band)`` returns the stack of spectra that
+    ``upsampled_values`` takes for the rows ``rows`` (an index array, all of
+    band ``band``), full or cropped to ``2 band + 1`` points per axis; a
+    single field is a stack of one.  Rows of one band share the rule's ``m``
+    points per axis, found from the grid's own n, and go through it
+    ``QUADRATURE_CELLS // m^d`` at a time, so a chunk of fine-grid values
+    stays in cache; each row's ``|v|^q`` is then summed on its own, with
+    ``v`` the real part of the values when the rows are flagged ``real``.
     """
     bands = np.asarray(bands, dtype=int)
     out = np.empty(bands.size)
@@ -152,7 +148,7 @@ def lq_rule(grid: Grid, q: float, oversample: int, bands, spectra) -> np.ndarray
         for lo in range(0, rows.size, step):
             chunk = rows[lo:lo + step]
             v = upsampled_values(spectra(chunk, band), m, band).reshape(chunk.size, -1)
-            powers = _abs_power(v, q)
+            powers = _abs_power(v.real if real else v, q)
             for i, row in enumerate(chunk.tolist()):
                 out[row] = (np.sum(powers[i]) * cell) ** (1.0 / q)
     return out
@@ -160,15 +156,23 @@ def lq_rule(grid: Grid, q: float, oversample: int, bands, spectra) -> np.ndarray
 
 def sq_function_from_terms(grid: Grid, terms: np.ndarray, s: float, q: float,
                            oversample: int = DEFAULT_OVERSAMPLE) -> float:
-    """Square-function norm of a stack of term coefficients, shape (N, *grid)."""
+    """Square-function norm of a stack of term coefficients, shape (N, *grid).
+
+    The terms go through ``upsampled_values`` ``QUADRATURE_CELLS // max(m, n)^d``
+    at a time, so neither a chunk of terms nor its fine-grid values holds
+    more than ``QUADRATURE_CELLS`` cells, and each term's ``|v|^2`` is added
+    in term order.
+    """
     if not (1 < q < np.inf):
         raise ValueError(f"q must lie in (1, inf), got {q}")
     mult = bessel_multiplier(grid, -s)
     band = _band(grid, terms, q)
     m = _points(q, oversample, grid.n, band)
     acc = np.zeros((m,) * grid.dim)
-    for c in terms:
-        acc += _abs_power(upsampled_values(SpectralField(grid, c * mult), m, band), 2)
+    step = max(1, QUADRATURE_CELLS // max(m, grid.n)**grid.dim)
+    for lo in range(0, len(terms), step):
+        for power in _abs_power(upsampled_values(terms[lo:lo + step] * mult, m, band), 2):
+            acc += power
     cell = (grid.length / m) ** grid.dim
     return float((np.sum(acc ** (q / 2.0)) * cell) ** (1.0 / q))
 

@@ -77,16 +77,9 @@ def afg_bruteforce_hs(pair: ConvPair) -> float:
         )
     fv = pair.f.values().ravel()
     gv = pair.g.values().ravel()
-    idx = np.arange(cells)
-    if grid.dim == 1:
-        diff = (idx[:, None] - idx[None, :]) % grid.n
-        K = fv[diff] * gv[None, :]
-    else:
-        unravel = np.array(np.unravel_index(idx, grid.shape))
-        diff_axes = [(unravel[a][:, None] - unravel[a][None, :]) % grid.n
-                     for a in range(grid.dim)]
-        flat = np.ravel_multi_index(diff_axes, grid.shape)
-        K = fv[flat] * gv[None, :]
+    unravel = np.unravel_index(np.arange(cells), grid.shape)
+    diff_axes = [(unravel[a][:, None] - unravel[a][None, :]) % grid.n for a in range(grid.dim)]
+    K = fv[np.ravel_multi_index(diff_axes, grid.shape)] * gv[None, :]
     return float(np.linalg.norm(K) * grid.cell_measure)
 
 

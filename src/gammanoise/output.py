@@ -72,36 +72,6 @@ def write_csv(records, path, columns=None) -> None:
         fh.write(data)
 
 
-def read_csv(path) -> list:
-    """Read back a CSV written by write_csv, parsing numeric fields."""
-    with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    lines = text.strip("\n").split("\n")
-    columns = lines[0].split(",")
-    out = []
-    for line in lines[1:]:
-        row = {}
-        for c, cell in zip(columns, line.split(",")):
-            row[c] = _parse_cell(cell)
-        out.append(row)
-    return out
-
-
-def _parse_cell(cell: str):
-    if cell == "true":
-        return True
-    if cell == "false":
-        return False
-    try:
-        return int(cell)
-    except ValueError:
-        pass
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
-
-
 def canonical_config(command: str, config: dict, seed: int) -> str:
     """Canonical JSON of the scientific configuration (sorted, scheduling-free)."""
     def strip(d):

@@ -258,7 +258,7 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
         def squared_norms(gam: np.ndarray) -> np.ndarray:
             return _weighted_squared_moduli(series_coeffs(spec, gam).reshape(gam.shape[0], -1),
                                             weights)
-    elif spec._on_lattice and spec.q % 2 == 0 and 2 * spec._lattice_modes[1].max() < spec.grid.n:
+    elif spec._on_lattice and spec.q % 2 == 0:
         positions, mus = spec._lattice
         symbol = bessel_multiplier(spec.grid, -spec.s).reshape(-1)[positions]
 

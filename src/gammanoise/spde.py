@@ -60,7 +60,6 @@ class SystemNoise:
     system: object
     coloring: Coloring
     N: int
-    _specs: dict = field(default_factory=dict, repr=False, compare=False)   # grid -> SeriesSpec
 
 
 @dataclass(frozen=True)
@@ -115,6 +114,11 @@ class SpdeConfig:
         """Standard deviation of one exact Ornstein-Uhlenbeck step per mode; complex, as above."""
         sigma = np.sqrt(_ou_step_variance(self.noise.mu, self._lam, self.dt))
         return _read_only(sigma.astype(np.complex128))
+
+    @cached_property
+    def _series(self) -> SeriesSpec:
+        """The series of series noise on the grid, so its terms are built once per config."""
+        return _system_spec(self.noise, self.grid)
 
     @cached_property
     def _g_values(self) -> np.ndarray:
@@ -205,7 +209,7 @@ def _increments(config: SpdeConfig, gen: np.random.Generator, lo: int, hi: int) 
             dw *= config.noise.mu
             dw *= math.sqrt(dt)
     else:
-        spec = _noise_spec(config.noise, grid)
+        spec = config._series
         dw = series_coeffs(spec, standard_gaussians(gen, (hi - lo, spec.N), spec.system.real))
         dw *= math.sqrt(dt)
     if isinstance(config.g, list):
@@ -215,19 +219,17 @@ def _increments(config: SpdeConfig, gen: np.random.Generator, lo: int, hi: int) 
     return dw
 
 
-def _noise_spec(noise: SystemNoise, grid: Grid) -> SeriesSpec:
-    """The series ``sum_n mu_n f_n`` of ``noise`` on ``grid``; cached per grid.
+def _system_spec(noise: SystemNoise, grid: Grid) -> SeriesSpec:
+    """The series ``sum_n mu_n f_n`` of ``noise`` on ``grid``.
 
     Only its sampling is used, so s and q are placeholders.
     """
-    if grid not in noise._specs:
-        noise._specs[grid] = SeriesSpec(grid, noise.system, noise.coloring, noise.N, s=0.0, q=2.0)
-    return noise._specs[grid]
+    return SeriesSpec(grid, noise.system, noise.coloring, noise.N, s=0.0, q=2.0)
 
 
 def term_values_for_system(noise: SystemNoise, grid: Grid) -> np.ndarray:
-    """Stacked coefficients of ``mu_n f_n`` on ``grid``, shape (N, *grid); cached per grid."""
-    return term_values(_noise_spec(noise, grid))
+    """Stacked coefficients of ``mu_n f_n`` on ``grid``, shape (N, *grid), of a fresh spec."""
+    return term_values(_system_spec(noise, grid))
 
 
 def _ou_step_variance(mu: np.ndarray, lam: np.ndarray, dt: float) -> np.ndarray:

@@ -10,7 +10,8 @@ import pytest
 
 from gammanoise.acceptance import CRITERIA, criterion_12, run_criteria
 from gammanoise.cli import main
-from gammanoise.output import read_csv
+
+from conftest import read_csv
 
 SEED = 7
 

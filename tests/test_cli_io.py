@@ -12,9 +12,11 @@ from gammanoise.cli import RUNNERS, dump_states, load_states, main
 from gammanoise.config import COMMANDS, ConfigError, command_sections, load_config
 from gammanoise.grid import Grid
 from gammanoise.output import (RunManifest, canonical_config, config_hash, csv_bytes,
-                               format_value, read_csv, write_csv)
+                               format_value, write_csv)
 from gammanoise.rng import complex_standard_normal, derive_state, splitmix64, stream
 from gammanoise.spde import DiagonalNoise, SpdeConfig, simulate
+
+from conftest import read_csv
 
 
 class TestCsv:

@@ -1,11 +1,14 @@
-"""Every name the package exports is reached by the program or by its benchmark."""
+"""Every public module-level function and class is reached by the program, its
+benchmark or its README."""
 
 import ast
+import re
 from pathlib import Path
 
 import gammanoise
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gammanoise"
 
 
 def _reached(directory: Path, by_lookup: bool) -> set:
@@ -29,7 +32,19 @@ def _reached(directory: Path, by_lookup: bool) -> set:
     return reached
 
 
+def _public_definitions() -> set:
+    """Public functions and classes defined at module level in the package, and its exports."""
+    names = set(gammanoise.__all__)
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                names.add(node.name)
+    return names
+
+
 def test_every_export_is_reached_outside_tests():
-    reached = (_reached(ROOT / "src" / "gammanoise", by_lookup=False)
-               | _reached(ROOT / "perfbench", by_lookup=True))
-    assert [name for name in gammanoise.__all__ if name not in reached] == []
+    reached = (_reached(PACKAGE, by_lookup=False)
+               | _reached(ROOT / "perfbench", by_lookup=True)
+               | set(re.findall(r"\w+", (ROOT / "README.md").read_text())))
+    assert sorted(name for name in _public_definitions() if name not in reached) == []

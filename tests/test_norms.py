@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammanoise.grid import (Grid, SpectralField, constant_field, forward_transform, mode_field,
-                             spectral_band, upsampled_values, zero_field)
+                             spectral_band, upsampled_values)
 from gammanoise.norms import (_smooth_above, bessel_apply, bessel_kernel, bessel_multiplier,
                               hsq_norm, lq_norm, lq_norms, sq_function_from_terms, weak_lp_norm)
 from gammanoise import norms
@@ -15,6 +15,8 @@ from gammanoise.rng import standard_gaussians, stream
 from gammanoise.series import SeriesSpec, series_coeffs
 from gammanoise.systems import Coloring, FourierSystem
 
+from conftest import field_values
+
 # independent fine-quadrature value of ||D_8||_{L^4}, from the closed form
 # sin(17 pi x)/sin(pi x) on 2^20 midpoints (stable to 8e-15 under refinement)
 D8_L4_ORACLE = 7.568356094058767
@@ -22,7 +24,7 @@ D8_L4_ORACLE = 7.568356094058767
 
 class TestLqNorm:
     def test_zero(self, grid1d):
-        assert lq_norm(zero_field(grid1d), 3.0) == 0.0
+        assert lq_norm(constant_field(grid1d, 0.0), 3.0) == 0.0
 
     def test_constant(self):
         g = Grid(1, 64, 2.0)
@@ -34,7 +36,7 @@ class TestLqNorm:
 
     def test_q_validation(self, grid1d):
         with pytest.raises(ValueError):
-            lq_norm(zero_field(grid1d), 0.5)
+            lq_norm(constant_field(grid1d, 0.0), 0.5)
 
     def test_plancherel_exact_for_q2(self, grid1d, rng):
         v = rng.standard_normal(grid1d.n)
@@ -94,7 +96,7 @@ def _rectangle_rule(values, grid, m, q):
 def _sq_function_at(grid, terms, s, q, m):
     """Square-function norm of ``terms`` on ``m`` points per axis, from the whole spectrum."""
     mult = bessel_multiplier(grid, -s)
-    acc = sum(np.abs(upsampled_values(SpectralField(grid, c * mult), m, grid.n // 2)) ** 2
+    acc = sum(np.abs(upsampled_values((c * mult)[None], m, grid.n // 2)[0]) ** 2
               for c in terms)
     return _rectangle_rule(acc ** (q / 2.0), grid, m, q)
 
@@ -111,12 +113,12 @@ class TestQuadratureFactor:
         f = SpectralField(grid, rng.standard_normal(grid.shape)
                           + 1j * rng.standard_normal(grid.shape))
         exact = int(q) // 2 + 1
-        fine = _rectangle_rule(np.abs(upsampled_values(f, 8 * grid.n)) ** q, grid, 8 * grid.n, q)
+        fine = _rectangle_rule(np.abs(field_values(f, 8 * grid.n)) ** q, grid, 8 * grid.n, q)
         assert lq_norm(f, q, oversample=exact) == pytest.approx(fine, rel=1e-13)
         assert lq_norm(f, q, oversample=8) == lq_norm(f, q, oversample=exact)
         # one factor less is not exact, so the rule is not looser than it needs
         m = (exact - 1) * grid.n
-        coarse = _rectangle_rule(np.abs(upsampled_values(f, m)) ** q, grid, m, q)
+        coarse = _rectangle_rule(np.abs(field_values(f, m)) ** q, grid, m, q)
         assert abs(coarse / fine - 1.0) > 1e-12
 
     @pytest.mark.parametrize("grid", GRIDS)
@@ -136,7 +138,7 @@ class TestQuadratureFactor:
         grid = Grid(2, 16, 2.0)
         f = forward_transform(grid, rng.standard_normal(grid.shape))
         m = factor * grid.n
-        v = upsampled_values(f, m)
+        v = field_values(f, m)
         # at even q the power is taken from re^2 + im^2, without a square root
         powers = np.abs(v) ** q if q == 3.0 else (v * v) ** (q / 2)
         assert lq_norm(f, q, oversample=factor) == float(_rectangle_rule(powers, grid, m, q))
@@ -156,7 +158,7 @@ class TestQuadratureFactor:
 
         monkeypatch.setattr(np.fft, "ifftn", counting_ifftn)
         lq_norm(f, 4.0, oversample=4)
-        assert seen == [((64, 135), (135,)), ((135, 135), (135,))]
+        assert seen == [((1, 64, 135), (135,)), ((1, 135, 135), (135,))]
         # the 2048-term 2-d Fourier series has band 25, so degree 100: 108-point axes
         # (2^2 * 3^3), transformed from the 51 x 51 band alone
         spec = SeriesSpec(grid, FourierSystem(2), Coloring.matern(0.5), 2048, 0.5, 4.0)
@@ -164,7 +166,7 @@ class TestQuadratureFactor:
                                                          spec.system.real))[0]
         seen.clear()
         lq_norm(SpectralField(grid, sample), 4.0, oversample=4)
-        assert seen == [((51, 108), (108,)), ((108, 108), (108,))]
+        assert seen == [((1, 51, 108), (108,)), ((1, 108, 108), (108,))]
 
 
 def _hermitian_part(c):
@@ -205,7 +207,7 @@ class TestBandRule:
         dense = (int(q) // 2 + 1) * n
         for norm, reference in (
                 (lambda: lq_norm(f, q, oversample=oversample),
-                 lambda: _rectangle_rule(np.abs(upsampled_values(f, dense, n // 2)) ** q,
+                 lambda: _rectangle_rule(np.abs(field_values(f, dense, n // 2)) ** q,
                                          grid, dense, q)),
                 (lambda: sq_function_from_terms(grid, terms, 0.4, q, oversample=oversample),
                  lambda: _sq_function_at(grid, terms, 0.4, q, dense))):
@@ -243,7 +245,7 @@ class TestWeakLp:
         assert weak_lp_norm(f, 2.0) == pytest.approx(0.25**0.5, rel=1e-12)
 
     def test_zero(self, grid1d):
-        assert weak_lp_norm(zero_field(grid1d), 1.5) == 0.0
+        assert weak_lp_norm(constant_field(grid1d, 0.0), 1.5) == 0.0
 
     def test_bessel_kernel_stability(self):
         # the kernel lies in weak-L^r at r = d/(d-s): stable under refinement
@@ -280,7 +282,7 @@ class TestHsqNorm:
         assert got == pytest.approx((1 + 4 * np.pi**2 * 25) ** -0.4, rel=1e-12)
 
     def test_zero(self, grid1d):
-        assert hsq_norm(zero_field(grid1d), -0.5, 3.0) == 0.0
+        assert hsq_norm(constant_field(grid1d, 0.0), -0.5, 3.0) == 0.0
 
     def test_truncated_white_noise_lattice_sum(self):
         # sum_{|k|<=K} gamma_k e_k in smoothness -s: squared norm is the
@@ -297,7 +299,7 @@ class TestHsqNorm:
 
     def test_q_range(self, grid1d):
         with pytest.raises(ValueError):
-            hsq_norm(zero_field(grid1d), -0.5, 1.0)
+            hsq_norm(constant_field(grid1d, 0.0), -0.5, 1.0)
 
     def test_s_zero_equals_lq(self, grid1d, rng):
         f = forward_transform(grid1d, rng.standard_normal(grid1d.n))

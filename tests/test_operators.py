@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gammanoise.fit import linfit
-from gammanoise.grid import Grid, SpectralField, constant_field, forward_transform, zero_field
+from gammanoise.grid import Grid, SpectralField, constant_field, forward_transform
 from gammanoise.norms import bessel_kernel, lq_norm
 from gammanoise.operators import (ConvPair, ResourceError, afg_bruteforce_hs,
                                   afg_gamma_norm, convolve, gamma_young_check,
@@ -28,7 +28,7 @@ def random_pair(gen, n=64, q=2.0):
 class TestAfgGammaNorm:
     def test_zero_kernel(self):
         g = Grid(1, 64)
-        pair = ConvPair(zero_field(g), constant_field(g, 1.0), 4.0)
+        pair = ConvPair(constant_field(g, 0.0), constant_field(g, 1.0), 4.0)
         assert afg_gamma_norm(pair) == 0.0
 
     def test_simon_equality_q2(self):
@@ -67,7 +67,7 @@ class TestAfgGammaNorm:
     def test_q_below_two_rejected(self):
         g = Grid(1, 64)
         with pytest.raises(ValueError):
-            ConvPair(zero_field(g), zero_field(g), 1.5)
+            ConvPair(constant_field(g, 0.0), constant_field(g, 0.0), 1.5)
 
 
 class TestBruteForce:
@@ -88,7 +88,7 @@ class TestBruteForce:
 
     def test_zero_multiplier(self):
         g = Grid(1, 16)
-        pair = ConvPair(constant_field(g, 1.0), zero_field(g), 2.0)
+        pair = ConvPair(constant_field(g, 1.0), constant_field(g, 0.0), 2.0)
         assert afg_bruteforce_hs(pair) == 0.0
 
     def test_2d_small_grid(self):
@@ -101,7 +101,7 @@ class TestBruteForce:
 
     def test_resource_bound(self):
         g = Grid(1, 8192)
-        pair = ConvPair(zero_field(g), zero_field(g), 2.0)
+        pair = ConvPair(constant_field(g, 0.0), constant_field(g, 0.0), 2.0)
         with pytest.raises(ResourceError):
             afg_bruteforce_hs(pair)
 
@@ -125,7 +125,7 @@ class TestGammaYoung:
     def test_zero_g(self):
         grid = Grid(1, 256)
         kernel = bessel_kernel(grid, 0.75)
-        lhs, _, _ = gamma_young_check(kernel, zero_field(grid), 8.0, 4.0, 8.0 / 3.0)
+        lhs, _, _ = gamma_young_check(kernel, constant_field(grid, 0.0), 8.0, 4.0, 8.0 / 3.0)
         assert lhs == 0.0
 
     def test_kernel_scaling_cancels(self):
@@ -141,9 +141,9 @@ class TestGammaYoung:
         grid = Grid(1, 64)
         kernel = bessel_kernel(grid, 0.75)
         with pytest.raises(ValueError):
-            gamma_young_check(kernel, zero_field(grid), 8.0, 4.0, 3.0)
+            gamma_young_check(kernel, constant_field(grid, 0.0), 8.0, 4.0, 3.0)
         with pytest.raises(ValueError):
-            gamma_young_check(kernel, zero_field(grid), 8.0, 2.0, 8.0)
+            gamma_young_check(kernel, constant_field(grid, 0.0), 8.0, 2.0, 8.0)
 
 
 class TestMgSobolev:
@@ -177,7 +177,7 @@ class TestMgSobolev:
 
     def test_zero_g(self):
         grid = Grid(1, 256)
-        assert mg_sobolev_gamma_norm(zero_field(grid), 0.75, 4.0) == 0.0
+        assert mg_sobolev_gamma_norm(constant_field(grid, 0.0), 0.75, 4.0) == 0.0
 
 
 class TestSchattenHeat:

@@ -94,12 +94,14 @@ class TestSeriesCoeffs:
 
     def test_fourier_overflow_raises_like_term_values(self):
         grid = Grid(1, 64)
-        mk = lambda: SeriesSpec(grid, FourierSystem(1), Coloring.matern(0.5), 100, 0.5, 2.0)
-        with pytest.raises(ValueError) as dense:
-            term_values(mk())
-        with pytest.raises(ValueError) as mc:
-            mc_gamma_norm(mk(), 4, seed=0)
-        assert str(mc.value) == str(dense.value) == "frequency -32 outside (-n/2, n/2] for n=64"
+        for q in (2.0, 4.0):
+            mk = lambda: SeriesSpec(grid, FourierSystem(1), Coloring.matern(0.5), 100, 0.5, q)
+            with pytest.raises(ValueError) as dense:
+                term_values(mk())
+            with pytest.raises(ValueError) as mc:
+                mc_gamma_norm(mk(), 4, seed=0)
+            assert str(mc.value) == str(dense.value) \
+                == "frequency -32 outside (-n/2, n/2] for n=64"
 
 
 class TestFrozenSpec:
