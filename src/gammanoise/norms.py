@@ -15,7 +15,7 @@ a time, rows of one band together, and asks its caller for each chunk's
 spectra, so samples of a Fourier series at even q go from the lattice into
 the rule chunk by chunk, cropped to their band, with no full grid per sample.
 A single field enters it as a stack of one, and the square function sends
-its terms through the same interpolation in chunks of ``QUADRATURE_CELLS``.
+its terms through the same interpolation in chunks of the same size.
 Negative-order smoothing is coefficient multiplication by
 ``(1 + 4 pi^2 |k/L|^2)^(sigma/2)``.
 """
@@ -29,7 +29,7 @@ import numpy as np
 from .grid import Grid, SpectralField, spectral_band, upsampled_values
 
 DEFAULT_OVERSAMPLE = 4
-QUADRATURE_CELLS = 2**15   # fine-grid cells per chunk of the L^q rule: 512 KiB of complex values
+QUADRATURE_CELLS = 2**15   # cells per chunk of the L^q rule: 512 KiB of complex values
 
 
 def _is_even(q: float) -> bool:
@@ -69,6 +69,15 @@ def _points(q: float, oversample: int, n: int, band: int) -> int:
     """
     m = _factor(q, oversample) * n
     return min(m, _smooth_above(int(q) * band)) if _is_even(q) else m
+
+
+def _chunk_rows(m: int, n: int, dim: int) -> int:
+    """Rows per chunk of the ``L^q`` rule on ``m`` points from ``n``.
+
+    A chunk's input spectra and its fine-grid values each hold at most
+    ``QUADRATURE_CELLS`` cells, or one row where a row alone holds more.
+    """
+    return max(1, QUADRATURE_CELLS // max(m, n)**dim)
 
 
 def _band(grid: Grid, coeffs: np.ndarray, q: float) -> int:
@@ -134,8 +143,7 @@ def lq_rule(grid: Grid, q: float, oversample: int, bands, spectra,
     band ``band``), full or cropped to ``2 band + 1`` points per axis; a
     single field is a stack of one.  Rows of one band share the rule's ``m``
     points per axis, found from the grid's own n, and go through it
-    ``QUADRATURE_CELLS // m^d`` at a time, so a chunk of fine-grid values
-    stays in cache; each row's ``|v|^q`` is then summed on its own, with
+    ``_chunk_rows`` at a time, so a chunk stays in cache; each row's ``|v|^q`` is then summed on its own, with
     ``v`` the real part of the values when the rows are flagged ``real``.
     """
     bands = np.asarray(bands, dtype=int)
@@ -144,7 +152,7 @@ def lq_rule(grid: Grid, q: float, oversample: int, bands, spectra,
         rows = np.flatnonzero(bands == band)
         m = _points(q, oversample, grid.n, band)
         cell = (grid.length / m) ** grid.dim
-        step = max(1, QUADRATURE_CELLS // m**grid.dim)
+        step = _chunk_rows(m, grid.n, grid.dim)
         for lo in range(0, rows.size, step):
             chunk = rows[lo:lo + step]
             v = upsampled_values(spectra(chunk, band), m, band).reshape(chunk.size, -1)
@@ -158,10 +166,9 @@ def sq_function_from_terms(grid: Grid, terms: np.ndarray, s: float, q: float,
                            oversample: int = DEFAULT_OVERSAMPLE) -> float:
     """Square-function norm of a stack of term coefficients, shape (N, *grid).
 
-    The terms go through ``upsampled_values`` ``QUADRATURE_CELLS // max(m, n)^d``
-    at a time, so neither a chunk of terms nor its fine-grid values holds
-    more than ``QUADRATURE_CELLS`` cells, and each term's ``|v|^2`` is added
-    in term order.
+    The terms go through ``upsampled_values`` ``_chunk_rows`` at a time,
+    as rows go through ``lq_rule``, and each term's ``|v|^2`` is added in
+    term order.
     """
     if not (1 < q < np.inf):
         raise ValueError(f"q must lie in (1, inf), got {q}")
@@ -169,7 +176,7 @@ def sq_function_from_terms(grid: Grid, terms: np.ndarray, s: float, q: float,
     band = _band(grid, terms, q)
     m = _points(q, oversample, grid.n, band)
     acc = np.zeros((m,) * grid.dim)
-    step = max(1, QUADRATURE_CELLS // max(m, grid.n)**grid.dim)
+    step = _chunk_rows(m, grid.n, grid.dim)
     for lo in range(0, len(terms), step):
         for power in _abs_power(upsampled_values(terms[lo:lo + step] * mult, m, band), 2):
             acc += power

@@ -9,7 +9,7 @@ from gammanoise.conditions import ParamTuple
 from gammanoise.grid import Grid, SpectralField, forward_transform
 from gammanoise.norms import heat_eigenvalues, hsq_norm, lq_norm
 from gammanoise.rng import complex_standard_normal, standard_gaussians, stream
-from gammanoise.series import SeriesSpec, series_coeffs, term_values
+from gammanoise.series import SeriesSpec, series_coeffs
 from gammanoise.fit import linfit
 from gammanoise import spde
 from gammanoise.spde import (DiagonalNoise, SpdeConfig, SystemNoise, Trajectory,
@@ -187,10 +187,13 @@ class TestSimulate:
         traj = simulate(cfg, seed=51)
         assert len(traj.coeffs) == 6
         assert np.any(np.abs(traj.final().coeffs) > 0)
-        # the term stack is built once per config, not per trajectory
-        stack = term_values(cfg._series)
+        # simulate left the spec and its term stack on the config; a second
+        # trajectory reuses both instead of building them again
+        spec = vars(cfg)["_series"]
+        stack = vars(spec)["_terms"]
         simulate(cfg, seed=51, traj_index=1)
-        assert term_values(cfg._series) is stack
+        assert vars(cfg)["_series"] is spec
+        assert vars(spec)["_terms"] is stack
 
     @pytest.mark.parametrize("with_g", [False, True])
     def test_exp_euler_fourier_series_noise_matches_term_stack(self, small_grid, with_g):
@@ -201,7 +204,7 @@ class TestSimulate:
         cfg = SpdeConfig(small_grid, noise, T=dt, dt=dt, integrator="exp_euler",
                          g=g if with_g else None)
         got = simulate(cfg, seed=53).final().coeffs
-        assert "_terms" not in vars(cfg._series)
+        assert "_terms" not in vars(vars(cfg)["_series"])
         gam = complex_standard_normal(stream(53, 0), (noise.N,))
         incr = (gam @ term_values_for_system(noise, small_grid)) * math.sqrt(dt)
         if with_g:
