@@ -26,8 +26,8 @@ from .config import COMMANDS, ConfigError, load_config
 from .experiments import (CONSTRUCTION_REGIMES, boundary_sweep, dirichlet_norm_test,
                           frequency_block_test, rescaled_bump_test, shifted_bump_test)
 from .fit import linfit
-from .grid import Grid, constant_field, forward_transform
-from .norms import bessel_kernel, lq_norm
+from .grid import Grid, constant_field, forward_coeffs, forward_transform
+from .norms import _chunk_rows, bessel_kernel, lq_norms
 from .operators import (gamma_young_check, heat_witness, mg_sobolev_gamma_norm,
                         schatten_heat_norm)
 from .output import OpTimer, RunManifest, config_hash, write_csv
@@ -255,19 +255,20 @@ def run_gamma_young(cfg, seed, workers, timer):
     s, q = blk["s"], blk["q"]
     r = grid.dim / (grid.dim - s) if s < grid.dim else math.inf
     inv_eta = 1.0 / q + 0.5 - 1.0 / r
-    if not (s < grid.dim and inv_eta > 0):
+    if not (2 < r < math.inf and 0 < inv_eta < 0.5):
         raise ConfigError(f"gamma_young.s={s:g}, gamma_young.q={q:g} and grid.dim={grid.dim} "
-                          "must give s < d and 1/eta = 1/q + 1/2 - 1/r > 0, r = d / (d - s)")
+                          "must give r and eta in (2, inf), for r = d / (d - s) and "
+                          "1/eta = 1/q + 1/2 - 1/r")
     eta = 1.0 / inv_eta
     kernel = bessel_kernel(grid, s)
     rows = []
-    for i in range(blk["trials"]):
-        gen = stream(seed, i)
-        g = forward_transform(grid, gen.standard_normal(grid.shape))
-        lhs, rhs, ratio = gamma_young_check(kernel, g, q, r, eta,
-                                            oversample=cfg["run"]["oversample"])
-        rows.append({"trial": i, "s": s, "q": q, "r": r, "eta": eta,
-                     "lhs": lhs, "rhs": rhs, "ratio": ratio})
+    for trials in _stacks(blk["trials"], grid):
+        samples = np.stack([stream(seed, i).standard_normal(grid.shape) for i in trials])
+        lhs, rhs, ratio = gamma_young_check(kernel, forward_coeffs(grid, samples), q, r, eta,
+                                            oversample=cfg["run"]["oversample"], real=True)
+        rows += [{"trial": i, "s": s, "q": q, "r": r, "eta": eta,
+                  "lhs": a, "rhs": b, "ratio": c}
+                 for i, a, b, c in zip(trials, lhs.tolist(), rhs.tolist(), ratio.tolist())]
     ratios = [row["ratio"] for row in rows]
     return rows, {"ratio_spread": max(ratios) / min(ratios)}, EXIT_OK
 
@@ -275,23 +276,31 @@ def run_gamma_young(cfg, seed, workers, timer):
 def run_mg_sobolev(cfg, seed, workers, timer):
     grid = build_grid(cfg["grid"])
     blk = cfg["mg_sobolev"]
+    oversample = cfg["run"]["oversample"]
     coords = grid.coords()
     rows = []
-    for m in range(blk["levels"]):
-        w = blk["width"] * 2.0**-m
-        g = forward_transform(grid, bump_values(coords, w / 2.0, w))
-        g_eta = lq_norm(g, blk["eta"], oversample=cfg["run"]["oversample"])
-        if not (g_eta > 0 and math.isfinite(g_eta)):
-            raise ConfigError(f"mg_sobolev.levels={blk['levels']} and mg_sobolev.width="
-                              f"{blk['width']:g} give a level-{m} bump of width {w:g} whose "
-                              f"L^eta norm on grid.n={grid.n} is {g_eta:g}")
-        val = mg_sobolev_gamma_norm(g, blk["s"], blk["q"],
-                                    oversample=cfg["run"]["oversample"])
-        rows.append({"level": m, "s": blk["s"], "q": blk["q"], "eta": blk["eta"],
-                     "gamma_norm": val, "g_eta_norm": g_eta,
-                     "constant": val / g_eta})
+    for levels in _stacks(blk["levels"], grid):
+        widths = [blk["width"] * 2.0**-m for m in levels]
+        g = forward_coeffs(grid, np.stack([bump_values(coords, w / 2.0, w) for w in widths]))
+        g_eta = lq_norms(grid, g, blk["eta"], oversample, real=True).tolist()
+        for m, w, norm in zip(levels, widths, g_eta):
+            if not (norm > 0 and math.isfinite(norm)):
+                raise ConfigError(f"mg_sobolev.levels={blk['levels']} and mg_sobolev.width="
+                                  f"{blk['width']:g} give a level-{m} bump of width {w:g} "
+                                  f"whose L^eta norm on grid.n={grid.n} is {norm:g}")
+        vals = mg_sobolev_gamma_norm(grid, g, blk["s"], blk["q"], oversample=oversample,
+                                     real=True).tolist()
+        rows += [{"level": m, "s": blk["s"], "q": blk["q"], "eta": blk["eta"],
+                  "gamma_norm": val, "g_eta_norm": norm, "constant": val / norm}
+                 for m, val, norm in zip(levels, vals, g_eta)]
     consts = [r["constant"] for r in rows]
     return rows, {"constant_spread": max(consts) / min(consts)}, EXIT_OK
+
+
+def _stacks(count: int, grid: Grid):
+    """``range(count)`` in consecutive ranges of as many rows as one chunk of the ``L^q`` rule."""
+    step = _chunk_rows(grid.n, grid.n, grid.dim)
+    return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def run_schatten_heat(cfg, seed, workers, timer):
@@ -443,8 +452,8 @@ def main(argv=None) -> int:
         return EXIT_HARD
 
     chash = config_hash(args.command, cfg, seed)
-    rows = [{**r, "manifest": chash} for r in records]
-    write_csv(rows, out, columns=[*COMMANDS[args.command].columns, "manifest"])
+    write_csv(records, out, columns=COMMANDS[args.command].columns,
+              constants={"manifest": chash})
 
     manifest = RunManifest(command=args.command, config_hash=chash, seed=seed,
                            wall_time_s=timer.total(), op_timings=timer.timings,

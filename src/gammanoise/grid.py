@@ -6,7 +6,8 @@ stored through its Fourier coefficients ``c_k`` against the modes
 ``k in (-n/2, n/2]`` per axis.  The Nyquist frequency is assigned to the
 positive bin ``+n/2`` so every multiplier is evaluated at a single signed
 frequency.  ``upsampled_values`` interpolates stacks of spectra only; a
-single field enters it as a stack of one.
+single field enters it as a stack of one.  ``forward_coeffs`` and
+``inverse_values`` are the one transform pair, for one field or a stack.
 """
 
 from __future__ import annotations
@@ -125,8 +126,7 @@ class SpectralField:
 
     def values(self) -> np.ndarray:
         """Samples on the grid; real array when flagged real."""
-        v = np.fft.ifftn(self.coeffs) * (self.grid.n ** self.grid.dim)
-        return v.real if self.real else v
+        return inverse_values(self.grid, self.coeffs, self.real)
 
     def coeff_at(self, k) -> complex:
         return complex(self.coeffs[self.grid.index_of_freq(k)])
@@ -145,12 +145,22 @@ def forward_transform(grid: Grid, values: np.ndarray) -> SpectralField:
     values = np.asarray(values)
     if values.shape != grid.shape:
         raise ValueError(f"value shape {values.shape} does not match grid {grid.shape}")
-    coeffs = np.fft.fftn(values) / (grid.n ** grid.dim)
-    field = SpectralField(grid, coeffs)
+    field = SpectralField(grid, forward_coeffs(grid, values))
     # the transform of real samples is Hermitian by construction, so the flag
     # is set after construction, where no symmetry check runs
     field.real = bool(np.isrealobj(values))
     return field
+
+
+def forward_coeffs(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Fourier coefficients of grid samples, or of a stack of them (leading row axes)."""
+    return np.fft.fftn(values, axes=tuple(range(-grid.dim, 0))) / (grid.n ** grid.dim)
+
+
+def inverse_values(grid: Grid, coeffs: np.ndarray, real: bool = False) -> np.ndarray:
+    """Grid samples of coefficients, or of a stack of them; the real part when ``real``."""
+    v = np.fft.ifftn(coeffs, axes=tuple(range(-grid.dim, 0))) * (grid.n ** grid.dim)
+    return v.real if real else v
 
 
 def constant_field(grid: Grid, c: complex) -> SpectralField:

@@ -6,6 +6,13 @@ everything reduces to one convolution computed spectrally.  A dense-matrix
 Hilbert-Schmidt oracle guards the quadrature.  Convolution bounds of this
 kind fail outright for eta > q or eta < 2; the checks here stay inside the
 valid exponent range and do not probe the failure cases.
+
+``gamma_young_check`` and ``mg_sobolev_gamma_norm`` take a stack of
+multipliers, coefficient arrays along a leading row axis, and return one
+value per row, as ``lq_norms`` does; a single field is a stack of one
+(``g.coeffs[None]``), which is how ``afg_gamma_norm`` measures its pair.  A
+stack costs one transform pair for ``|g|^2`` and one ``lq_norms`` pass per
+exponent, and the kernel's side is computed once per call.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SpectralField, forward_transform
-from .norms import DEFAULT_OVERSAMPLE, bessel_kernel, heat_eigenvalues, lq_norm, weak_lp_norm
+from .grid import Grid, SpectralField, forward_coeffs, forward_transform, inverse_values
+from .norms import (DEFAULT_OVERSAMPLE, bessel_kernel, heat_eigenvalues, lq_norm, lq_norms,
+                    weak_lp_norm)
 
 BRUTEFORCE_MAX_CELLS = 4096
 
@@ -40,27 +48,29 @@ class ConvPair:
             raise ValueError(f"q must be >= 2, got {self.q}")
 
 
-def convolve(a: SpectralField, b: SpectralField) -> SpectralField:
-    """Periodic convolution ``int a(x-y) b(y) dy`` via coefficient products."""
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-    coeffs = a.coeffs * b.coeffs * a.grid.length**a.grid.dim
-    return SpectralField(a.grid, coeffs, real=a.real and b.real)
-
-
 def afg_gamma_norm(pair: ConvPair, oversample: int = DEFAULT_OVERSAMPLE) -> float:
-    """``|| |f|^2 * |g|^2 ||_{L^{q/2}}^{1/2}``; the exact norm at q = 2.
+    """``|| |f|^2 * |g|^2 ||_{L^{q/2}}^{1/2}``; the exact norm at q = 2."""
+    g = pair.g
+    return float(_afg_gamma_norms(pair.f, g.coeffs[None], pair.q, oversample, g.real)[0])
 
-    At q = 2 the convolution is nonnegative and its L1 norm is its integral,
-    read off the zero coefficient with no quadrature at all.
+
+def _afg_gamma_norms(f: SpectralField, g: np.ndarray, q: float, oversample: int,
+                     real: bool) -> np.ndarray:
+    """``afg_gamma_norm`` of the kernel ``f`` with each row of the multiplier stack ``g``.
+
+    The periodic convolution is the coefficient product times ``L^d``.  At
+    q = 2 it is nonnegative and its L1 norm is its integral, read off the
+    zero coefficient with no quadrature at all.
     """
-    F = forward_transform(pair.f.grid, np.abs(pair.f.values()) ** 2)
-    G = forward_transform(pair.g.grid, np.abs(pair.g.values()) ** 2)
-    conv = convolve(F, G)
-    if pair.q == 2:
-        mass = abs(conv.coeff_at((0,) * pair.f.grid.dim)) * pair.f.grid.length ** pair.f.grid.dim
-        return float(math.sqrt(mass))
-    return float(math.sqrt(lq_norm(conv, pair.q / 2.0, oversample=oversample)))
+    grid = f.grid
+    if g.shape[1:] != grid.shape:
+        raise ValueError(f"multiplier stack {g.shape} does not hold rows of grid {grid.shape}")
+    F = forward_coeffs(grid, np.abs(f.values()) ** 2)
+    G = forward_coeffs(grid, np.abs(inverse_values(grid, g, real)) ** 2)
+    conv = F * G * grid.length**grid.dim
+    if q == 2:
+        return np.sqrt(np.abs(conv[(slice(None),) + (0,) * grid.dim]) * grid.length**grid.dim)
+    return np.sqrt(lq_norms(grid, conv, q / 2.0, oversample, real=True))
 
 
 def afg_bruteforce_hs(pair: ConvPair) -> float:
@@ -83,36 +93,39 @@ def afg_bruteforce_hs(pair: ConvPair) -> float:
     return float(np.linalg.norm(K) * grid.cell_measure)
 
 
-def gamma_young_check(kernel: SpectralField, g: SpectralField, q: float, r: float,
-                      eta: float, oversample: int = DEFAULT_OVERSAMPLE):
-    """Both sides of the weak-kernel Young inequality and their ratio.
+def gamma_young_check(kernel: SpectralField, g: np.ndarray, q: float, r: float,
+                      eta: float, oversample: int = DEFAULT_OVERSAMPLE, real: bool = False):
+    """Both sides of the weak-kernel Young inequality and their ratio, per row of ``g``.
 
-    Requires ``1/q + 1/2 = 1/r + 1/eta`` with all three exponents in
-    (2, inf); returns (lhs, rhs, lhs / rhs).
+    ``g`` is a stack of multiplier coefficients on the kernel's grid, flagged
+    ``real`` as ``lq_norms`` takes it.  Requires ``1/q + 1/2 = 1/r + 1/eta``
+    with all three exponents in (2, inf); returns the arrays (lhs, rhs,
+    lhs / rhs), with ``x / 0`` read as inf and ``0 / 0`` as 0.
     """
     for name, val in (("q", q), ("r", r), ("eta", eta)):
         if not (2 < val < math.inf):
             raise ValueError(f"{name} must lie in (2, inf), got {val}")
     if abs(1.0 / q + 0.5 - 1.0 / r - 1.0 / eta) > 1e-9:
         raise ValueError("exponents must satisfy 1/q + 1/2 = 1/r + 1/eta")
-    lhs = afg_gamma_norm(ConvPair(kernel, g, q), oversample=oversample)
-    rhs = weak_lp_norm(kernel, r) * lq_norm(g, eta, oversample=oversample)
-    ratio = lhs / rhs if rhs > 0 else math.inf if lhs > 0 else 0.0
+    lhs = _afg_gamma_norms(kernel, g, q, oversample, real)
+    rhs = weak_lp_norm(kernel, r) * lq_norms(kernel.grid, g, eta, oversample, real=real)
+    ratio = np.where(lhs > 0, math.inf, 0.0)
+    np.divide(lhs, rhs, out=ratio, where=rhs > 0)
     return lhs, rhs, ratio
 
 
-def mg_sobolev_gamma_norm(g: SpectralField, s: float, q: float,
-                          oversample: int = DEFAULT_OVERSAMPLE) -> float:
-    """Mean-square norm of multiplication by g into smoothness -s.
+def mg_sobolev_gamma_norm(grid: Grid, g: np.ndarray, s: float, q: float,
+                          oversample: int = DEFAULT_OVERSAMPLE, real: bool = False) -> np.ndarray:
+    """Mean-square norm of multiplication by g into smoothness -s, per row of ``g``.
 
-    Smoothing by the Bessel potential turns the multiplication operator into
-    a convolution pair with the periodized kernel, so this is the afg norm
-    with that kernel.
+    ``g`` is a stack of multiplier coefficients on ``grid``, flagged ``real``
+    as ``lq_norms`` takes it.  Smoothing by the Bessel potential turns the
+    multiplication operator into a convolution pair with the periodized
+    kernel, so this is the afg norm with that kernel.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    kernel = bessel_kernel(g.grid, s)
-    return afg_gamma_norm(ConvPair(kernel, g, q), oversample=oversample)
+    return _afg_gamma_norms(bessel_kernel(grid, s), g, q, oversample, real)
 
 
 def schatten_heat_norm(g: SpectralField, t: float) -> float:

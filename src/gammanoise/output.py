@@ -36,38 +36,43 @@ def _cell_format(t: type) -> str:
     return "%.17g" if issubclass(t, float) else "%s"
 
 
-def csv_bytes(records, columns=None) -> bytes:
+def csv_bytes(records, columns=None, constants=None) -> bytes:
     """Render records (dicts sharing one key set) as CSV bytes.
 
-    A row is rendered by one %-format, made once per tuple of cell types from
-    ``_cell_format``; a row holding a bool goes cell by cell through
-    ``format_value``.
+    ``constants`` maps further columns to one value each, written after the
+    records' own cells on every row.  A row is rendered by one %-format, made
+    once per tuple of cell types from ``_cell_format``; a row holding a bool
+    goes cell by cell through ``format_value``.
     """
     records = list(records)
     if columns is None:
         if not records:
             raise ValueError("need explicit columns for an empty record set")
-        columns = list(records[0].keys())
+        columns = records[0].keys()
+    columns = list(columns)
     for r in records:
-        if list(r.keys()) != list(columns):
+        if list(r.keys()) != columns:
             raise ValueError("records are not homogeneous")
+    constants = constants or {}
+    tail = [format_value(v) for v in constants.values()]
     # each line is encoded as it is made: bytes are allocated at their size,
     # where a %-formatted str can keep its over-allocated buffer
-    lines = [(",".join(columns) + "\n").encode("utf-8")]
+    lines = [(",".join([*columns, *constants]) + "\n").encode("utf-8")]
     row_formats = {}
     for r in records:
         row = tuple(r.values())
         types = tuple(map(type, row))
         if types not in row_formats:     # a bool cell is a word, not a %-format
-            row_formats[types] = None if bool in types else ",".join(map(_cell_format, types)) + "\n"
+            row_formats[types] = None if bool in types else ",".join(
+                [*map(_cell_format, types), *(t.replace("%", "%%") for t in tail)]) + "\n"
         fmt = row_formats[types]
-        text = fmt % row if fmt else ",".join(map(format_value, row)) + "\n"
+        text = fmt % row if fmt else ",".join([*map(format_value, row), *tail]) + "\n"
         lines.append(text.encode("utf-8"))
     return b"".join(lines)
 
 
-def write_csv(records, path, columns=None) -> None:
-    data = csv_bytes(records, columns=columns)
+def write_csv(records, path, columns=None, constants=None) -> None:
+    data = csv_bytes(records, columns=columns, constants=constants)
     with open(path, "wb") as fh:
         fh.write(data)
 

@@ -71,6 +71,16 @@ class TestCsv:
         ref = [",".join("abc")] + [",".join(map(self.reference_cell, r.values())) for r in records]
         assert csv_bytes(records) == ("\n".join(ref) + "\n").encode("utf-8")
 
+    def test_constants_append_to_every_row(self):
+        # a constant is one more cell at the end of each row, as if each record held it
+        records = [{"a": 1.5, "b": True}, {"a": 2.5, "b": 3}, {"a": 0.5, "b": 4}]
+        constants = {"manifest": "5%d", "flag": False}
+        widened = [{**r, **constants} for r in records]
+        assert csv_bytes(records, columns=["a", "b"], constants=constants) == csv_bytes(widened)
+        assert csv_bytes([], columns=["a"], constants=constants) == b"a,manifest,flag\n"
+        with pytest.raises(ValueError):
+            csv_bytes(widened, columns=["a", "b"], constants=constants)
+
     def test_heterogeneous_rejected(self):
         with pytest.raises(ValueError):
             csv_bytes([{"a": 1}, {"b": 2}])
@@ -293,6 +303,8 @@ class TestCliCommands:
         ("gamma-young", "gamma_young.s=1.0"),
         ("gamma-young", "gamma_young.q=0.0"),
         ("gamma-young", "grid.dim=2"),
+        ("gamma-young", "gamma_young.q=2.5"),
+        ("gamma-young", "gamma_young.s=0.45"),
         ("haar-divergence", "haar.d=0"),
         ("haar-divergence", "haar.d=-1"),
         ("haar-divergence", "haar.alpha=0.0"),
@@ -325,6 +337,17 @@ class TestCliCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert override.split("=")[0] in err["detail"]
+        assert not out.exists()
+
+    def test_mg_sobolev_names_the_first_flat_level(self, tmp_path, capsys):
+        # on 4096 points levels 10 and 11 have all-zero bumps; both are in the
+        # last stack of levels (8 to 11), and the message names level 10
+        out = tmp_path / "x.csv"
+        assert main(["mg-sobolev", "--override", "mg_sobolev.levels=12",
+                     "--override", "grid.n=4096", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["detail"] == (
+            "mg_sobolev.levels=12 and mg_sobolev.width=0.25 give a level-10 bump of width "
+            "0.000244141 whose L^eta norm on grid.n=4096 is 0")
         assert not out.exists()
 
     @pytest.mark.parametrize("command,key,allowed", [

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gammanoise.fit import linfit
-from gammanoise.grid import Grid, SpectralField, constant_field, forward_transform
-from gammanoise.norms import bessel_kernel, lq_norm
+from gammanoise.grid import Grid, SpectralField, constant_field, forward_coeffs, forward_transform
+from gammanoise.norms import _chunk_rows, bessel_kernel, lq_norm
 from gammanoise.operators import (ConvPair, ResourceError, afg_bruteforce_hs,
-                                  afg_gamma_norm, convolve, gamma_young_check,
+                                  afg_gamma_norm, gamma_young_check,
                                   heat_kernel_field, mg_sobolev_gamma_norm,
                                   schatten_heat_norm)
 from gammanoise.rng import stream
@@ -16,6 +16,32 @@ from gammanoise.systems import bump_values
 # hand value for a single-cell kernel on the 4-cell circle:
 # |f_cell| * cell^{1/2} * ||g||_2 with f = [2,0,0,0], g = [1,-1,0.5,3]
 DELTA_HAND_VALUE = 1.6770509831248424
+
+
+def mg_one(g, s, q):
+    """``mg_sobolev_gamma_norm`` of a single field, passed as a stack of one."""
+    return mg_sobolev_gamma_norm(g.grid, g.coeffs[None], s, q, real=g.real)[0]
+
+
+def multiplier_stack(grid, rows, real, seed):
+    """``rows`` random multipliers on ``grid``, real or complex, with row 3 all zero."""
+    samples = np.stack([stream(seed, i).standard_normal(grid.shape) for i in range(rows)])
+    if not real:
+        samples = samples + 1j * np.stack([stream(seed, rows + i).standard_normal(grid.shape)
+                                           for i in range(rows)])
+    samples[3] = 0.0
+    return forward_coeffs(grid, samples)
+
+
+def field_formula(kernel, g, q):
+    """``|| |f|^2 * |g|^2 ||_{L^{q/2}}^{1/2}`` of two fields, one transform at a time."""
+    grid = kernel.grid
+    F = forward_transform(grid, np.abs(kernel.values()) ** 2)
+    G = forward_transform(grid, np.abs(g.values()) ** 2)
+    conv = SpectralField(grid, F.coeffs * G.coeffs * grid.length**grid.dim, real=True)
+    if q == 2:
+        return math.sqrt(abs(conv.coeff_at((0,) * grid.dim)) * grid.length**grid.dim)
+    return math.sqrt(lq_norm(conv, q / 2.0))
 
 
 def random_pair(gen, n=64, q=2.0):
@@ -115,35 +141,35 @@ class TestGammaYoung:
         q = 8.0
         eta = 1.0 / (1.0 / q + 0.5 - 1.0 / r)
         kernel = bessel_kernel(grid, s)
-        ratios = []
-        for i in range(100):
-            g = forward_transform(grid, stream(37, i).standard_normal(n))
-            _, _, ratio = gamma_young_check(kernel, g, q, r, eta)
-            ratios.append(ratio)
+        g = forward_coeffs(grid, np.stack([stream(37, i).standard_normal(n) for i in range(100)]))
+        _, _, ratios = gamma_young_check(kernel, g, q, r, eta, real=True)
+        assert ratios.shape == (100,)
         assert max(ratios) / min(ratios) < 10.0
 
     def test_zero_g(self):
         grid = Grid(1, 256)
         kernel = bessel_kernel(grid, 0.75)
-        lhs, _, _ = gamma_young_check(kernel, constant_field(grid, 0.0), 8.0, 4.0, 8.0 / 3.0)
-        assert lhs == 0.0
+        zero = constant_field(grid, 0.0).coeffs[None]
+        lhs, rhs, ratio = gamma_young_check(kernel, zero, 8.0, 4.0, 8.0 / 3.0, real=True)
+        assert (lhs[0], rhs[0], ratio[0]) == (0.0, 0.0, 0.0)
 
     def test_kernel_scaling_cancels(self):
         grid = Grid(1, 256)
         kernel = bessel_kernel(grid, 0.75)
-        g = forward_transform(grid, stream(38, 0).standard_normal(256))
-        _, _, r1 = gamma_young_check(kernel, g, 8.0, 4.0, 8.0 / 3.0)
+        g = forward_transform(grid, stream(38, 0).standard_normal(256)).coeffs[None]
+        _, _, r1 = gamma_young_check(kernel, g, 8.0, 4.0, 8.0 / 3.0, real=True)
         scaled = SpectralField(grid, 3.0 * kernel.coeffs, real=kernel.real)
-        _, _, r2 = gamma_young_check(scaled, g, 8.0, 4.0, 8.0 / 3.0)
-        assert r1 == pytest.approx(r2, rel=1e-12)
+        _, _, r2 = gamma_young_check(scaled, g, 8.0, 4.0, 8.0 / 3.0, real=True)
+        assert r1[0] == pytest.approx(r2[0], rel=1e-12)
 
     def test_exponent_relation_enforced(self):
         grid = Grid(1, 64)
         kernel = bessel_kernel(grid, 0.75)
+        zero = constant_field(grid, 0.0).coeffs[None]
         with pytest.raises(ValueError):
-            gamma_young_check(kernel, constant_field(grid, 0.0), 8.0, 4.0, 3.0)
+            gamma_young_check(kernel, zero, 8.0, 4.0, 3.0)
         with pytest.raises(ValueError):
-            gamma_young_check(kernel, constant_field(grid, 0.0), 8.0, 2.0, 8.0)
+            gamma_young_check(kernel, zero, 8.0, 2.0, 8.0)
 
 
 class TestMgSobolev:
@@ -151,33 +177,67 @@ class TestMgSobolev:
         # multiplication by one at q = 2: the truncated lattice sum, exactly
         for n in (256, 1024):
             grid = Grid(1, n)
-            got = mg_sobolev_gamma_norm(constant_field(grid, 1.0), 0.75, 2.0)
+            got = mg_one(constant_field(grid, 1.0), 0.75, 2.0)
             k = grid.freq_axis()
             ref = math.sqrt(np.sum((1 + 4 * np.pi**2 * k.astype(float) ** 2) ** -0.75))
             assert got == pytest.approx(ref, rel=1e-10)
 
     def test_lattice_sum_diverges_below_half(self):
         # s below d/2: the truncated identity norm keeps growing with n
-        vals = [mg_sobolev_gamma_norm(constant_field(Grid(1, n), 1.0), 0.4, 2.0)
-                for n in (256, 1024, 4096)]
+        vals = [mg_one(constant_field(Grid(1, n), 1.0), 0.4, 2.0) for n in (256, 1024, 4096)]
         assert vals[2] > vals[1] > vals[0]
         assert vals[2] / vals[0] > 1.2
 
     def test_bump_dilation_stability(self):
-        # spec-scale check: constант against ||g||_eta stays within factor 2
+        # spec-scale check: constant against ||g||_eta stays within factor 2
         grid = Grid(1, 8192)
         coords = grid.coords()
         consts = []
         for m in range(6):
             w = 0.25 * 2.0**-m
             g = forward_transform(grid, bump_values(coords, w / 2.0, w))
-            c = mg_sobolev_gamma_norm(g, 0.75, 4.0) / lq_norm(g, 8.0 / 3.0)
+            c = mg_one(g, 0.75, 4.0) / lq_norm(g, 8.0 / 3.0)
             consts.append(c)
         assert max(consts) / min(consts) < 2.0
 
     def test_zero_g(self):
         grid = Grid(1, 256)
-        assert mg_sobolev_gamma_norm(constant_field(grid, 0.0), 0.75, 4.0) == 0.0
+        assert mg_one(constant_field(grid, 0.0), 0.75, 4.0) == 0.0
+
+
+# 13 rows, not a multiple of the rows per chunk of the L^q rule at eta = 8/3: 8 in 1-d, 2 in 2-d
+STACK_GRIDS = [Grid(1, 1024), Grid(2, 32)]
+
+
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=["d1", "d2"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+class TestStackMatchesStacksOfOne:
+    rows = 13
+
+    def test_gamma_young_check(self, grid, real):
+        kernel = bessel_kernel(grid, 0.75 * grid.dim)
+        g = multiplier_stack(grid, self.rows, real, seed=44)
+        assert self.rows % _chunk_rows(4 * grid.n, grid.n, grid.dim) != 0
+        for q, r, eta in ((4.0, 8.0 / 3.0, 8.0 / 3.0), (8.0, 4.0, 8.0 / 3.0)):
+            stacked = gamma_young_check(kernel, g, q, r, eta, real=real)
+            ones = [gamma_young_check(kernel, g[i:i + 1], q, r, eta, real=real)
+                    for i in range(self.rows)]
+            for side, got in enumerate(stacked):
+                assert np.array_equal(got, np.concatenate([one[side] for one in ones])), (q, side)
+            # the zero row: both sides vanish, and 0 / 0 reads as 0
+            assert (stacked[0][3], stacked[1][3], stacked[2][3]) == (0.0, 0.0, 0.0)
+
+    def test_mg_sobolev_gamma_norm(self, grid, real):
+        g = multiplier_stack(grid, self.rows, real, seed=45)
+        for q in (2.0, 4.0, 8.0):
+            stacked = mg_sobolev_gamma_norm(grid, g, 0.75 * grid.dim, q, real=real)
+            ones = [mg_sobolev_gamma_norm(grid, g[i:i + 1], 0.75 * grid.dim, q, real=real)
+                    for i in range(self.rows)]
+            assert np.array_equal(stacked, np.concatenate(ones)), q
+            assert stacked[3] == 0.0
+            kernel = bessel_kernel(grid, 0.75 * grid.dim)
+            fields = [SpectralField(grid, c, real=real) for c in g]
+            assert np.array_equal(stacked, [field_formula(kernel, f, q) for f in fields]), q
 
 
 class TestSchattenHeat:
@@ -215,12 +275,3 @@ class TestSchattenHeat:
         grid = Grid(1, 64)
         with pytest.raises(ValueError):
             schatten_heat_norm(constant_field(grid, 1.0), 0.0)
-
-
-def test_convolve_is_multiplier_product():
-    g = Grid(1, 64)
-    kern = bessel_kernel(g, 0.5)
-    f = forward_transform(g, stream(43, 0).standard_normal(64))
-    conv = convolve(kern, f)
-    mult = (1 + 4 * np.pi**2 * g.freq_axis().astype(float) ** 2) ** -0.25
-    assert np.max(np.abs(conv.coeffs - mult * f.coeffs)) < 1e-12

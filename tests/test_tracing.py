@@ -129,3 +129,23 @@ def test_q2_fourier_hs_exact_with_g_renders_no_member(tracing):
     assert tracer.stats["systems.render"].calls == 0
     assert tracer.stats["fft"].calls == 0
     assert "_terms" not in vars(spec)
+
+
+def test_gamma_young_measures_its_trials_as_stacks(tracing, tmp_path):
+    # 100 trials on n = 1024 go as stacks of 32, 32, 32 and 4 rows.  A stack of
+    # 32 takes 13 transforms: its samples' forward transform, the kernel's
+    # |f|^2 pair, the multipliers' |g|^2 pair, the kernel's values for its weak
+    # norm, 3 quadrature chunks at q/2 = 4 and 4 at eta = 8/3; the stack of 4
+    # takes one chunk at each exponent, 8 transforms in all.  Field by field
+    # the same run took 8 transforms per trial, 800 in all.
+    tracer = tracing.Tracer()
+    with tracer:
+        code = gammanoise.cli.main(["gamma-young", "--out", str(tmp_path / "g.csv"),
+                                    "--override", "gamma_young.trials=100"])
+        tracer.close_round()
+    assert code == 0
+    stats = tracer.stats
+    assert stats["operators.gamma_young_check"].calls == 4
+    assert stats["norms.lq_norm"].calls == 0
+    assert stats["rng.stream"].calls == 100
+    assert stats["fft"].calls == 3 * 13 + 8
