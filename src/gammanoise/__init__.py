@@ -17,8 +17,7 @@ from .operators import (ConvPair, afg_bruteforce_hs, afg_gamma_norm, gamma_young
 from .series import (MCEstimate, SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm,
                      sq_function_gamma_norm)
 from .spde import (DiagonalNoise, SpdeConfig, SystemNoise, Trajectory,
-                   scaling_diagnostic, second_moment_closed_form, simulate,
-                   spacetime_norm)
+                   scaling_diagnostic, second_moment_closed_form, simulate)
 from .systems import (Coloring, FourierSystem, HaarSystem, ShiftedBumpSystem,
                       SyntheticGrowthSystem, haar_lattice_sums)
 
@@ -36,5 +35,5 @@ __all__ = [
     "ConvPair", "afg_gamma_norm", "afg_bruteforce_hs", "gamma_young_check",
     "mg_sobolev_gamma_norm", "schatten_heat_norm",
     "DiagonalNoise", "SystemNoise", "SpdeConfig", "Trajectory", "simulate",
-    "second_moment_closed_form", "spacetime_norm", "scaling_diagnostic",
+    "second_moment_closed_form", "scaling_diagnostic",
 ]

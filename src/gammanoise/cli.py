@@ -23,8 +23,9 @@ import numpy as np
 from .acceptance import selftest
 from .conditions import ParamTuple
 from .config import COMMANDS, ConfigError, load_config
-from .experiments import (CONSTRUCTION_REGIMES, boundary_sweep, dirichlet_norm_test,
-                          frequency_block_test, rescaled_bump_test, shifted_bump_test)
+from .experiments import (BLOCK_TERM_CELLS_MAX, CONSTRUCTION_REGIMES, boundary_sweep,
+                          dirichlet_norm_test, frequency_block_test, rescaled_bump_test,
+                          shifted_bump_test)
 from .fit import linfit
 from .grid import Grid, constant_field, forward_coeffs, forward_transform
 from .norms import _chunk_rows, bessel_kernel, lq_norms
@@ -33,7 +34,8 @@ from .operators import (gamma_young_check, heat_witness, mg_sobolev_gamma_norm,
 from .output import OpTimer, RunManifest, config_hash, write_csv
 from .rng import stream
 from .series import SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm, sq_function_gamma_norm
-from .spde import DiagonalNoise, SpdeConfig, scaling_diagnostic, simulate, spacetime_norm
+from .spde import (DiagonalNoise, SpdeConfig, ensemble_norms, scaling_diagnostic, simulate,
+                   time_norms)
 from .systems import (Coloring, FourierSystem, HaarSystem, IndexRangeError,
                       ShiftedBumpSystem, bump_values, haar_lattice_sums)
 
@@ -277,6 +279,11 @@ def run_mg_sobolev(cfg, seed, workers, timer):
     grid = build_grid(cfg["grid"])
     blk = cfg["mg_sobolev"]
     oversample = cfg["run"]["oversample"]
+    cells = (oversample * grid.n) ** grid.dim
+    if cells > BLOCK_TERM_CELLS_MAX:
+        raise ConfigError(f"grid.dim={grid.dim} and grid.n={grid.n} give {cells} cells per "
+                          f"bump on the L^q rule's grid at run.oversample={oversample}, "
+                          f"above the budget of {BLOCK_TERM_CELLS_MAX}")
     coords = grid.coords()
     rows = []
     for levels in _stacks(blk["levels"], grid):
@@ -335,17 +342,19 @@ def run_heat_sim(cfg, seed, workers, timer):
         config = SpdeConfig(grid, noise, T=blk["t_horizon"], dt=blk["dt"])
     with _named("heat.integrator", blk["integrator"]):
         config = replace(config, integrator=blk["integrator"])
-    rows = []
-    dump = blk.get("dump_states")
-    for i in range(blk["trajectories"]):
-        traj = simulate(config, seed=seed, traj_index=i)
-        st = spacetime_norm(traj, blk["p"], blk["s"], blk["q"])
-        for t, h in zip(traj.times, st.norms):
-            rows.append({"trajectory": i, "time": float(t), "h_norm": float(h),
-                         "lp_spacetime": st.lp, "max_in_time": st.max_h})
-        if dump and i == 0:
-            dump_states(traj, dump)
-    return rows, {"trajectories": blk["trajectories"]}, EXIT_OK
+    count = blk["trajectories"]
+    with timer.op("ensemble"):
+        times, norms = ensemble_norms(config, seed, count, blk["s"], blk["q"])
+    with timer.op("rows"):
+        dts, times = np.diff(times), times.tolist()
+        rows = []
+        for i, h_norms in enumerate(norms):
+            lp, max_h = time_norms(h_norms, dts, blk["p"])
+            rows += [{"trajectory": i, "time": t, "h_norm": h, "lp_spacetime": lp,
+                      "max_in_time": max_h} for t, h in zip(times, h_norms.tolist())]
+    if blk.get("dump_states"):
+        dump_states(simulate(config, seed=seed, traj_index=0), blk["dump_states"])
+    return rows, {"trajectories": count}, EXIT_OK
 
 
 def run_scaling(cfg, seed, workers, timer):

@@ -23,7 +23,8 @@ from .systems import (FourierSystem, ShiftedBumpSystem, bump_values, frequency_b
                       plateau_values, rank_one_mu_norm, weighted_sequence_norm)
 
 BLOCK_RESOLUTION_MARGIN = 3     # grid octaves above the top frequency block
-BLOCK_TERM_CELLS_MAX = 2**25    # cells of the largest block's term stack, |C_N| * n^d
+BLOCK_TERM_CELLS_MAX = 2**25    # cells of the largest block's term stack, |C_N| * n^d,
+                                # and of mg-sobolev's L^q rule grid per bump
 
 
 # ---------------------------------------------------------------------------

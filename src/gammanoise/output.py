@@ -12,7 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 
 TOOL_VERSION = "0.1.0"
 
@@ -40,9 +42,8 @@ def csv_bytes(records, columns=None, constants=None) -> bytes:
     """Render records (dicts sharing one key set) as CSV bytes.
 
     ``constants`` maps further columns to one value each, written after the
-    records' own cells on every row.  A row is rendered by one %-format, made
-    once per tuple of cell types from ``_cell_format``; a row holding a bool
-    goes cell by cell through ``format_value``.
+    records' own cells on every row.  Cells are formatted a column at a time
+    by ``_column_cells``; the rows are then joined from the columns.
     """
     records = list(records)
     if columns is None:
@@ -50,25 +51,39 @@ def csv_bytes(records, columns=None, constants=None) -> bytes:
             raise ValueError("need explicit columns for an empty record set")
         columns = records[0].keys()
     columns = list(columns)
-    for r in records:
-        if list(r.keys()) != columns:
-            raise ValueError("records are not homogeneous")
+    if records and set(map(tuple, records)) != {tuple(columns)}:
+        raise ValueError("records are not homogeneous")
     constants = constants or {}
-    tail = [format_value(v) for v in constants.values()]
-    # each line is encoded as it is made: bytes are allocated at their size,
-    # where a %-formatted str can keep its over-allocated buffer
-    lines = [(",".join([*columns, *constants]) + "\n").encode("utf-8")]
-    row_formats = {}
-    for r in records:
-        row = tuple(r.values())
-        types = tuple(map(type, row))
-        if types not in row_formats:     # a bool cell is a word, not a %-format
-            row_formats[types] = None if bool in types else ",".join(
-                [*map(_cell_format, types), *(t.replace("%", "%%") for t in tail)]) + "\n"
-        fmt = row_formats[types]
-        text = fmt % row if fmt else ",".join([*map(format_value, row), *tail]) + "\n"
-        lines.append(text.encode("utf-8"))
-    return b"".join(lines)
+    cells = [_column_cells(list(map(itemgetter(c), records))) for c in columns]
+    cells += [[format_value(v)] * len(records) for v in constants.values()]
+    lines = [",".join([*columns, *constants]), *map(",".join, zip(*cells))]
+    if not cells:       # no column at all: each record is an empty line
+        lines += [""] * len(records)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _column_cells(values: list) -> list:
+    """``format_value`` of each cell of one column.
+
+    A column of one type other than ``bool`` formats each distinct value
+    once: within one type, keying by value is keying by (type, value).  A
+    column of several types, where ``True``, ``1`` and ``1.0`` are equal
+    keys, or of bools goes cell by cell.  As ``0.0 == -0.0``, zeros share a
+    key, so each zero is formatted on its own.
+    """
+    types = set(map(type, values))
+    if len(types) != 1 or bool in types:
+        return list(map(format_value, values))
+    fmt = _cell_format(types.pop())
+    distinct = list(dict.fromkeys(values))
+    texts = dict(zip(distinct, map(fmt.__mod__, zip(distinct))))
+    cells = list(map(texts.__getitem__, values))
+    if 0 in texts:      # found by C-level scans, each zero gets its own text
+        i = -1
+        for _ in range(values.count(0)):
+            i = values.index(0, i + 1)
+            cells[i] = fmt % (values[i],)
+    return cells
 
 
 def write_csv(records, path, columns=None, constants=None) -> None:
@@ -117,3 +132,10 @@ class OpTimer:
 
     def total(self) -> float:
         return time.monotonic() - self._start
+
+    @contextmanager
+    def op(self, name: str):
+        """Time the enclosed block as operation ``name``."""
+        start = time.monotonic()
+        yield
+        self.timings[name] = time.monotonic() - start

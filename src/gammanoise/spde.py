@@ -4,7 +4,9 @@
 every Fourier mode as an independent Ornstein-Uhlenbeck process with the
 exact transition law; the exponential Euler scheme handles multiplier fields
 g and series noise.  A trajectory's increments are drawn and built in
-batched chunks of steps, so the step loop holds only the recursion.
+batched chunks of steps, so the step loop holds only the recursion, and an
+ensemble steps a batch of trajectories side by side through one reused
+buffer, each drawing from its own stream.
 Closed-form second moments are available for g = 1 and diagonal noise, both
 for the continuous-time law and for the Euler scheme.
 """
@@ -12,13 +14,13 @@ for the continuous-time law and for the Euler scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .grid import Grid, SpectralField, forward_transform
-from .norms import (bessel_multiplier, heat_eigenvalues, lq_norm, lq_norms,
+from .norms import (_bessel_symbol, bessel_multiplier, heat_eigenvalues, lq_norm, lq_norms,
                     sq_function_from_terms)
 from .rng import complex_standard_normal, standard_gaussians, stream
 from .fit import SweepRecord, fit_ratio_exponent
@@ -149,41 +151,104 @@ class Trajectory:
 
 
 NOISE_CHUNK_BYTES = 4 * 2**20     # most increment bytes built at once
+_STEP_BYTES = np.dtype(np.complex128).itemsize     # bytes of one mode of one state
+
+
+def _chunk_steps(grid: Grid) -> int:
+    """Steps per chunk of increments: as many as ``NOISE_CHUNK_BYTES`` holds, at least one."""
+    return max(1, NOISE_CHUNK_BYTES // (_STEP_BYTES * grid.n**grid.dim))
 
 
 def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
              keep_states: bool = True) -> Trajectory:
     """Integrate one trajectory; its draws come in order from one (seed, traj) stream.
 
-    Increments are built in batched chunks of at most ``NOISE_CHUNK_BYTES``,
-    so the noise's memory stays flat in the step count, and row m of the
-    draws is step m's, as drawing step by step would give.  The chunking
-    does not depend on ``keep_states``, so both give the same bits.  A field
-    g, or the chunk's slice of a list of one field per step, multiplies a
-    chunk in one transform pair.
+    The trajectory is ``_integrate``'s batch of one.  With ``keep_states``
+    every step's state is stored, else only the final one; both give the
+    same bits.
+    """
+    grid = config.grid
+    times = np.arange(config.steps + 1) * config.dt if keep_states else np.array([0.0, config.T])
+    coeffs = np.zeros((len(times), grid.n**grid.dim), dtype=np.complex128)
+    _integrate(config, [stream(seed, traj_index)], coeffs, keep_states)
+    coeffs.flags.writeable = False
+    return Trajectory(grid, times, coeffs.reshape((len(times),) + grid.shape), seed)
+
+
+def ensemble_norms(config: SpdeConfig, seed: int, count: int, s: float,
+                   q: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(times, norms)``: ``norms[i]`` is ``trajectory_norms(simulate(config, seed, i), s, q)``.
+
+    Trajectories are integrated side by side in batches of as many as one
+    ``NOISE_CHUNK_BYTES`` holds of their states and increments; the states
+    and increment buffers are made once and reused by every batch.  A
+    batch's states are smoothed in place and measured in one ``lq_norms``
+    pass, whose rows are measured one by one, so the norms are those of one
+    trajectory at a time.
+    """
+    _check_norm_q(q)
+    grid, steps = config.grid, config.steps
+    size = grid.n**grid.dim
+    chunk = min(_chunk_steps(grid), steps)
+    batch = max(1, NOISE_CHUNK_BYTES // (_STEP_BYTES * size * (steps + 1 + chunk)))
+    states = np.empty((steps + 1, batch * size), dtype=np.complex128)
+    incs = np.empty((chunk, batch * size), dtype=np.complex128)
+    mult = _bessel_symbol(grid, 1.0 - s)
+    norms = np.empty((count, steps + 1))
+    for lo in range(0, count, batch):
+        ids = range(lo, min(lo + batch, count))
+        width = len(ids) * size
+        block = states[:, :width]
+        block[0] = 0
+        _integrate(config, [stream(seed, i) for i in ids], block, True, incs[:, :width])
+        smoothed = block.reshape((steps + 1, len(ids)) + grid.shape)
+        smoothed *= mult
+        vals = lq_norms(grid, smoothed.reshape((-1,) + grid.shape), q, 1)
+        norms[lo:lo + len(ids)] = vals.reshape(steps + 1, len(ids)).T
+    return np.arange(steps + 1) * config.dt, norms
+
+
+def _integrate(config: SpdeConfig, gens: list, states: np.ndarray, keep_states: bool,
+               incs: np.ndarray = None) -> None:
+    """Step ``len(gens)`` trajectories side by side from the zero state in ``states[0]``.
+
+    ``states`` has rows of ``B * n^d`` modes, trajectory b in the b-th run of
+    ``n^d``, and one row per stored time (two without ``keep_states``: the
+    zero start and the state, updated in place); row 0 must be zero.  Each
+    trajectory's increments come in chunks of ``_chunk_steps`` steps from
+    ``_increments`` on its own generator, so the noise's memory stays flat
+    in the step count and row m of the draws is step m's, as drawing step by
+    step would give.  The chunking depends on neither ``keep_states`` nor
+    the batch, so all give the same bits.  A batch of more than one copies
+    its increments into ``incs``, a ``(chunk, B * n^d)`` buffer.
 
     exact_ou updates each mode with the exact Ornstein-Uhlenbeck transition;
     exp_euler damps the previous state and the increment by the semigroup.
-    The eigenvalues, the decay and the OU step deviations are computed once
-    per config, and each step writes its state in place into the stored row
-    (or the one final row), with the step's operations in their usual order,
-    so a step allocates nothing.
+    The decay is computed once per config and tiled over the batch, and a
+    step is one multiply and one add over a contiguous row, written in place
+    into the next stored row (or the one final row), so a step allocates
+    nothing.
     """
     grid, steps = config.grid, config.steps
-    decay = config._decay
+    size = grid.n**grid.dim
+    decay = config._decay.reshape(-1)
+    if len(gens) > 1:   # a batch of one steps with the cached decay itself, allocating nothing
+        decay = np.tile(decay, len(gens))
     exact_ou = config.integrator == "exact_ou"
-    gen = stream(seed, traj_index)
-    step_bytes = np.dtype(np.complex128).itemsize * grid.n**grid.dim
-    chunk = max(1, NOISE_CHUNK_BYTES // step_bytes)
-
-    times = np.arange(steps + 1) * config.dt if keep_states else np.array([0.0, config.T])
-    coeffs = np.zeros((len(times),) + grid.shape, dtype=np.complex128)
-    final = coeffs[-1]
+    chunk = _chunk_steps(grid)
+    final = states[-1]
     mul, add = np.multiply, np.add      # a step is two short ufunc calls; keep their overhead low
     for lo in range(0, steps, chunk):
-        dw = _increments(config, gen, lo, min(lo + chunk, steps))
+        hi = min(lo + chunk, steps)
+        if len(gens) == 1:
+            dw = _increments(config, gens[0], lo, hi).reshape(hi - lo, size)
+        else:
+            dw = incs[:hi - lo]
+            for b, gen in enumerate(gens):
+                dw[:, b * size:(b + 1) * size] = _increments(config, gen, lo, hi).reshape(
+                    hi - lo, size)
         for m, inc in enumerate(dw, start=lo):
-            u, out = (coeffs[m], coeffs[m + 1]) if keep_states else (final, final)
+            u, out = (states[m], states[m + 1]) if keep_states else (final, final)
             if exact_ou:        # decay * u + inc
                 mul(decay, u, out)
                 add(out, inc, out)
@@ -191,8 +256,6 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
                 add(u, inc, out)
                 mul(decay, out, out)
         del dw, inc     # free this chunk before the next one is built
-    coeffs.flags.writeable = False
-    return Trajectory(grid, times, coeffs, seed)
 
 
 def _increments(config: SpdeConfig, gen: np.random.Generator, lo: int, hi: int) -> np.ndarray:
@@ -275,29 +338,27 @@ def second_moment_exp_euler(config: SpdeConfig, s: float) -> float:
     return float(np.sum(weights * var) * config.grid.length**config.grid.dim)
 
 
-@dataclass(frozen=True)
-class SpaceTimeNorm:
-    lp: float       # left-endpoint L^p(0, T) quadrature of the spatial norm
-    max_h: float    # max-in-time spatial norm (crude sup-norm substitute,
-                    # not equivalent to the endpoint Besov bound)
-    norms: np.ndarray = field(compare=False)    # spatial norm at every stored time
+def _check_norm_q(q: float) -> None:
+    if not (1 < q < math.inf):
+        raise ValueError(f"q must lie in (1, inf), got {q}")
 
 
 def trajectory_norms(traj: Trajectory, s: float, q: float) -> np.ndarray:
     """Smoothness 1 - s spatial norm at every stored time, in one batched pass."""
-    if not (1 < q < math.inf):
-        raise ValueError(f"q must lie in (1, inf), got {q}")
+    _check_norm_q(q)
     return lq_norms(traj.grid, traj.coeffs * bessel_multiplier(traj.grid, 1.0 - s), q, 1)
 
 
-def spacetime_norm(traj: Trajectory, p: float, s: float, q: float) -> SpaceTimeNorm:
-    """``L^p(0,T)`` norm of the smoothness 1 - s spatial norm along a trajectory."""
+def time_norms(norms: np.ndarray, dts: np.ndarray, p: float) -> tuple[float, float]:
+    """``(lp, max)`` of one trajectory's spatial norms at its stored times.
+
+    ``lp`` is the left-endpoint ``L^p(0, T)`` quadrature with step lengths
+    ``dts``; ``max`` is the max-in-time norm, a crude substitute for the sup
+    norm in time that is not equivalent to the endpoint Besov bound.
+    """
     if not (1 <= p < math.inf):
         raise ValueError(f"p must lie in [1, inf), got {p}")
-    norms = trajectory_norms(traj, s, q)
-    dts = np.diff(traj.times)
-    lp = float(np.sum(norms[:-1] ** p * dts) ** (1.0 / p))
-    return SpaceTimeNorm(lp=lp, max_h=float(np.max(norms)), norms=norms)
+    return float(np.sum(norms[:-1] ** p * dts) ** (1.0 / p)), float(np.max(norms))
 
 
 # ---------------------------------------------------------------------------

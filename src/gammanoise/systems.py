@@ -183,8 +183,11 @@ class HaarSystem:
             k = (k,) * 1
         vals = np.ones(grid.shape)
         for x, s, ki in zip(grid.coords(), sigma, k):
-            # dyadic rescale onto [0,1) with periodic wrap
-            t = np.mod(2.0**j * np.mod(x / grid.length, 1.0) - ki, 2.0**j)
+            # dyadic rescale onto [0, 2^j) with periodic wrap: x / L lies in [0, 1) and
+            # k in {0..2^j-1}, so t lies in (-2^j, 2^j), where np.mod(t, 2^j) is this
+            # branch, bit for bit
+            t = 2.0**j * (x / grid.length) - ki
+            t = np.where(t < 0, t + 2.0**j, t)
             on_support = t < 1.0
             if s == 0:
                 axis_vals = np.where(on_support, 1.0, 0.0)

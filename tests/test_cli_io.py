@@ -4,12 +4,14 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gammanoise.cli import RUNNERS, dump_states, load_states, main
 from gammanoise.config import COMMANDS, ConfigError, command_sections, load_config
+from gammanoise.experiments import BLOCK_TERM_CELLS_MAX
 from gammanoise.grid import Grid
 from gammanoise.output import (RunManifest, canonical_config, config_hash, csv_bytes,
                                format_value, write_csv)
@@ -69,6 +71,22 @@ class TestCsv:
                    [(a, b, c) for a in cells for b in cells[::4] for c in cells[::5]]]
         records += [{"a": 1.5, "b": 2, "c": "s"}] * 3
         ref = [",".join("abc")] + [",".join(map(self.reference_cell, r.values())) for r in records]
+        assert csv_bytes(records) == ("\n".join(ref) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("column", [
+        [0.0, -0.0, 0.0, -0.0, 2.5, -0.0, 2.5],
+        [np.float64(-0.0), np.float64(0.0), np.float64(-0.0), np.float64(1.5)] * 2,
+        [True, 1, 1.0, True, 1, 1.0, False, 0, 0.0, False, np.bool_(True), np.int64(1)],
+        [math.nan, -math.nan, math.inf, -math.inf, math.nan, math.inf, 0.1 + 0.2, 0.1 + 0.2],
+        [np.float64(math.nan), np.float64(-math.inf), np.float64(np.pi), np.float64(np.pi),
+         float(np.pi), math.nan, "nan"],
+    ], ids=["signed_zeros", "signed_float64_zeros", "bool_int_float", "nan_inf",
+            "nan_inf_float64"])
+    def test_repeated_values_match_the_per_row_format(self, column):
+        # a column's cells are formatted once per distinct value: equal values of other
+        # types, and zeros of either sign, keep their own text
+        records = [{"a": v, "b": [0.5, -0.0, 0.0][i % 3]} for i, v in enumerate(column * 2)]
+        ref = ["a,b"] + [",".join(map(self.reference_cell, r.values())) for r in records]
         assert csv_bytes(records) == ("\n".join(ref) + "\n").encode("utf-8")
 
     def test_constants_append_to_every_row(self):
@@ -339,6 +357,21 @@ class TestCliCommands:
         assert override.split("=")[0] in err["detail"]
         assert not out.exists()
 
+    def test_mg_sobolev_grid_above_the_cell_budget_rejected(self, tmp_path, capsys):
+        # 2-d at the default n = 8192 would need (4 * 8192)^2 cells per bump
+        out = tmp_path / "x.csv"
+        tracemalloc.start()
+        try:
+            code = main(["mg-sobolev", "--override", "grid.dim=2", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["detail"] == (
+            f"grid.dim=2 and grid.n=8192 give {2**30} cells per bump on the L^q rule's grid "
+            f"at run.oversample=4, above the budget of {BLOCK_TERM_CELLS_MAX}")
+        assert peak < 2**20 and not out.exists()
+
     def test_mg_sobolev_names_the_first_flat_level(self, tmp_path, capsys):
         # on 4096 points levels 10 and 11 have all-zero bumps; both are in the
         # last stack of levels (8 to 11), and the message names level 10
@@ -522,6 +555,15 @@ class TestCliCommands:
         assert code == 0
         dims, n, states = load_states(str(dump))
         assert dims == 1 and n == 32 and len(states) == 6
+
+    def test_heat_sim_manifest_times_its_operations(self, tmp_path):
+        out = tmp_path / "h.csv"
+        assert main(["heat-sim", "--out", str(out), "--override", "grid.n=32",
+                     "--override", "heat.trajectories=3"]) == 0
+        doc = json.loads((tmp_path / f"manifest-{read_csv(out)[0]['manifest']}.json").read_text())
+        timings = doc["op_timings"]
+        assert sorted(timings) == ["ensemble", "rows"]
+        assert all(0 <= t <= doc["wall_time_s"] for t in timings.values())
 
     def test_heat_sim_state_dump_pinned(self, tmp_path):
         # header plus every state of trajectory 0; the dump path is not part of the bytes

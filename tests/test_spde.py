@@ -13,9 +13,9 @@ from gammanoise.series import SeriesSpec, series_coeffs
 from gammanoise.fit import linfit
 from gammanoise import spde
 from gammanoise.spde import (DiagonalNoise, SpdeConfig, SystemNoise, Trajectory,
-                             _ou_step_variance, scaling_diagnostic, second_moment_closed_form,
-                             second_moment_exp_euler, simulate, spacetime_norm,
-                             term_values_for_system, trajectory_norms)
+                             _ou_step_variance, ensemble_norms, scaling_diagnostic,
+                             second_moment_closed_form, second_moment_exp_euler, simulate,
+                             term_values_for_system, time_norms, trajectory_norms)
 from gammanoise.systems import Coloring, FourierSystem, HaarSystem
 
 
@@ -346,6 +346,64 @@ class TestNoiseChunks:
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
+class TestEnsembleNorms:
+    """``ensemble_norms`` gives each trajectory the bits of ``trajectory_norms(simulate(...))``."""
+
+    STEPS, COUNT = 5, 7
+
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    @pytest.mark.parametrize("grid", [Grid(1, 32), Grid(2, 8)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("noise_kind,g_kind", [
+        ("exact_ou", "none"), ("diagonal", "field"), ("fourier", "none"), ("fourier", "list"),
+        ("haar", "field"), ("haar", "list")])
+    @pytest.mark.parametrize("layout,batches", [
+        ("one_batch", [7]), ("batches_of_3", [3, 3, 1]), ("chunked_steps", [1] * 7)])
+    def test_matches_trajectory_norms(self, grid, noise_kind, g_kind, q, layout, batches,
+                                      monkeypatch):
+        cfg = _noise_config(grid, noise_kind, g_kind, self.STEPS)
+        step_bytes = 16 * grid.n**grid.dim
+        if layout == "batches_of_3":    # states and one chunk of increments, 3 times
+            monkeypatch.setattr(spde, "NOISE_CHUNK_BYTES",
+                                3 * step_bytes * (2 * self.STEPS + 1))
+        elif layout == "chunked_steps":     # 2 steps of increments per chunk: 3 chunks
+            monkeypatch.setattr(spde, "NOISE_CHUNK_BYTES", 2 * step_bytes)
+        sizes, chunks = [], []
+        integrate, increments = spde._integrate, spde._increments
+        monkeypatch.setattr(spde, "_integrate",
+                            lambda c, gens, *a: sizes.append(len(gens)) or integrate(c, gens, *a))
+        monkeypatch.setattr(spde, "_increments",
+                            lambda *a: chunks.append(a[-2:]) or increments(*a))
+        times, norms = ensemble_norms(cfg, 9, self.COUNT, 0.7, q)
+        assert sizes == batches
+        per_trajectory = [(0, 2), (2, 4), (4, 5)] if layout == "chunked_steps" else [(0, 5)]
+        assert chunks == per_trajectory * self.COUNT
+        assert norms.shape == (self.COUNT, self.STEPS + 1)
+        for i in range(self.COUNT):
+            traj = simulate(cfg, seed=9, traj_index=i)
+            assert norms[i].tolist() == trajectory_norms(traj, 0.7, q).tolist()
+            assert times.tolist() == traj.times.tolist()
+
+    def test_memory_flat_in_trajectory_count(self):
+        # one states buffer and one increment buffer serve every batch of 5
+        grid = Grid(1, 256)
+        cfg = SpdeConfig(grid, DiagonalNoise.matern(grid, 0.3), T=0.1, dt=1e-3)
+        peaks = []
+        for count in (5, 40):
+            tracemalloc.start()
+            try:
+                ensemble_norms(cfg, 1, count, 0.9, 2.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2**16, peaks
+
+    @pytest.mark.parametrize("q", [1.0, math.inf])
+    def test_spatial_exponent_outside_range_rejected(self, small_grid, q):
+        cfg = SpdeConfig(small_grid, DiagonalNoise.matern(small_grid, 0.5), T=0.05, dt=0.01)
+        with pytest.raises(ValueError, match="q must lie"):
+            ensemble_norms(cfg, 1, 2, 0.9, q)
+
+
 class TestClosedForm:
     def test_zero_horizon_limit(self, small_grid):
         noise = DiagonalNoise.matern(small_grid, 0.3)
@@ -431,8 +489,8 @@ class TestSpacetimeNorm:
 
     def test_zero_trajectory(self, small_grid):
         cfg = SpdeConfig(small_grid, DiagonalNoise(np.zeros(small_grid.shape)), T=0.1, dt=0.01)
-        st = spacetime_norm(simulate(cfg, seed=0), 2.0, 0.9, 2.0)
-        assert st.lp == 0.0 and st.max_h == 0.0
+        traj = simulate(cfg, seed=0)
+        assert time_norms(trajectory_norms(traj, 0.9, 2.0), np.diff(traj.times), 2.0) == (0.0, 0.0)
 
     def test_constant_in_time_closed_form(self, small_grid):
         # a frozen single-mode state integrates to T^{1/p} times its norm
@@ -441,10 +499,15 @@ class TestSpacetimeNorm:
         times = np.linspace(0.0, 0.5, 6)
         traj = Trajectory(small_grid, times, np.stack([f.coeffs] * 6), seed=0)
         p, s, q = 2.0, 0.6, 2.0
-        st = spacetime_norm(traj, p, s, q)
+        lp, max_h = time_norms(trajectory_norms(traj, s, q), np.diff(times), p)
         ref = 0.5 ** (1 / p) * hsq_norm(f, 1 - s, q)
-        assert st.lp == pytest.approx(ref, rel=1e-12)
-        assert st.max_h == pytest.approx(hsq_norm(f, 1 - s, q), rel=1e-12)
+        assert lp == pytest.approx(ref, rel=1e-12)
+        assert max_h == pytest.approx(hsq_norm(f, 1 - s, q), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.5, math.inf])
+    def test_time_exponent_outside_range_rejected(self, p):
+        with pytest.raises(ValueError, match="p must lie"):
+            time_norms(np.ones(3), np.ones(2), p)
 
     def test_mc_matches_time_integrated_closed_form(self):
         # E of the left-endpoint quadrature equals the summed closed form
@@ -453,10 +516,8 @@ class TestSpacetimeNorm:
         s = 0.9
         ref = sum(second_moment_closed_form(cfg, s, t=m * cfg.dt) * cfg.dt
                   for m in range(cfg.steps))
-        vals = []
-        for i in range(500):
-            traj = simulate(cfg, seed=81, traj_index=i)
-            vals.append(spacetime_norm(traj, 2.0, s, 2.0).lp ** 2)
+        times, norms = ensemble_norms(cfg, 81, 500, s, 2.0)
+        vals = [time_norms(h, np.diff(times), 2.0)[0] ** 2 for h in norms]
         mean = np.mean(vals)
         stderr = np.std(vals, ddof=1) / math.sqrt(len(vals))
         assert abs(mean - ref) <= 3 * stderr

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gammanoise.fit import linfit
-from gammanoise.grid import Grid
+from gammanoise.grid import Grid, forward_transform
 from gammanoise.systems import (Coloring, FourierSystem, HaarSystem, IndexRangeError,
                                 NonEvaluableError, ShiftedBumpSystem,
                                 SyntheticGrowthSystem, frequency_block, haar_lattice_sums,
@@ -126,6 +126,23 @@ class TestHaarSystem:
         assert len(sys.indices(7)) == 7
         with pytest.raises(IndexRangeError):
             sys.indices(8)
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64, 3.0), Grid(2, 16, 2.5), Grid(3, 8, 0.7)],
+                             ids=["1d", "2d", "3d"])
+    def test_render_matches_the_wrapped_formula(self, grid):
+        # the positions t were once wrapped by two float np.mod calls
+        def reference(idx):
+            sigma, j, k = idx
+            vals = np.ones(grid.shape)
+            for x, s, ki in zip(grid.coords(), sigma, k):
+                t = np.mod(2.0**j * np.mod(x / grid.length, 1.0) - ki, 2.0**j)
+                inside = np.where(t < 0.5, 1.0, -1.0) if s else 1.0
+                vals = vals * np.where(t < 1.0, inside, 0.0)
+            return forward_transform(grid, vals * 2.0 ** (j * grid.dim / 2.0)
+                                     / grid.length ** (grid.dim / 2.0)).coeffs
+        sys = HaarSystem(grid.dim, 0, 2)
+        for idx in sys.indices((2**grid.dim - 1) * sum(2 ** (j * grid.dim) for j in range(3))):
+            assert np.array_equal(sys.render(idx, grid).coeffs, reference(idx)), idx
 
     def test_two_dimensional_gram(self):
         g = Grid(2, 128)
