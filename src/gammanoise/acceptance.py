@@ -302,6 +302,11 @@ def _record(cid: int, name: str, passed: bool, metrics: dict) -> dict:
     return {"criterion": cid, "name": name, "passed": passed, "metrics": detail}
 
 
+def _table(records) -> dict:
+    """The ``selftest`` CSV table of ``records``: one column per record key."""
+    return {name: [r[name] for r in records] for name in records[0]}
+
+
 def criterion_12(seed: int, base_records, workers: int = 1, timings: dict = None):
     """Reproducibility: rerun criteria 1-11 under a different worker count, compare bytes.
 
@@ -312,7 +317,7 @@ def criterion_12(seed: int, base_records, workers: int = 1, timings: dict = None
     t0 = time.monotonic()
     twin_workers = 2 if workers == 1 else 1
     twin_records = run_criteria(seed, workers=twin_workers)
-    identical = csv_bytes(base_records) == csv_bytes(twin_records)
+    identical = csv_bytes(_table(base_records)) == csv_bytes(_table(twin_records))
     if timings is not None:
         timings["reproducibility"] = time.monotonic() - t0
     # worker counts stay out of the record so the selftest CSV itself is
@@ -325,9 +330,9 @@ def criterion_12(seed: int, base_records, workers: int = 1, timings: dict = None
 def selftest(seed: int, workers: int = 1):
     """Full acceptance run: criteria 1-11 plus the reproducibility twin pass.
 
-    Returns (records, timings); records are byte-stable for a fixed seed.
+    Returns (table, timings); the table is byte-stable for a fixed seed.
     """
     timings = {}
     base = run_criteria(seed, workers=workers, timings=timings)
     _, rec12 = criterion_12(seed, base, workers=workers, timings=timings)
-    return base + [rec12], timings
+    return _table(base + [rec12]), timings

@@ -126,8 +126,8 @@ def _params_from(block: dict) -> ParamTuple:
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns (records, verdicts, exit_code); the CSV
-# columns are declared in config.COMMANDS
+# subcommand runners: each returns (table, verdicts, exit_code); a table maps
+# each column declared in config.COMMANDS, in order, to an equal-length list of cells
 
 
 def run_series_norm(cfg, seed, workers, timer):
@@ -140,12 +140,12 @@ def run_series_norm(cfg, seed, workers, timer):
     spec = SeriesSpec(grid, system, coloring, blk["n_terms"], blk["s"], blk["q"], g=g)
     est = mc_gamma_norm(spec, blk["samples"], seed=seed, workers=workers,
                         oversample=cfg["run"]["oversample"])
-    row = {"n_terms": blk["n_terms"], "s": blk["s"], "q": blk["q"],
-           "samples": est.samples, "seed": est.seed, "mean_sq": est.mean,
-           "stderr": est.stderr, "mean_norm": est.mean_norm,
-           "sq_function": sq_function_gamma_norm(spec, oversample=cfg["run"]["oversample"]),
-           "hs_exact": hs_gamma_norm_exact(spec) if blk["q"] == 2 else math.nan}
-    return [row], {}, EXIT_OK
+    table = {"n_terms": [blk["n_terms"]], "s": [blk["s"]], "q": [blk["q"]],
+             "samples": [est.samples], "seed": [est.seed], "mean_sq": [est.mean],
+             "stderr": [est.stderr], "mean_norm": [est.mean_norm],
+             "sq_function": [sq_function_gamma_norm(spec, oversample=cfg["run"]["oversample"])],
+             "hs_exact": [hs_gamma_norm_exact(spec) if blk["q"] == 2 else math.nan]}
+    return table, {}, EXIT_OK
 
 
 def _check_series_members(cfg, system, coloring: Coloring) -> None:
@@ -192,25 +192,28 @@ def run_sweep(cfg, seed, workers, timer):
     tuples = [_params_from({**blk, "s": s}) for s in blk["s_values"]]
     with _named("sweep.construction", blk["construction"]):
         cells = boundary_sweep(tuples, blk["construction"], blk["scales"])
-    rows = [{"d": c.params.d, "s": c.params.s, "q": c.params.q,
-             "eta": c.params.eta, "zeta": c.params.zeta,
-             "construction": c.construction, "slack": c.slack,
-             "classification": c.classification, "label": c.label,
-             "exponent": c.exponent, "r2": c.r2, "status": c.status}
-            for c in cells]
+    table = {**_attributes([c.params for c in cells], ("d", "s", "q", "eta", "zeta")),
+             **_attributes(cells, ("construction", "slack", "classification", "label",
+                                   "exponent", "r2", "status"))}
     reasons = [{"s": c.params.s, "error": c.error} for c in cells if c.status == "failed"]
     code = EXIT_PARTIAL if reasons else EXIT_OK
-    return rows, {"failed_cells": len(reasons), "failed_reasons": reasons}, code
+    return table, {"failed_cells": len(reasons), "failed_reasons": reasons}, code
 
 
-def _two_sided_rows(records, fit):
-    rows = []
-    for r in records:
-        rows.append({"construction": r.construction, "scale_index": r.scale_index,
-                     "lhs": r.lhs, "rhs": r.rhs, "ratio": r.ratio,
-                     "fitted_exponent": fit.exponent, "predicted_exponent": fit.predicted,
-                     "r2": fit.r2})
-    return rows
+def _attributes(items, names) -> dict:
+    """A table of the attributes ``names`` of each of ``items``, one column per name."""
+    return {name: [getattr(item, name) for item in items] for name in names}
+
+
+def _repeated(rows: int, **cells) -> dict:
+    """A table of one column per keyword, its value repeated ``rows`` times."""
+    return {name: [value] * rows for name, value in cells.items()}
+
+
+def _two_sided_table(records, fit) -> dict:
+    return {**_attributes(records, ("construction", "scale_index", "lhs", "rhs", "ratio")),
+            **_repeated(len(records), fitted_exponent=fit.exponent,
+                        predicted_exponent=fit.predicted, r2=fit.r2)}
 
 
 def run_freq_block(cfg, seed, workers, timer):
@@ -218,7 +221,7 @@ def run_freq_block(cfg, seed, workers, timer):
     blk = cfg["freq_block"]
     records, fit = frequency_block_test(params, range(blk["n_min"], blk["n_max"] + 1),
                                         oversample=cfg["run"]["oversample"])
-    return _two_sided_rows(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
+    return _two_sided_table(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
 def run_rescaled_bump(cfg, seed, workers, timer):
@@ -227,7 +230,7 @@ def run_rescaled_bump(cfg, seed, workers, timer):
     records, fit = rescaled_bump_test(params, range(blk["m_min"], blk["m_max"] + 1),
                                       n=blk["n"], width=blk["width"],
                                       oversample=cfg["run"]["oversample"])
-    return _two_sided_rows(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
+    return _two_sided_table(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
 def run_shifted_bump(cfg, seed, workers, timer):
@@ -237,18 +240,16 @@ def run_shifted_bump(cfg, seed, workers, timer):
                                      resolution=blk["resolution"],
                                      width=blk["width"],
                                      oversample=cfg["run"]["oversample"])
-    return _two_sided_rows(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
+    return _two_sided_table(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
 def run_dirichlet(cfg, seed, workers, timer):
     blk = cfg["dirichlet"]
-    rows_raw, fit = dirichlet_norm_test(blk["eta"], blk["n_values"],
-                                        oversample=cfg["run"]["oversample"])
-    rows = [{"N": N, "terms": terms, "norm": val, "eta": blk["eta"],
-             "fitted_exponent": fit.exponent, "predicted_exponent": fit.predicted,
-             "r2": fit.r2}
-            for N, terms, val in rows_raw]
-    return rows, {"fitted_exponent": fit.exponent}, EXIT_OK
+    table, fit = dirichlet_norm_test(blk["eta"], blk["n_values"],
+                                     oversample=cfg["run"]["oversample"])
+    table.update(_repeated(len(table["N"]), eta=blk["eta"], fitted_exponent=fit.exponent,
+                           predicted_exponent=fit.predicted, r2=fit.r2))
+    return table, {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
 def run_gamma_young(cfg, seed, workers, timer):
@@ -263,16 +264,16 @@ def run_gamma_young(cfg, seed, workers, timer):
                           "1/eta = 1/q + 1/2 - 1/r")
     eta = 1.0 / inv_eta
     kernel = bessel_kernel(grid, s)
-    rows = []
-    for trials in _stacks(blk["trials"], grid):
+    count = blk["trials"]
+    table = {"trial": list(range(count)), **_repeated(count, s=s, q=q, r=r, eta=eta),
+             "lhs": [], "rhs": [], "ratio": []}
+    for trials in _stacks(count, grid):
         samples = np.stack([stream(seed, i).standard_normal(grid.shape) for i in trials])
-        lhs, rhs, ratio = gamma_young_check(kernel, forward_coeffs(grid, samples), q, r, eta,
-                                            oversample=cfg["run"]["oversample"], real=True)
-        rows += [{"trial": i, "s": s, "q": q, "r": r, "eta": eta,
-                  "lhs": a, "rhs": b, "ratio": c}
-                 for i, a, b, c in zip(trials, lhs.tolist(), rhs.tolist(), ratio.tolist())]
-    ratios = [row["ratio"] for row in rows]
-    return rows, {"ratio_spread": max(ratios) / min(ratios)}, EXIT_OK
+        checks = gamma_young_check(kernel, forward_coeffs(grid, samples), q, r, eta,
+                                   oversample=cfg["run"]["oversample"], real=True)
+        for name, values in zip(("lhs", "rhs", "ratio"), checks):
+            table[name] += values.tolist()
+    return table, {"ratio_spread": max(table["ratio"]) / min(table["ratio"])}, EXIT_OK
 
 
 def run_mg_sobolev(cfg, seed, workers, timer):
@@ -285,23 +286,24 @@ def run_mg_sobolev(cfg, seed, workers, timer):
                           f"bump on the L^q rule's grid at run.oversample={oversample}, "
                           f"above the budget of {BLOCK_TERM_CELLS_MAX}")
     coords = grid.coords()
-    rows = []
+    gamma, g_eta = [], []
     for levels in _stacks(blk["levels"], grid):
         widths = [blk["width"] * 2.0**-m for m in levels]
         g = forward_coeffs(grid, np.stack([bump_values(coords, w / 2.0, w) for w in widths]))
-        g_eta = lq_norms(grid, g, blk["eta"], oversample, real=True).tolist()
-        for m, w, norm in zip(levels, widths, g_eta):
+        norms = lq_norms(grid, g, blk["eta"], oversample, real=True).tolist()
+        for m, w, norm in zip(levels, widths, norms):
             if not (norm > 0 and math.isfinite(norm)):
                 raise ConfigError(f"mg_sobolev.levels={blk['levels']} and mg_sobolev.width="
                                   f"{blk['width']:g} give a level-{m} bump of width {w:g} "
                                   f"whose L^eta norm on grid.n={grid.n} is {norm:g}")
-        vals = mg_sobolev_gamma_norm(grid, g, blk["s"], blk["q"], oversample=oversample,
-                                     real=True).tolist()
-        rows += [{"level": m, "s": blk["s"], "q": blk["q"], "eta": blk["eta"],
-                  "gamma_norm": val, "g_eta_norm": norm, "constant": val / norm}
-                 for m, val, norm in zip(levels, vals, g_eta)]
-    consts = [r["constant"] for r in rows]
-    return rows, {"constant_spread": max(consts) / min(consts)}, EXIT_OK
+        g_eta += norms
+        gamma += mg_sobolev_gamma_norm(grid, g, blk["s"], blk["q"], oversample=oversample,
+                                       real=True).tolist()
+    consts = [val / norm for val, norm in zip(gamma, g_eta)]
+    table = {"level": list(range(blk["levels"])),
+             **_repeated(blk["levels"], s=blk["s"], q=blk["q"], eta=blk["eta"]),
+             "gamma_norm": gamma, "g_eta_norm": g_eta, "constant": consts}
+    return table, {"constant_spread": max(consts) / min(consts)}, EXIT_OK
 
 
 def _stacks(count: int, grid: Grid):
@@ -315,14 +317,14 @@ def run_schatten_heat(cfg, seed, workers, timer):
     grid = Grid(blk["d"], blk["n"])
     one = constant_field(grid, 1.0)
     ts = np.geomspace(blk["t_min"], blk["t_max"], blk["points"])
-    rows = []
-    for t in ts:
-        val = schatten_heat_norm(one, float(t))
-        rows.append({"d": blk["d"], "t": float(t), "norm_g1": val,
-                     "scaled_g1": float(t) ** (blk["d"] / 4.0) * val,
-                     "norm_witness": schatten_heat_norm(heat_witness(grid, float(t)), float(t))})
-    slope, _ = linfit(np.log(ts), np.log([r["norm_witness"] for r in rows]))
-    return rows, {"witness_exponent": slope}, EXIT_OK
+    times = ts.tolist()
+    norms = [schatten_heat_norm(one, t) for t in times]
+    witness = [schatten_heat_norm(heat_witness(grid, t), t) for t in times]
+    table = {"d": [blk["d"]] * len(times), "t": times, "norm_g1": norms,
+             "scaled_g1": [t ** (blk["d"] / 4.0) * val for t, val in zip(times, norms)],
+             "norm_witness": witness}
+    slope, _ = linfit(np.log(ts), np.log(witness))
+    return table, {"witness_exponent": slope}, EXIT_OK
 
 
 def run_heat_sim(cfg, seed, workers, timer):
@@ -346,15 +348,14 @@ def run_heat_sim(cfg, seed, workers, timer):
     with timer.op("ensemble"):
         times, norms = ensemble_norms(config, seed, count, blk["s"], blk["q"])
     with timer.op("rows"):
-        dts, times = np.diff(times), times.tolist()
-        rows = []
-        for i, h_norms in enumerate(norms):
-            lp, max_h = time_norms(h_norms, dts, blk["p"])
-            rows += [{"trajectory": i, "time": t, "h_norm": h, "lp_spacetime": lp,
-                      "max_in_time": max_h} for t, h in zip(times, h_norms.tolist())]
+        lp, max_h = time_norms(norms, np.diff(times), blk["p"])
+        table = {"trajectory": np.repeat(np.arange(count), len(times)).tolist(),
+                 "time": times.tolist() * count, "h_norm": norms.ravel().tolist(),
+                 "lp_spacetime": np.repeat(lp, len(times)).tolist(),
+                 "max_in_time": np.repeat(max_h, len(times)).tolist()}
     if blk.get("dump_states"):
         dump_states(simulate(config, seed=seed, traj_index=0), blk["dump_states"])
-    return rows, {"trajectories": count}, EXIT_OK
+    return table, {"trajectories": count}, EXIT_OK
 
 
 def run_scaling(cfg, seed, workers, timer):
@@ -365,28 +366,26 @@ def run_scaling(cfg, seed, workers, timer):
                                       range(blk["m_min"], blk["m_max"] + 1), grid=grid,
                                       levels=blk["levels"], beta=blk["beta"],
                                       oversample=cfg["run"]["oversample"])
-    return _two_sided_rows(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
+    return _two_sided_table(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
 def run_haar_divergence(cfg, seed, workers, timer):
     blk = cfg["haar"]
     js = list(range(2, blk["j_max"] + 1))
-    rows = []
-    for zeta in blk["zeta_values"]:
-        sums = haar_lattice_sums(blk["alpha"], blk["beta"], zeta, blk["d"], js)
-        crit = abs(zeta - blk["d"] / blk["alpha"]) <= 1e-9
-        for J, val in zip(js, sums):
-            rows.append({"zeta": zeta, "J": J, "partial_sum": float(val),
-                         "critical": crit})
-    return rows, {}, EXIT_OK
+    zetas = blk["zeta_values"]
+    sums = [haar_lattice_sums(blk["alpha"], blk["beta"], z, blk["d"], js).tolist() for z in zetas]
+    table = {"zeta": [z for z in zetas for _ in js], "J": js * len(zetas),
+             "partial_sum": [val for row in sums for val in row],
+             "critical": [abs(z - blk["d"] / blk["alpha"]) <= 1e-9 for z in zetas for _ in js]}
+    return table, {}, EXIT_OK
 
 
 def run_selftest(cfg, seed, workers, timer):
-    records, timings = selftest(seed, workers=workers)
+    table, timings = selftest(seed, workers=workers)
     timer.timings.update(timings)
-    verdicts = {r["name"]: bool(r["passed"]) for r in records}
+    verdicts = {name: bool(passed) for name, passed in zip(table["name"], table["passed"])}
     code = EXIT_OK if all(verdicts.values()) else EXIT_HARD
-    return records, verdicts, code
+    return table, verdicts, code
 
 
 RUNNERS = {
@@ -440,39 +439,44 @@ def main(argv=None) -> int:
         cfg = load_config(args.command, args.config, args.override)
         workers = _worker_count(cfg, args.workers)
     except ConfigError as exc:
-        json.dump({"error": "config", "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_CONFIG
+        return _fail(EXIT_CONFIG, "config", str(exc))
 
     seed = args.seed if args.seed is not None else cfg["run"]["seed"]
     out = args.out if args.out is not None else cfg["run"]["out"]
 
     timer = OpTimer()
     try:
-        records, verdicts, code = RUNNERS[args.command](cfg, seed, workers, timer)
+        table, verdicts, code = RUNNERS[args.command](cfg, seed, workers, timer)
     except (ConfigError, ValueError) as exc:
         # domain validation failures are configuration problems
-        json.dump({"error": "config", "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_CONFIG
+        return _fail(EXIT_CONFIG, "config", str(exc))
     except Exception as exc:  # hard failure: report and signal
-        json.dump({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_HARD
+        return _fail(EXIT_HARD, type(exc).__name__, str(exc))
 
     chash = config_hash(args.command, cfg, seed)
-    write_csv(records, out, columns=COMMANDS[args.command].columns,
-              constants={"manifest": chash})
-
-    manifest = RunManifest(command=args.command, config_hash=chash, seed=seed,
-                           wall_time_s=timer.total(), op_timings=timer.timings,
-                           artifacts=[os.path.basename(out)], verdicts=verdicts)
-    manifest.write(_manifest_path(out, chash))
+    columns = COMMANDS[args.command].columns
+    try:    # a ValueError here is a table not as declared: the runner is at fault
+        if tuple(table) != columns:
+            raise ValueError(f"table columns {list(table)} are not the declared {list(columns)}")
+        table["manifest"] = [chash] * len(table[columns[0]])
+        write_csv(table, out)
+        RunManifest(command=args.command, config_hash=chash, seed=seed,
+                    wall_time_s=timer.total(), op_timings=timer.timings,
+                    artifacts=[os.path.basename(out)],
+                    verdicts=verdicts).write(_manifest_path(out, chash))
+    except (OSError, ValueError) as exc:
+        return _fail(EXIT_HARD, type(exc).__name__, f"{args.command}: {exc}")
     if args.command == "selftest":
-        for r in records:
-            status = "PASS" if r["passed"] else "FAIL"
-            print(f"criterion {r['criterion']:>2} [{status}] {r['name']}")
+        for cid, name, passed in zip(table["criterion"], table["name"], table["passed"]):
+            print(f"criterion {cid:>2} [{'PASS' if passed else 'FAIL'}] {name}")
     print(f"{args.command}: wrote {out} (manifest {chash})")
+    return code
+
+
+def _fail(code: int, error: str, detail: str) -> int:
+    """Write ``{"error": error, "detail": detail}`` to stderr as one JSON line; return ``code``."""
+    json.dump({"error": error, "detail": detail}, sys.stderr)
+    sys.stderr.write("\n")
     return code
 
 

@@ -167,22 +167,21 @@ def dirichlet_field(grid: Grid, N: int) -> SpectralField:
 def dirichlet_norm_test(eta: float, N_range, oversample: int = 4):
     """Fitted growth exponent of ``||D_N||_eta`` against ``2N + 1``.
 
-    The classical rate is ``1 - 1/eta`` for eta in (1, inf); eta = 1 grows
-    only logarithmically and is rejected here (the growth classifier flags
-    it instead).
+    Returns the table of ``N``, ``terms`` (``2N + 1``) and ``norm`` per N,
+    and the fit.  The classical rate is ``1 - 1/eta`` for eta in (1, inf);
+    eta = 1 grows only logarithmically and is rejected here (the growth
+    classifier flags it instead).
     """
     if not (1 < eta < math.inf):
         raise ValueError(f"eta must lie in (1, inf), got {eta}")
     N_range = sorted(int(N) for N in N_range)
-    rows = []
-    for N in N_range:
-        n = max(1024, 2 ** math.ceil(math.log2(8 * (2 * N + 1))))
-        grid = Grid(1, n)
-        val = lq_norm(dirichlet_field(grid, N), eta, oversample=oversample)
-        rows.append((N, 2 * N + 1, val))
-    fit = fit_line(np.log2([r[1] for r in rows]), np.log2([r[2] for r in rows]),
-                   1.0 - 1.0 / eta)
-    return rows, fit
+    terms = [2 * N + 1 for N in N_range]
+    norms = []
+    for N, n_terms in zip(N_range, terms):
+        grid = Grid(1, max(1024, 2 ** math.ceil(math.log2(8 * n_terms))))
+        norms.append(lq_norm(dirichlet_field(grid, N), eta, oversample=oversample))
+    fit = fit_line(np.log2(terms), np.log2(norms), 1.0 - 1.0 / eta)
+    return {"N": N_range, "terms": terms, "norm": norms}, fit
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,11 @@ DEFAULT_OVERSAMPLE = 4
 QUADRATURE_CELLS = 2**15   # cells per chunk of the L^q rule: 512 KiB of complex values
 
 
+def _check_norm_q(q: float) -> None:
+    if not (1 < q < np.inf):
+        raise ValueError(f"q must lie in (1, inf), got {q}")
+
+
 def _is_even(q: float) -> bool:
     return q % 2 == 0
 
@@ -170,8 +175,7 @@ def sq_function_from_terms(grid: Grid, terms: np.ndarray, s: float, q: float,
     as rows go through ``lq_rule``, and each term's ``|v|^2`` is added in
     term order.
     """
-    if not (1 < q < np.inf):
-        raise ValueError(f"q must lie in (1, inf), got {q}")
+    _check_norm_q(q)
     mult = bessel_multiplier(grid, -s)
     band = _band(grid, terms, q)
     m = _points(q, oversample, grid.n, band)
@@ -225,8 +229,7 @@ def bessel_apply(f: SpectralField, sigma: float) -> SpectralField:
 def hsq_norm(f: SpectralField, sigma: float, q: float,
              oversample: int = DEFAULT_OVERSAMPLE) -> float:
     """Bessel-potential norm of smoothness ``sigma`` (negative for distributions)."""
-    if not (1 < q < np.inf):
-        raise ValueError(f"q must lie in (1, inf), got {q}")
+    _check_norm_q(q)
     return lq_norm(bessel_apply(f, sigma), q, oversample=oversample)
 
 

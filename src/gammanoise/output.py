@@ -14,7 +14,6 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from operator import itemgetter
 
 TOOL_VERSION = "0.1.0"
 
@@ -38,27 +37,17 @@ def _cell_format(t: type) -> str:
     return "%.17g" if issubclass(t, float) else "%s"
 
 
-def csv_bytes(records, columns=None, constants=None) -> bytes:
-    """Render records (dicts sharing one key set) as CSV bytes.
+def csv_bytes(table: dict) -> bytes:
+    """CSV bytes of a table: a dict from each column name, in order, to a list of cells.
 
-    ``constants`` maps further columns to one value each, written after the
-    records' own cells on every row.  Cells are formatted a column at a time
-    by ``_column_cells``; the rows are then joined from the columns.
+    Columns of unequal length raise ``ValueError``.  Cells are formatted a
+    column at a time by ``_column_cells``; the rows are joined from the columns.
     """
-    records = list(records)
-    if columns is None:
-        if not records:
-            raise ValueError("need explicit columns for an empty record set")
-        columns = records[0].keys()
-    columns = list(columns)
-    if records and set(map(tuple, records)) != {tuple(columns)}:
-        raise ValueError("records are not homogeneous")
-    constants = constants or {}
-    cells = [_column_cells(list(map(itemgetter(c), records))) for c in columns]
-    cells += [[format_value(v)] * len(records) for v in constants.values()]
-    lines = [",".join([*columns, *constants]), *map(",".join, zip(*cells))]
-    if not cells:       # no column at all: each record is an empty line
-        lines += [""] * len(records)
+    lengths = {name: len(cells) for name, cells in table.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"table columns differ in length: {lengths}")
+    cells = [_column_cells(column) for column in table.values()]
+    lines = [",".join(table), *map(",".join, zip(*cells))]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -86,8 +75,8 @@ def _column_cells(values: list) -> list:
     return cells
 
 
-def write_csv(records, path, columns=None, constants=None) -> None:
-    data = csv_bytes(records, columns=columns, constants=constants)
+def write_csv(table: dict, path) -> None:
+    data = csv_bytes(table)
     with open(path, "wb") as fh:
         fh.write(data)
 

@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Grid, SpectralField, forward_transform
-from .norms import (_bessel_symbol, bessel_multiplier, heat_eigenvalues, lq_norm, lq_norms,
-                    sq_function_from_terms)
+from .norms import (_bessel_symbol, _check_norm_q, bessel_multiplier, heat_eigenvalues,
+                    lq_norm, lq_norms, sq_function_from_terms)
 from .rng import complex_standard_normal, standard_gaussians, stream
 from .fit import SweepRecord, fit_ratio_exponent
 from .series import SeriesSpec, multiply_on_grid, render_terms, series_coeffs, term_values
@@ -338,27 +338,25 @@ def second_moment_exp_euler(config: SpdeConfig, s: float) -> float:
     return float(np.sum(weights * var) * config.grid.length**config.grid.dim)
 
 
-def _check_norm_q(q: float) -> None:
-    if not (1 < q < math.inf):
-        raise ValueError(f"q must lie in (1, inf), got {q}")
-
-
 def trajectory_norms(traj: Trajectory, s: float, q: float) -> np.ndarray:
     """Smoothness 1 - s spatial norm at every stored time, in one batched pass."""
     _check_norm_q(q)
     return lq_norms(traj.grid, traj.coeffs * bessel_multiplier(traj.grid, 1.0 - s), q, 1)
 
 
-def time_norms(norms: np.ndarray, dts: np.ndarray, p: float) -> tuple[float, float]:
-    """``(lp, max)`` of one trajectory's spatial norms at its stored times.
+def time_norms(norms: np.ndarray, dts: np.ndarray, p: float) -> tuple:
+    """``(lp, max)`` of spatial norms at stored times, reduced over the last axis.
 
-    ``lp`` is the left-endpoint ``L^p(0, T)`` quadrature with step lengths
-    ``dts``; ``max`` is the max-in-time norm, a crude substitute for the sup
-    norm in time that is not equivalent to the endpoint Besov bound.
+    A ``(count, steps + 1)`` stack gives each row's values bit for bit.  ``lp``
+    is the left-endpoint ``L^p(0, T)`` quadrature with step lengths ``dts``;
+    ``max`` is the max-in-time norm, a crude substitute for the sup norm in
+    time that is not equivalent to the endpoint Besov bound.
     """
     if not (1 <= p < math.inf):
         raise ValueError(f"p must lie in [1, inf), got {p}")
-    return float(np.sum(norms[:-1] ** p * dts) ** (1.0 / p)), float(np.max(norms))
+    # libm's scalar pow: numpy's vector pow (sqrt at p = 2) rounds some last bits otherwise
+    root = np.vectorize(math.pow, otypes=[float])
+    return root(np.sum(norms[..., :-1] ** p * dts, axis=-1), 1.0 / p), np.max(norms, axis=-1)
 
 
 # ---------------------------------------------------------------------------

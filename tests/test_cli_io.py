@@ -23,26 +23,22 @@ from conftest import read_csv
 
 class TestCsv:
     def test_roundtrip_bit_exact(self, tmp_path):
-        rows = [{"a": 1, "b": 0.1 + 0.2, "c": -1.2345678901234567e-300, "d": "x"},
-                {"a": 2, "b": float(np.pi), "c": math.inf, "d": "y"}]
+        table = {"a": [1, 2], "b": [0.1 + 0.2, float(np.pi)],
+                 "c": [-1.2345678901234567e-300, math.inf], "d": ["x", "y"]}
         path = tmp_path / "t.csv"
-        write_csv(rows, path)
+        write_csv(table, path)
         back = read_csv(path)
-        for orig, got in zip(rows, back):
-            for k in orig:
-                if isinstance(orig[k], float):
-                    assert got[k] == orig[k] or (math.isinf(orig[k]) and math.isinf(got[k]))
-                else:
-                    assert got[k] == orig[k]
+        for k, column in table.items():
+            assert [row[k] for row in back] == column
 
-    def test_empty_records_header_only(self, tmp_path):
+    def test_empty_table_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_csv([], path, columns=["x", "y"])
+        write_csv({"x": [], "y": []}, path)
         assert path.read_bytes() == b"x,y\n"
 
     def test_lf_and_decimal_point(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv([{"v": 0.5}], path)
+        write_csv({"v": [0.5]}, path)
         data = path.read_bytes()
         assert b"\r" not in data
         assert b"0.5" in data and b"0,5" not in data
@@ -62,16 +58,20 @@ class TestCsv:
             return f"{v:.17g}"
         return str(v)
 
+    def reference_bytes(self, rows, columns) -> bytes:
+        # each row joined cell by cell, the way the CSV reads
+        lines = [",".join(columns)] + [",".join(map(self.reference_cell, row)) for row in rows]
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
     def test_rows_match_the_per_cell_format(self):
         cells = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1 + 0.2, True, False,
                  0, -7, 2**70, np.float64(np.pi), np.float64(math.nan), np.float64(-math.inf),
                  np.int64(-3), np.float32(0.1), np.bool_(True), "x", ""]
         assert [format_value(v) for v in cells] == [self.reference_cell(v) for v in cells]
-        records = [dict(zip("abc", row)) for row in
-                   [(a, b, c) for a in cells for b in cells[::4] for c in cells[::5]]]
-        records += [{"a": 1.5, "b": 2, "c": "s"}] * 3
-        ref = [",".join("abc")] + [",".join(map(self.reference_cell, r.values())) for r in records]
-        assert csv_bytes(records) == ("\n".join(ref) + "\n").encode("utf-8")
+        rows = [(a, b, c) for a in cells for b in cells[::4] for c in cells[::5]]
+        rows += [(1.5, 2, "s")] * 3
+        table = dict(zip("abc", map(list, zip(*rows))))
+        assert csv_bytes(table) == self.reference_bytes(rows, "abc")
 
     @pytest.mark.parametrize("column", [
         [0.0, -0.0, 0.0, -0.0, 2.5, -0.0, 2.5],
@@ -85,23 +85,29 @@ class TestCsv:
     def test_repeated_values_match_the_per_row_format(self, column):
         # a column's cells are formatted once per distinct value: equal values of other
         # types, and zeros of either sign, keep their own text
-        records = [{"a": v, "b": [0.5, -0.0, 0.0][i % 3]} for i, v in enumerate(column * 2)]
-        ref = ["a,b"] + [",".join(map(self.reference_cell, r.values())) for r in records]
-        assert csv_bytes(records) == ("\n".join(ref) + "\n").encode("utf-8")
+        a = column * 2
+        b = [[0.5, -0.0, 0.0][i % 3] for i in range(len(a))]
+        assert csv_bytes({"a": a, "b": b}) == self.reference_bytes(zip(a, b), "ab")
 
-    def test_constants_append_to_every_row(self):
-        # a constant is one more cell at the end of each row, as if each record held it
-        records = [{"a": 1.5, "b": True}, {"a": 2.5, "b": 3}, {"a": 0.5, "b": 4}]
-        constants = {"manifest": "5%d", "flag": False}
-        widened = [{**r, **constants} for r in records]
-        assert csv_bytes(records, columns=["a", "b"], constants=constants) == csv_bytes(widened)
-        assert csv_bytes([], columns=["a"], constants=constants) == b"a,manifest,flag\n"
-        with pytest.raises(ValueError):
-            csv_bytes(widened, columns=["a", "b"], constants=constants)
+    def test_manifest_column_on_every_row(self, tmp_path):
+        # main adds the manifest hash as one more column, one cell per row
+        out = tmp_path / "d.csv"
+        assert main(["dirichlet", "--out", str(out)]) == 0
+        header, *lines = out.read_text(encoding="utf-8").strip("\n").split("\n")
+        assert header.split(",") == [*COMMANDS["dirichlet"].columns, "manifest"]
+        cfg = load_config("dirichlet")
+        assert len(lines) == len(cfg["dirichlet"]["n_values"])
+        chash = config_hash("dirichlet", cfg, cfg["run"]["seed"])
+        assert [line.rsplit(",", 1)[1] for line in lines] == [chash] * len(lines)
 
-    def test_heterogeneous_rejected(self):
+    @pytest.mark.parametrize("table", [{"a": [1, 2], "b": [3]}, {"a": [], "b": [0.5]}],
+                             ids=["short_last", "empty_first"])
+    def test_ragged_columns_rejected(self, table, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            csv_bytes(table)
         with pytest.raises(ValueError):
-            csv_bytes([{"a": 1}, {"b": 2}])
+            write_csv(table, tmp_path / "r.csv")
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestConfigHash:
@@ -433,6 +439,27 @@ class TestCliCommands:
             main(["--help"])
         choices = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
         assert set(COMMANDS) == set(RUNNERS) == set(choices.split(","))
+
+    @pytest.mark.parametrize("table", [
+        {"trial": [0], "s": [0.5]},
+        {"zeta": [2.0, 2.0], "J": [2, 3], "partial_sum": [1.0], "critical": [True, True]},
+    ], ids=["undeclared_columns", "ragged_columns"])
+    def test_runner_table_fault_is_a_hard_failure(self, tmp_path, capsys, monkeypatch, table):
+        # a table that is not the declared one is the program's fault, never a config error
+        monkeypatch.setitem(RUNNERS, "haar-divergence", lambda *args: (table, {}, 0))
+        out = tmp_path / "x.csv"
+        assert main(["haar-divergence", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and err["detail"].startswith("haar-divergence: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_output_is_a_hard_failure(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        assert main(["dirichlet", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileNotFoundError" and err["detail"].startswith("dirichlet: ")
+        assert str(out) in err["detail"]
+        assert list(tmp_path.rglob("*")) == []
 
     def test_manifest_written_and_referenced(self, tmp_path):
         out = tmp_path / "d.csv"

@@ -504,6 +504,21 @@ class TestSpacetimeNorm:
         assert lp == pytest.approx(ref, rel=1e-12)
         assert max_h == pytest.approx(hsq_norm(f, 1 - s, q), rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 2.5])
+    def test_time_norms_of_a_stack_match_each_row(self, p):
+        # a (count, steps + 1) stack reduces over its last axis to each row's own values;
+        # numpy's vectorised root would move about one row in a thousand
+        gen = stream(5, 0)
+        for count, steps in ((4000, 1), (4000, 7), (40, 100)):
+            norms = gen.uniform(0.0, 3.0, (count, steps + 1))
+            dts = gen.uniform(0.0, 1e-2, steps)
+            lp, max_h = time_norms(norms, dts, p)
+            rows = [time_norms(row, dts, p) for row in norms]
+            assert lp.tolist() == [float(r[0]) for r in rows]
+            assert max_h.tolist() == [float(r[1]) for r in rows]
+            assert lp.tolist() == [float(np.sum(row[:-1] ** p * dts) ** (1.0 / p))
+                                   for row in norms]
+
     @pytest.mark.parametrize("p", [0.5, math.inf])
     def test_time_exponent_outside_range_rejected(self, p):
         with pytest.raises(ValueError, match="p must lie"):
