@@ -1,10 +1,12 @@
 """Command-line orchestration.
 
 Every subcommand resolves its configuration (defaults, optional INI file,
-``--override section.key=value``), runs, writes one CSV artifact plus one
-JSON manifest named after the configuration hash, and exits 0 on success,
-2 on configuration errors (with a machine-readable JSON error on stderr),
-3 when a sweep finished with failed cells, 1 on hard failures.
+``--override section.key=value``, then ``--out`` and ``--workers`` as the
+last overrides of ``run.out`` and ``run.workers``), runs, writes one CSV
+artifact plus one JSON manifest named after the configuration hash, and
+exits 0 on success, 2 on configuration errors (with a machine-readable JSON
+error on stderr), 3 when a sweep finished with failed cells, 1 on hard
+failures.
 """
 
 from __future__ import annotations
@@ -102,22 +104,6 @@ def _named(key: str, value):
         raise ConfigError(f"{key}={value}: {exc}") from None
 
 
-def _worker_count(cfg: dict, flag) -> int:
-    """``--workers``, else ``GAMMANOISE_WORKERS`` (each >= 1 if given), else ``run.workers``."""
-    given = [("--workers", flag), ("GAMMANOISE_WORKERS", os.environ.get("GAMMANOISE_WORKERS"))]
-    counts = []
-    for name, raw in given:
-        if raw is None:
-            continue
-        try:
-            counts.append(int(raw))
-        except ValueError:
-            raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
-        if counts[-1] < 1:
-            raise ConfigError(f"{name} must be >= 1, got {counts[-1]}")
-    return counts[0] if counts else cfg["run"]["workers"]
-
-
 def _params_from(block: dict) -> ParamTuple:
     zeta = block["zeta"]
     if zeta <= 0:
@@ -126,11 +112,12 @@ def _params_from(block: dict) -> ParamTuple:
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns (table, verdicts, exit_code); a table maps
-# each column declared in config.COMMANDS, in order, to an equal-length list of cells
+# subcommand runners: each takes (cfg, seed, timer) and returns (table, verdicts,
+# exit_code); a table maps each column declared in config.COMMANDS, in order, to an
+# equal-length list of cells
 
 
-def run_series_norm(cfg, seed, workers, timer):
+def run_series_norm(cfg, seed, timer):
     grid = build_grid(cfg["grid"])
     system = build_system(cfg["system"], grid.dim)
     blk = cfg["series"]
@@ -138,7 +125,7 @@ def run_series_norm(cfg, seed, workers, timer):
     _check_series_members(cfg, system, coloring)
     g = build_g(cfg.get("g", {}), grid)
     spec = SeriesSpec(grid, system, coloring, blk["n_terms"], blk["s"], blk["q"], g=g)
-    est = mc_gamma_norm(spec, blk["samples"], seed=seed, workers=workers,
+    est = mc_gamma_norm(spec, blk["samples"], seed=seed, workers=cfg["run"]["workers"],
                         oversample=cfg["run"]["oversample"])
     table = {"n_terms": [blk["n_terms"]], "s": [blk["s"]], "q": [blk["q"]],
              "samples": [est.samples], "seed": [est.seed], "mean_sq": [est.mean],
@@ -186,7 +173,7 @@ def _check_sweep_regime(blk: dict) -> None:
                           "which requires a finite zeta")
 
 
-def run_sweep(cfg, seed, workers, timer):
+def run_sweep(cfg, seed, timer):
     blk = cfg["sweep"]
     _check_sweep_regime(blk)
     tuples = [_params_from({**blk, "s": s}) for s in blk["s_values"]]
@@ -216,7 +203,7 @@ def _two_sided_table(records, fit) -> dict:
                         predicted_exponent=fit.predicted, r2=fit.r2)}
 
 
-def run_freq_block(cfg, seed, workers, timer):
+def run_freq_block(cfg, seed, timer):
     params = _params_from(cfg["params"])
     blk = cfg["freq_block"]
     records, fit = frequency_block_test(params, range(blk["n_min"], blk["n_max"] + 1),
@@ -224,7 +211,7 @@ def run_freq_block(cfg, seed, workers, timer):
     return _two_sided_table(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
-def run_rescaled_bump(cfg, seed, workers, timer):
+def run_rescaled_bump(cfg, seed, timer):
     params = _params_from(cfg["params"])
     blk = cfg["rescaled_bump"]
     records, fit = rescaled_bump_test(params, range(blk["m_min"], blk["m_max"] + 1),
@@ -233,7 +220,7 @@ def run_rescaled_bump(cfg, seed, workers, timer):
     return _two_sided_table(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
-def run_shifted_bump(cfg, seed, workers, timer):
+def run_shifted_bump(cfg, seed, timer):
     params = _params_from(cfg["params"])
     blk = cfg["shifted_bump"]
     records, fit = shifted_bump_test(params, blk["extents"],
@@ -243,7 +230,7 @@ def run_shifted_bump(cfg, seed, workers, timer):
     return _two_sided_table(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
-def run_dirichlet(cfg, seed, workers, timer):
+def run_dirichlet(cfg, seed, timer):
     blk = cfg["dirichlet"]
     table, fit = dirichlet_norm_test(blk["eta"], blk["n_values"],
                                      oversample=cfg["run"]["oversample"])
@@ -252,7 +239,7 @@ def run_dirichlet(cfg, seed, workers, timer):
     return table, {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
-def run_gamma_young(cfg, seed, workers, timer):
+def run_gamma_young(cfg, seed, timer):
     grid = build_grid(cfg["grid"])
     blk = cfg["gamma_young"]
     s, q = blk["s"], blk["q"]
@@ -276,7 +263,7 @@ def run_gamma_young(cfg, seed, workers, timer):
     return table, {"ratio_spread": max(table["ratio"]) / min(table["ratio"])}, EXIT_OK
 
 
-def run_mg_sobolev(cfg, seed, workers, timer):
+def run_mg_sobolev(cfg, seed, timer):
     grid = build_grid(cfg["grid"])
     blk = cfg["mg_sobolev"]
     oversample = cfg["run"]["oversample"]
@@ -312,7 +299,7 @@ def _stacks(count: int, grid: Grid):
     return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def run_schatten_heat(cfg, seed, workers, timer):
+def run_schatten_heat(cfg, seed, timer):
     blk = cfg["schatten"]
     grid = Grid(blk["d"], blk["n"])
     one = constant_field(grid, 1.0)
@@ -327,7 +314,7 @@ def run_schatten_heat(cfg, seed, workers, timer):
     return table, {"witness_exponent": slope}, EXIT_OK
 
 
-def run_heat_sim(cfg, seed, workers, timer):
+def run_heat_sim(cfg, seed, timer):
     grid = build_grid(cfg["grid"])
     blk = cfg["heat"]
     makers = {
@@ -358,10 +345,14 @@ def run_heat_sim(cfg, seed, workers, timer):
     return table, {"trajectories": count}, EXIT_OK
 
 
-def run_scaling(cfg, seed, workers, timer):
+def run_scaling(cfg, seed, timer):
     grid = build_grid(cfg["grid"])
     blk = cfg["scaling"]
-    params = ParamTuple(grid.dim, blk["s"], blk["q"], blk["eta"], 1.0 / blk["alpha"] * grid.dim)
+    zeta = 1.0 / blk["alpha"] * grid.dim
+    if zeta < 2:
+        raise ConfigError(f"scaling.alpha={blk['alpha']:g} and grid.dim={grid.dim} give "
+                          f"zeta = grid.dim / scaling.alpha = {zeta:g}, which must be >= 2")
+    params = ParamTuple(grid.dim, blk["s"], blk["q"], blk["eta"], zeta)
     records, fit = scaling_diagnostic(blk["alpha"], params,
                                       range(blk["m_min"], blk["m_max"] + 1), grid=grid,
                                       levels=blk["levels"], beta=blk["beta"],
@@ -369,7 +360,7 @@ def run_scaling(cfg, seed, workers, timer):
     return _two_sided_table(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
-def run_haar_divergence(cfg, seed, workers, timer):
+def run_haar_divergence(cfg, seed, timer):
     blk = cfg["haar"]
     js = list(range(2, blk["j_max"] + 1))
     zetas = blk["zeta_values"]
@@ -380,8 +371,8 @@ def run_haar_divergence(cfg, seed, workers, timer):
     return table, {}, EXIT_OK
 
 
-def run_selftest(cfg, seed, workers, timer):
-    table, timings = selftest(seed, workers=workers)
+def run_selftest(cfg, seed, timer):
+    table, timings = selftest(seed, workers=cfg["run"]["workers"])
     timer.timings.update(timings)
     verdicts = {name: bool(passed) for name, passed in zip(table["name"], table["passed"])}
     code = EXIT_OK if all(verdicts.values()) else EXIT_HARD
@@ -428,25 +419,25 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="INI configuration file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-    parser.add_argument("--out", help="output CSV path (overrides config)")
-    parser.add_argument("--workers", type=int,
-                        help="worker count (overrides config and GAMMANOISE_WORKERS)")
+    parser.add_argument("--out", help="output CSV path (last override of run.out)")
+    parser.add_argument("--workers", help="worker count (last override of run.workers)")
     parser.add_argument("--override", action="append", default=[],
                         metavar="SECTION.KEY=VALUE", help="config override")
     args = parser.parse_args(argv)
+    flags = [f"run.{key}={getattr(args, key)}" for key in ("out", "workers")
+             if getattr(args, key) is not None]
 
     try:
-        cfg = load_config(args.command, args.config, args.override)
-        workers = _worker_count(cfg, args.workers)
+        cfg = load_config(args.command, args.config, args.override + flags)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 
     seed = args.seed if args.seed is not None else cfg["run"]["seed"]
-    out = args.out if args.out is not None else cfg["run"]["out"]
+    out = cfg["run"]["out"]
 
     timer = OpTimer()
     try:
-        table, verdicts, code = RUNNERS[args.command](cfg, seed, workers, timer)
+        table, verdicts, code = RUNNERS[args.command](cfg, seed, timer)
     except (ConfigError, ValueError) as exc:
         # domain validation failures are configuration problems
         return _fail(EXIT_CONFIG, "config", str(exc))

@@ -65,8 +65,8 @@ def _grid(n):
             "length": ("float", 1.0, "> 0")}
 
 
-def _params(s, q, eta):
-    return {"d": ("int", 1), "s": ("float", s), "q": ("float", q),
+def _params(s, q, eta, d_max):
+    return {"d": ("int", 1, f">= 1 and <= {d_max}"), "s": ("float", s), "q": ("float", q),
             "eta": ("float", eta), "zeta": ("float", 4.0)}
 
 
@@ -94,16 +94,16 @@ COMMANDS = {
     }, ("d", "s", "q", "eta", "zeta", "construction", "slack", "classification",
         "label", "exponent", "r2", "status")),
     "freq-block": Command(2, {
-        "params": _params(0.9, 4.0, 2.0),
+        "params": _params(0.9, 4.0, 2.0, 2),
         "freq_block": {"n_min": ("int", 3, ">= 1"), "n_max": ("int", 7, "> n_min")},
     }, TWO_SIDED_COLUMNS),
     "rescaled-bump": Command(4, {
-        "params": _params(0.5, 4.0, 2.0),
+        "params": _params(0.5, 4.0, 2.0, 1),
         "rescaled_bump": {"m_min": ("int", 0), "m_max": ("int", 5, "> m_min"), "n": ("int", 2**14),
                           "width": ("float", 0.25, "> 0")},
     }, TWO_SIDED_COLUMNS),
     "shifted-bump": Command(2, {
-        "params": _params(0.6, 2.0, 4.0),
+        "params": _params(0.6, 2.0, 4.0, 1),
         "shifted_bump": {"extents": ("ints", [2, 4, 8, 16], "2 distinct"),
                          "resolution": ("int", 64), "width": ("float", 0.5)},
     }, TWO_SIDED_COLUMNS),

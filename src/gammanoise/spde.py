@@ -2,7 +2,7 @@
 
 ``du = Lap u dt + g R dW`` with zero initial data.  Diagonal noise evolves
 every Fourier mode as an independent Ornstein-Uhlenbeck process with the
-exact transition law; the exponential Euler scheme handles multiplier fields
+exact transition law; the exponential Euler scheme handles a multiplier field
 g and series noise.  A trajectory's increments are drawn and built in
 batched chunks of steps, so the step loop holds only the recursion, and an
 ensemble steps a batch of trajectories side by side through one reused
@@ -71,7 +71,7 @@ class SpdeConfig:
     T: float
     dt: float
     integrator: str = "exact_ou"     # exact_ou | exp_euler
-    g: object = None                 # None (g = 1) | SpectralField | list of fields
+    g: SpectralField = None          # None (g = 1) or one field on grid
 
     def __post_init__(self) -> None:
         if self.T <= 0 or self.dt <= 0 or self.dt > self.T:
@@ -89,8 +89,9 @@ class SpdeConfig:
                 raise ValueError("exact_ou requires diagonal noise")
         if isinstance(self.noise, DiagonalNoise) and self.noise.mu.shape != self.grid.shape:
             raise ValueError("diagonal coloring shape does not match grid")
-        if isinstance(self.g, list) and len(self.g) != steps:
-            raise ValueError("time-indexed g needs one field per step")
+        if self.g is not None and not (isinstance(self.g, SpectralField)
+                                       and self.g.grid == self.grid):
+            raise ValueError(f"g must be None or one SpectralField on {self.grid}")
 
     @property
     def steps(self) -> int:
@@ -124,7 +125,7 @@ class SpdeConfig:
 
     @cached_property
     def _g_values(self) -> np.ndarray:
-        """Grid values of a single field g."""
+        """Grid values of g."""
         return _read_only(self.g.values())
 
 
@@ -275,9 +276,7 @@ def _increments(config: SpdeConfig, gen: np.random.Generator, lo: int, hi: int) 
         spec = config._series
         dw = series_coeffs(spec, standard_gaussians(gen, (hi - lo, spec.N), spec.system.real))
         dw *= math.sqrt(dt)
-    if isinstance(config.g, list):
-        dw = multiply_on_grid(dw, np.stack([f.values() for f in config.g[lo:hi]]), grid.dim)
-    elif config.g is not None:
+    if config.g is not None:
         dw = multiply_on_grid(dw, config._g_values, grid.dim)
     return dw
 

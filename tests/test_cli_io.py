@@ -116,7 +116,7 @@ class TestConfigHash:
         b = {"run": {"workers": 2, "seed": 1}, "grid": {"dim": 1, "n": 64}}
         assert config_hash("x", a, 7) == config_hash("x", b, 7)
 
-    def test_worker_count_not_hashed(self):
+    def test_workers_not_hashed(self):
         a = {"run": {"seed": 1, "workers": 1, "out": "a.csv"}}
         b = {"run": {"seed": 1, "workers": 8, "out": "b.csv"}}
         assert config_hash("x", a, 7) == config_hash("x", b, 7)
@@ -352,6 +352,10 @@ class TestCliCommands:
         ("heat-sim", "heat.dt=0.03"),
         ("series-norm", "grid.n=3"),
         ("series-norm", "coloring.alpha=0"),
+        ("freq-block", "params.d=3"),
+        ("freq-block", "params.d=0"),
+        ("shifted-bump", "params.d=2"),
+        ("scaling", "scaling.alpha=0.75"),
     ])
     def test_rejected_value_exit_code(self, tmp_path, capsys, command, override):
         # several space-separated overrides are passed in order; the first key is named
@@ -483,28 +487,32 @@ class TestCliCommands:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_workers_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GAMMANOISE_WORKERS", "2")
-        out = tmp_path / "s.csv"
-        code = main(["series-norm", "--out", str(out), "--seed", "11",
-                     "--override", "series.samples=32"])
-        assert code == 0
-
-    @pytest.mark.parametrize("flag,env,named", [
-        (["--workers", "0"], None, "--workers"),
-        (["--workers", "-3"], None, "--workers"),
-        ([], "0", "GAMMANOISE_WORKERS"),
-        ([], "two", "GAMMANOISE_WORKERS"),
-    ])
-    def test_worker_count_below_one_rejected(self, tmp_path, monkeypatch, capsys,
-                                             flag, env, named):
-        if env is not None:
-            monkeypatch.setenv("GAMMANOISE_WORKERS", env)
+    @pytest.mark.parametrize("flag", [["--workers", "0"], ["--workers", "-3"],
+                                      ["--workers", "two"]])
+    def test_bad_workers_flag_rejected(self, tmp_path, capsys, flag):
         out = tmp_path / "s.csv"
         assert main(["series-norm", "--out", str(out), *flag]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "config" and named in err["detail"]
+        assert err["error"] == "config" and "run.workers" in err["detail"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["override", "ini"])
+    def test_out_and_workers_flags_beat_the_run_section(self, tmp_path, source):
+        # the flags are the last overrides: run.out and run.workers set before them
+        # lose, and the CSV bytes do not depend on where the worker count came from
+        args = ["series-norm", "--seed", "11", "--override", "series.samples=32"]
+        plain = tmp_path / "plain.csv"
+        assert main([*args, "--out", str(plain)]) == 0
+        lost = tmp_path / "lost.csv"
+        if source == "override":
+            args += ["--override", f"run.out={lost}", "--override", "run.workers=0"]
+        else:
+            ini = tmp_path / "run.ini"
+            ini.write_text(f"[run]\nout = {lost}\nworkers = 0\n")
+            args += ["--config", str(ini)]
+        out = tmp_path / "flag.csv"
+        assert main([*args, "--out", str(out), "--workers", "2"]) == 0
+        assert out.read_bytes() == plain.read_bytes() and not lost.exists()
 
     def test_haar_divergence_command(self, tmp_path):
         out = tmp_path / "h.csv"

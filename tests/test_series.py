@@ -423,7 +423,7 @@ class TestMcGammaNorm:
         with pytest.raises(ValueError):
             mc_gamma_norm(fourier_spec, 1, seed=0)
 
-    def test_worker_count_invariance(self, fourier_spec):
+    def test_workers_invariance(self, fourier_spec):
         a = mc_gamma_norm(fourier_spec, 300, seed=9, workers=1)
         b = mc_gamma_norm(fourier_spec, 300, seed=9, workers=3)
         assert a.mean == b.mean and a.stderr == b.stderr

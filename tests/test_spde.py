@@ -41,6 +41,15 @@ class TestConfigValidation:
             SpdeConfig(small_grid, DiagonalNoise.white(small_grid), T=0.1, dt=0.01,
                        g=constant_field(small_grid, 1.0))
 
+    @pytest.mark.parametrize("g_kind", ["list", "other_grid"])
+    def test_g_is_one_field_on_the_grid(self, small_grid, g_kind):
+        from gammanoise.grid import constant_field
+        g = {"list": [constant_field(small_grid, 1.0)] * 10,
+             "other_grid": constant_field(Grid(1, 32), 1.0)}[g_kind]
+        with pytest.raises(ValueError, match="^g must be"):
+            SpdeConfig(small_grid, DiagonalNoise.white(small_grid), T=0.1, dt=0.01,
+                       integrator="exp_euler", g=g)
+
     def test_step_cannot_be_reassigned(self, small_grid):
         # a dt changed after validation no longer divides T, and simulate stopped short
         cfg = SpdeConfig(small_grid, DiagonalNoise.white(small_grid), T=0.1, dt=0.01)
@@ -168,19 +177,6 @@ class TestSimulate:
         stderr = scale / math.sqrt(len(finals))
         assert abs(cross) <= 5 * stderr
 
-    def test_semigroup_contraction_after_noise_off(self, small_grid):
-        # noise switched off mid-run through a time-indexed multiplier:
-        # afterwards the L2 norm can only decay
-        from gammanoise.grid import constant_field
-        g_fields = [constant_field(small_grid, 1.0)] * 5 + \
-                   [constant_field(small_grid, 0.0)] * 5
-        cfg = SpdeConfig(small_grid, DiagonalNoise.white(small_grid), T=0.1,
-                         dt=0.01, integrator="exp_euler", g=g_fields)
-        traj = simulate(cfg, seed=45)
-        norms = [lq_norm(SpectralField(small_grid, c), 2.0) for c in traj.coeffs]
-        assert norms[5] > 0
-        assert all(a >= b - 1e-12 for a, b in zip(norms[5:], norms[6:]))
-
     def test_exp_euler_with_series_noise_runs(self, small_grid):
         system = SystemNoise(HaarSystem(1, 0, 2), Coloring.power_law(0.5), 7)
         cfg = SpdeConfig(small_grid, system, T=0.05, dt=0.01, integrator="exp_euler")
@@ -249,18 +245,16 @@ def _per_step_reference(config, seed, traj_index):
             else:
                 gam = standard_gaussians(gen, (1, spec.N), real=spec.system.real)
                 incr = series_coeffs(spec, gam)[0] * math.sqrt(dt)
-            g = config.g[m] if isinstance(config.g, list) else config.g
-            if g is not None:
-                incr = np.fft.fftn(np.fft.ifftn(incr) * g.values())
+            if config.g is not None:
+                incr = np.fft.fftn(np.fft.ifftn(incr) * config.g.values())
             u = decay * (u + incr)
         states.append(u)
     return np.array(states)
 
 
 def _noise_config(grid, noise_kind, g_kind, steps):
-    fields = [forward_transform(grid, stream(8, m).standard_normal(grid.shape))
-              for m in range(steps)]
-    g = {"none": None, "field": fields[0], "list": fields}[g_kind]
+    g = {"none": None,
+         "field": forward_transform(grid, stream(8, 0).standard_normal(grid.shape))}[g_kind]
     if noise_kind in ("exact_ou", "diagonal"):
         noise = DiagonalNoise.matern(grid, 0.5)
     elif noise_kind == "fourier":
@@ -287,9 +281,9 @@ class TestBatchedNoiseMatchesPerStepLoop:
     @pytest.mark.parametrize("grid", [Grid(1, 64), Grid(2, 16)], ids=["1d", "2d"])
     @pytest.mark.parametrize("noise_kind,g_kind", [
         ("exact_ou", "none"),
-        ("diagonal", "none"), ("diagonal", "field"), ("diagonal", "list"),
-        ("fourier", "none"), ("fourier", "field"), ("fourier", "list"),
-        ("haar", "none"), ("haar", "field"), ("haar", "list"),
+        ("diagonal", "none"), ("diagonal", "field"),
+        ("fourier", "none"), ("fourier", "field"),
+        ("haar", "none"), ("haar", "field"),
     ])
     def test_states_match(self, grid, noise_kind, g_kind):
         cfg = self._config(grid, noise_kind, g_kind)
@@ -309,8 +303,8 @@ class TestNoiseChunks:
     """The increments come in chunks of at most NOISE_CHUNK_BYTES, with or without stored states."""
 
     @pytest.mark.parametrize("noise_kind,g_kind", [
-        ("exact_ou", "none"), ("diagonal", "list"), ("fourier", "none"), ("fourier", "field"),
-        ("haar", "list")])
+        ("exact_ou", "none"), ("diagonal", "field"), ("fourier", "none"), ("fourier", "field"),
+        ("haar", "field")])
     def test_chunks_keep_the_bits(self, noise_kind, g_kind, monkeypatch):
         grid = Grid(2, 16)
         cfg = _noise_config(grid, noise_kind, g_kind, steps=10)
@@ -354,8 +348,8 @@ class TestEnsembleNorms:
     @pytest.mark.parametrize("q", [2.0, 3.0])
     @pytest.mark.parametrize("grid", [Grid(1, 32), Grid(2, 8)], ids=["1d", "2d"])
     @pytest.mark.parametrize("noise_kind,g_kind", [
-        ("exact_ou", "none"), ("diagonal", "field"), ("fourier", "none"), ("fourier", "list"),
-        ("haar", "field"), ("haar", "list")])
+        ("exact_ou", "none"), ("diagonal", "field"), ("fourier", "none"), ("fourier", "field"),
+        ("haar", "field")])
     @pytest.mark.parametrize("layout,batches", [
         ("one_batch", [7]), ("batches_of_3", [3, 3, 1]), ("chunked_steps", [1] * 7)])
     def test_matches_trajectory_norms(self, grid, noise_kind, g_kind, q, layout, batches,
