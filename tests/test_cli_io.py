@@ -488,7 +488,7 @@ class TestCliCommands:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("flag", [["--workers", "0"], ["--workers", "-3"],
-                                      ["--workers", "two"]])
+                                      ["--workers", "two"], ["--workers", "1.5"]])
     def test_bad_workers_flag_rejected(self, tmp_path, capsys, flag):
         out = tmp_path / "s.csv"
         assert main(["series-norm", "--out", str(out), *flag]) == 2

@@ -177,6 +177,22 @@ class TestSimulate:
         stderr = scale / math.sqrt(len(finals))
         assert abs(cross) <= 5 * stderr
 
+    def test_semigroup_contraction_after_noise_off(self, small_grid):
+        # noise switched off at T: a run under g = 0 steps u -> exp(-lam dt) (u + 0),
+        # so from a noisy state the L2 norm can only decay
+        from gammanoise.grid import constant_field
+        noisy = SpdeConfig(small_grid, DiagonalNoise.white(small_grid), T=0.05, dt=0.01,
+                           integrator="exp_euler")
+        quiet = dataclasses.replace(noisy, g=constant_field(small_grid, 0.0))
+        assert not simulate(quiet, seed=45).coeffs.any()
+        u = simulate(noisy, seed=45).final().coeffs
+        norms = []
+        for _ in range(5):
+            norms.append(lq_norm(SpectralField(small_grid, u), 2.0))
+            u = quiet._decay * u
+        assert norms[0] > 0
+        assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
+
     def test_exp_euler_with_series_noise_runs(self, small_grid):
         system = SystemNoise(HaarSystem(1, 0, 2), Coloring.power_law(0.5), 7)
         cfg = SpdeConfig(small_grid, system, T=0.05, dt=0.01, integrator="exp_euler")
@@ -349,7 +365,7 @@ class TestEnsembleNorms:
     @pytest.mark.parametrize("grid", [Grid(1, 32), Grid(2, 8)], ids=["1d", "2d"])
     @pytest.mark.parametrize("noise_kind,g_kind", [
         ("exact_ou", "none"), ("diagonal", "field"), ("fourier", "none"), ("fourier", "field"),
-        ("haar", "field")])
+        ("haar", "none"), ("haar", "field")])
     @pytest.mark.parametrize("layout,batches", [
         ("one_batch", [7]), ("batches_of_3", [3, 3, 1]), ("chunked_steps", [1] * 7)])
     def test_matches_trajectory_norms(self, grid, noise_kind, g_kind, q, layout, batches,
