@@ -11,7 +11,7 @@ from .conditions import ParamTuple, predicted_exponent, sharp_condition
 from .fit import classify_growth
 from .grid import (Grid, SpectralField, constant_field, field_from_function,
                    forward_transform, mode_field)
-from .norms import bessel_apply, bessel_kernel, hsq_norm, lq_norm, weak_lp_norm
+from .norms import bessel_kernel, hsq_norm, lq_norm, weak_lp_norm
 from .operators import (ConvPair, afg_bruteforce_hs, afg_gamma_norm, gamma_young_check,
                         mg_sobolev_gamma_norm, schatten_heat_norm)
 from .series import (MCEstimate, SeriesSpec, hs_gamma_norm_exact, mc_gamma_norm,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Grid", "SpectralField", "forward_transform",
     "constant_field", "mode_field", "field_from_function",
-    "lq_norm", "weak_lp_norm", "bessel_apply", "hsq_norm", "bessel_kernel",
+    "lq_norm", "weak_lp_norm", "hsq_norm", "bessel_kernel",
     "Coloring", "FourierSystem", "HaarSystem", "ShiftedBumpSystem",
     "SyntheticGrowthSystem", "haar_lattice_sums",
     "ParamTuple", "sharp_condition", "predicted_exponent",

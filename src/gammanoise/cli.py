@@ -30,7 +30,7 @@ from .experiments import (BLOCK_TERM_CELLS_MAX, CONSTRUCTION_REGIMES, boundary_s
                           shifted_bump_test)
 from .fit import linfit
 from .grid import Grid, constant_field, forward_coeffs, forward_transform
-from .norms import _chunk_rows, bessel_kernel, lq_norms
+from .norms import bessel_kernel, chunk_rows, lq_norms
 from .operators import (gamma_young_check, heat_witness, mg_sobolev_gamma_norm,
                         schatten_heat_norm)
 from .output import OpTimer, RunManifest, config_hash, write_csv
@@ -295,7 +295,7 @@ def run_mg_sobolev(cfg, seed, timer):
 
 def _stacks(count: int, grid: Grid):
     """``range(count)`` in consecutive ranges of as many rows as one chunk of the ``L^q`` rule."""
-    step = _chunk_rows(grid.n, grid.n, grid.dim)
+    step = chunk_rows(grid.n, grid.n, grid.dim)
     return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
@@ -418,7 +418,7 @@ def main(argv=None) -> int:
         description="Spectral laboratory for colored Gaussian noise on the torus")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="INI configuration file")
-    parser.add_argument("--seed", type=int, help="master seed (overrides config)")
+    parser.add_argument("--seed", help="master seed (overrides run.seed)")
     parser.add_argument("--out", help="output CSV path (last override of run.out)")
     parser.add_argument("--workers", help="worker count (last override of run.workers)")
     parser.add_argument("--override", action="append", default=[],
@@ -432,7 +432,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 
-    seed = args.seed if args.seed is not None else cfg["run"]["seed"]
+    try:    # not an override of run.seed: the manifest hash takes the two apart
+        seed = cfg["run"]["seed"] if args.seed is None else int(args.seed)
+    except ValueError as exc:
+        return _fail(EXIT_CONFIG, "config", f"bad value for --seed: {args.seed!r} ({exc})")
     out = cfg["run"]["out"]
 
     timer = OpTimer()

@@ -17,7 +17,8 @@ the rule chunk by chunk, cropped to their band, with no full grid per sample.
 A single field enters it as a stack of one, and the square function sends
 its terms through the same interpolation in chunks of the same size.
 Negative-order smoothing is coefficient multiplication by
-``(1 + 4 pi^2 |k/L|^2)^(sigma/2)``.
+``(1 + 4 pi^2 |k/L|^2)^(sigma/2)``; ``hsq_norms`` is the one place a stack
+is smoothed before ``lq_norms`` measures it.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _points(q: float, oversample: int, n: int, band: int) -> int:
     return min(m, _smooth_above(int(q) * band)) if _is_even(q) else m
 
 
-def _chunk_rows(m: int, n: int, dim: int) -> int:
+def chunk_rows(m: int, n: int, dim: int) -> int:
     """Rows per chunk of the ``L^q`` rule on ``m`` points from ``n``.
 
     A chunk's input spectra and its fine-grid values each hold at most
@@ -90,11 +91,12 @@ def _band(grid: Grid, coeffs: np.ndarray, q: float) -> int:
     return spectral_band(grid, coeffs) if _is_even(q) else grid.n // 2
 
 
-def _abs_power(v: np.ndarray, q: float) -> np.ndarray:
+def abs_power(v: np.ndarray, q: float) -> np.ndarray:
     """``|v|^q``; at even q the integer power ``(re^2 + im^2)^(q/2)``, with no square root.
 
     At even q the float view of a C-contiguous complex ``v`` is squared in
-    place, overwriting ``v``, and its halves added.
+    place, overwriting ``v``, and its halves added; at q = 2 that sum is the
+    result, with no power pass.
     """
     if not _is_even(q):
         p = np.abs(v)
@@ -106,7 +108,8 @@ def _abs_power(v: np.ndarray, q: float) -> np.ndarray:
         sq = pairs[..., 0] + pairs[..., 1]
     else:
         sq = v * v
-    sq **= q / 2
+    if q != 2:
+        sq **= q / 2
     return sq
 
 
@@ -148,7 +151,7 @@ def lq_rule(grid: Grid, q: float, oversample: int, bands, spectra,
     band ``band``), full or cropped to ``2 band + 1`` points per axis; a
     single field is a stack of one.  Rows of one band share the rule's ``m``
     points per axis, found from the grid's own n, and go through it
-    ``_chunk_rows`` at a time, so a chunk stays in cache; each row's ``|v|^q`` is then summed on its own, with
+    ``chunk_rows`` at a time, so a chunk stays in cache; each row's ``|v|^q`` is then summed on its own, with
     ``v`` the real part of the values when the rows are flagged ``real``.
     """
     bands = np.asarray(bands, dtype=int)
@@ -157,11 +160,11 @@ def lq_rule(grid: Grid, q: float, oversample: int, bands, spectra,
         rows = np.flatnonzero(bands == band)
         m = _points(q, oversample, grid.n, band)
         cell = (grid.length / m) ** grid.dim
-        step = _chunk_rows(m, grid.n, grid.dim)
+        step = chunk_rows(m, grid.n, grid.dim)
         for lo in range(0, rows.size, step):
             chunk = rows[lo:lo + step]
             v = upsampled_values(spectra(chunk, band), m, band).reshape(chunk.size, -1)
-            powers = _abs_power(v.real if real else v, q)
+            powers = abs_power(v.real if real else v, q)
             for i, row in enumerate(chunk.tolist()):
                 out[row] = (np.sum(powers[i]) * cell) ** (1.0 / q)
     return out
@@ -171,7 +174,7 @@ def sq_function_from_terms(grid: Grid, terms: np.ndarray, s: float, q: float,
                            oversample: int = DEFAULT_OVERSAMPLE) -> float:
     """Square-function norm of a stack of term coefficients, shape (N, *grid).
 
-    The terms go through ``upsampled_values`` ``_chunk_rows`` at a time,
+    The terms go through ``upsampled_values`` ``chunk_rows`` at a time,
     as rows go through ``lq_rule``, and each term's ``|v|^2`` is added in
     term order.
     """
@@ -180,9 +183,9 @@ def sq_function_from_terms(grid: Grid, terms: np.ndarray, s: float, q: float,
     band = _band(grid, terms, q)
     m = _points(q, oversample, grid.n, band)
     acc = np.zeros((m,) * grid.dim)
-    step = _chunk_rows(m, grid.n, grid.dim)
+    step = chunk_rows(m, grid.n, grid.dim)
     for lo in range(0, len(terms), step):
-        for power in _abs_power(upsampled_values(terms[lo:lo + step] * mult, m, band), 2):
+        for power in abs_power(upsampled_values(terms[lo:lo + step] * mult, m, band), 2):
             acc += power
     cell = (grid.length / m) ** grid.dim
     return float((np.sum(acc ** (q / 2.0)) * cell) ** (1.0 / q))
@@ -219,18 +222,23 @@ def _bessel_symbol(grid: Grid, sigma: float) -> np.ndarray:
     return mult
 
 
-def bessel_apply(f: SpectralField, sigma: float) -> SpectralField:
-    """Multiply coefficients by ``(1 + 4 pi^2 |k/L|^2)^(sigma/2)``."""
-    if sigma == 0:
-        return f
-    return SpectralField(f.grid, f.coeffs * _bessel_symbol(f.grid, sigma), real=f.real)
+def hsq_norms(grid: Grid, coeffs: np.ndarray, sigma: float, q: float, oversample: int,
+              real: bool = False) -> np.ndarray:
+    """Bessel-potential norms of smoothness ``sigma`` of a stack of coefficient arrays.
+
+    The stack (leading batch axis) is multiplied in place by the cached
+    symbol of ``(1 - Lap)^(sigma/2)``, so pass a copy to keep it, and its
+    rows are measured by ``lq_norms``.
+    """
+    _check_norm_q(q)
+    coeffs *= _bessel_symbol(grid, sigma)
+    return lq_norms(grid, coeffs, q, oversample, real=real)
 
 
 def hsq_norm(f: SpectralField, sigma: float, q: float,
              oversample: int = DEFAULT_OVERSAMPLE) -> float:
     """Bessel-potential norm of smoothness ``sigma`` (negative for distributions)."""
-    _check_norm_q(q)
-    return lq_norm(bessel_apply(f, sigma), q, oversample=oversample)
+    return float(hsq_norms(f.grid, f.coeffs[None].copy(), sigma, q, oversample, real=f.real)[0])
 
 
 def bessel_kernel(grid: Grid, s: float) -> SpectralField:

@@ -42,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid, SpectralField
-from .norms import (DEFAULT_OVERSAMPLE, bessel_multiplier, lq_norms, lq_rule,
+from .norms import (DEFAULT_OVERSAMPLE, abs_power, bessel_multiplier, hsq_norms, lq_rule,
                     sq_function_from_terms)
 from .rng import standard_gaussians, stream
 from .systems import Coloring, FourierSystem
@@ -241,8 +241,9 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
     squared symbol m^2 computed once per call.  At other even q a Fourier
     spec without g scales its draws by ``mu_n m_n`` in place and hands them
     to ``lq_rule`` through band-cropped spectra (``_lattice_lq_norms``).
-    Otherwise each sample is assembled on the grid, smoothed by the Bessel
-    symbol and measured by ``lq_norms``.
+    Otherwise each sample is assembled on the grid and measured by
+    ``hsq_norms``, which smooths it by the Bessel symbol and asks
+    ``lq_norms`` for its norm, so q must lie in (1, inf).
     """
     if M < 2:
         raise ValueError("need at least M = 2 samples")
@@ -250,14 +251,13 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
         weights = spec._lattice_weights
 
         def squared_norms(gam: np.ndarray) -> np.ndarray:
-            return _weighted_squared_moduli(gam, weights)
+            return abs_power(gam, 2) @ weights
     elif spec.q == 2:
         grid = spec.grid
         weights = grid.length**grid.dim * bessel_multiplier(grid, -spec.s).reshape(-1) ** 2
 
         def squared_norms(gam: np.ndarray) -> np.ndarray:
-            return _weighted_squared_moduli(series_coeffs(spec, gam).reshape(gam.shape[0], -1),
-                                            weights)
+            return abs_power(series_coeffs(spec, gam).reshape(gam.shape[0], -1), 2) @ weights
     elif spec._on_lattice and spec.q % 2 == 0:
         positions, mus = spec._lattice
         symbol = bessel_multiplier(spec.grid, -spec.s).reshape(-1)[positions]
@@ -267,12 +267,9 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
             gam *= symbol
             return _lattice_lq_norms(spec, gam, oversample) ** 2
     else:
-        mult = bessel_multiplier(spec.grid, -spec.s)
-
         def squared_norms(gam: np.ndarray) -> np.ndarray:
-            coeffs = series_coeffs(spec, gam)
-            coeffs *= mult
-            return lq_norms(spec.grid, coeffs, spec.q, oversample) ** 2
+            return hsq_norms(spec.grid, series_coeffs(spec, gam), -spec.s, spec.q,
+                             oversample) ** 2
 
     norms_sq = np.empty(M)
 
@@ -322,17 +319,6 @@ def _lattice_lq_norms(spec: SeriesSpec, amps: np.ndarray, oversample: int) -> np
         return out.reshape((rows.size,) + (size,) * dim)
 
     return lq_rule(spec.grid, spec.q, oversample, bands, spectra)
-
-
-def _weighted_squared_moduli(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``|z|^2 @ weights`` for a C-contiguous complex (rows, K) array, which it overwrites.
-
-    The float view is squared in place and its halves added, so the only new
-    array is one (rows, K) float array: no ``abs``, square root or re-squaring.
-    """
-    pairs = z.view(np.float64).reshape(z.shape + (2,))
-    np.square(pairs, out=pairs)
-    return (pairs[..., 0] + pairs[..., 1]) @ weights
 
 
 def hs_gamma_norm_exact(spec: SeriesSpec) -> float:

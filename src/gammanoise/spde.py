@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Grid, SpectralField, forward_transform
-from .norms import (_bessel_symbol, _check_norm_q, bessel_multiplier, heat_eigenvalues,
-                    lq_norm, lq_norms, sq_function_from_terms)
+from .norms import (bessel_multiplier, heat_eigenvalues, hsq_norms, lq_norm,
+                    sq_function_from_terms)
 from .rng import complex_standard_normal, standard_gaussians, stream
 from .fit import SweepRecord, fit_ratio_exponent
 from .series import SeriesSpec, multiply_on_grid, render_terms, series_coeffs, term_values
@@ -183,18 +183,16 @@ def ensemble_norms(config: SpdeConfig, seed: int, count: int, s: float,
     Trajectories are integrated side by side in batches of as many as one
     ``NOISE_CHUNK_BYTES`` holds of their states and increments; the states
     and increment buffers are made once and reused by every batch.  A
-    batch's states are smoothed in place and measured in one ``lq_norms``
+    batch's states are smoothed in place and measured in one ``hsq_norms``
     pass, whose rows are measured one by one, so the norms are those of one
     trajectory at a time.
     """
-    _check_norm_q(q)
     grid, steps = config.grid, config.steps
     size = grid.n**grid.dim
     chunk = min(_chunk_steps(grid), steps)
     batch = max(1, NOISE_CHUNK_BYTES // (_STEP_BYTES * size * (steps + 1 + chunk)))
     states = np.empty((steps + 1, batch * size), dtype=np.complex128)
     incs = np.empty((chunk, batch * size), dtype=np.complex128)
-    mult = _bessel_symbol(grid, 1.0 - s)
     norms = np.empty((count, steps + 1))
     for lo in range(0, count, batch):
         ids = range(lo, min(lo + batch, count))
@@ -202,9 +200,7 @@ def ensemble_norms(config: SpdeConfig, seed: int, count: int, s: float,
         block = states[:, :width]
         block[0] = 0
         _integrate(config, [stream(seed, i) for i in ids], block, True, incs[:, :width])
-        smoothed = block.reshape((steps + 1, len(ids)) + grid.shape)
-        smoothed *= mult
-        vals = lq_norms(grid, smoothed.reshape((-1,) + grid.shape), q, 1)
+        vals = hsq_norms(grid, block.reshape((-1,) + grid.shape), 1.0 - s, q, 1)
         norms[lo:lo + len(ids)] = vals.reshape(steps + 1, len(ids)).T
     return np.arange(steps + 1) * config.dt, norms
 
@@ -339,8 +335,7 @@ def second_moment_exp_euler(config: SpdeConfig, s: float) -> float:
 
 def trajectory_norms(traj: Trajectory, s: float, q: float) -> np.ndarray:
     """Smoothness 1 - s spatial norm at every stored time, in one batched pass."""
-    _check_norm_q(q)
-    return lq_norms(traj.grid, traj.coeffs * bessel_multiplier(traj.grid, 1.0 - s), q, 1)
+    return hsq_norms(traj.grid, traj.coeffs.copy(), 1.0 - s, q, 1)
 
 
 def time_norms(norms: np.ndarray, dts: np.ndarray, p: float) -> tuple:
@@ -385,18 +380,15 @@ def scaling_diagnostic(alpha: float, params: ParamTuple, m_range, grid: Grid = N
     if grid.n < need:
         raise ValueError(f"grid too coarse: need n >= {need} for these levels")
 
-    base = Coloring.haar(alpha, beta, d)
+    base = HaarSystem(d, 0, j_hi)
+    base_idxs = [idx for j in range(levels) for idx in base.level_indices(j)]
+    base_weights = Coloring.haar(alpha, beta, d).weights(base_idxs)
     coords = grid.coords()
     records = []
     for m in m_range:
         haar = HaarSystem(d, 0, j_hi + m)
-        scale = 2.0 ** (m * (alpha - d / 2.0))
-        idxs, weights = [], []
-        for j in range(j_hi + 1):
-            for idx in HaarSystem(d, j, j).level_indices(j):
-                sigma, _, k = idx
-                idxs.append((sigma, j + m, k))
-                weights.append(scale * base.value(idx, 1))
+        idxs = [(sigma, j + m, k) for sigma, j, k in base_idxs]
+        weights = 2.0 ** (m * (alpha - d / 2.0)) * base_weights
         mu_norm = weighted_sequence_norm(weights, [haar.sup_norm(idx) for idx in idxs],
                                          params.zeta)
 

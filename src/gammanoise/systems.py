@@ -164,12 +164,10 @@ class HaarSystem:
             out.extend(self.level_indices(j))
             if len(out) >= count:
                 return out[:count]
-        if len(out) < count:
-            raise IndexRangeError(
-                f"requested {count} Haar indices, levels [{self.j_min}, {self.j_max}] "
-                f"hold only {len(out)}"
-            )
-        return out[:count]
+        raise IndexRangeError(
+            f"requested {count} Haar indices, levels [{self.j_min}, {self.j_max}] "
+            f"hold only {len(out)}"
+        )
 
     def sup_norm(self, idx) -> float:
         _, j, _ = idx
@@ -340,54 +338,33 @@ class Coloring:
     def constant(c: float, count: int) -> "Coloring":
         return Coloring.explicit([c] * count)
 
-    def value(self, idx, ordinal: int) -> float:
-        """Weight for structured index ``idx`` at 1-based position ``ordinal``."""
-        if self.kind == "power_law":
-            return float(ordinal) ** (-self.params["alpha"])
-        if self.kind == "matern":
-            k2 = _freq_sq(idx)
-            return (1.0 + 4.0 * np.pi**2 * k2) ** (-self.params["alpha"] / 2.0)
-        if self.kind == "block":
-            return 1.0 if in_frequency_block(idx, self.params["N"]) else 0.0
-        if self.kind == "haar":
-            sigma, j, k = idx
-            k2 = sum(int(x) ** 2 for x in (k if not np.isscalar(k) else (k,)))
-            return (1.0 + k2) ** (-self.params["beta"] / 2.0) * 2.0 ** (-j * self.params["alpha"])
-        if self.kind == "explicit":
-            vals = self.params["values"]
-            if ordinal > len(vals):
-                raise IndexRangeError(f"explicit coloring has {len(vals)} entries, asked for {ordinal}")
-            return vals[ordinal - 1]
-        raise ValueError(f"unknown coloring kind {self.kind!r}")
-
     def weights(self, idxs) -> np.ndarray:
-        """Weights of the structured indices ``idxs``, taken in order; ``value`` at each.
+        """Weights ``mu_n`` of the structured indices ``idxs``, taken in order.
 
-        A power law skips the per-index dispatch; a Matern coloring builds its
-        bases as an array.  Both take each power with the scalar ``**``, whose
-        last bit numpy's array ``**`` does not always reproduce.
+        A power law or an explicit list reads each index's 1-based position,
+        a Matern or block coloring its frequency tuple, a Haar coloring its
+        ``(sigma, j, k)`` triple.  Each power is the scalar ``**``, whose last
+        bit numpy's array ``**`` does not always reproduce.
         """
+        p, count = self.params, len(idxs)
         if self.kind == "power_law":
-            return np.array([float(i) ** -self.params["alpha"] for i in range(1, len(idxs) + 1)])
-        if self.kind == "matern" and len(idxs):
-            ks = np.array(idxs, dtype=np.int64).reshape(len(idxs), -1)
-            bases = 1.0 + 4.0 * np.pi**2 * (ks * ks).sum(axis=1).astype(float)
-            return np.array([b ** (-self.params["alpha"] / 2.0) for b in bases.tolist()])
-        return np.array([self.value(idx, i + 1) for i, idx in enumerate(idxs)])
-
-
-def _freq_sq(idx) -> float:
-    if np.isscalar(idx):
-        return float(idx) ** 2
-    return float(sum(int(x) ** 2 for x in idx))
-
-
-def in_frequency_block(k, N: int) -> bool:
-    """Membership in the dyadic block ``2^N <= k_i <= 3 * 2^(N-1)`` per axis."""
-    if np.isscalar(k):
-        k = (k,)
-    lo, hi = 2**N, 3 * 2 ** (N - 1)
-    return all(lo <= ki <= hi for ki in k)
+            return np.array([float(i) ** -p["alpha"] for i in range(1, count + 1)])
+        if self.kind == "explicit":
+            if count > len(p["values"]):
+                raise IndexRangeError(f"explicit coloring has {len(p['values'])} entries, "
+                                      f"asked for {count}")
+            return np.array(p["values"][:count])
+        if self.kind == "haar":
+            alpha, beta = p["alpha"], p["beta"]
+            return np.array([(1.0 + sum(int(x) ** 2 for x in np.atleast_1d(k))) ** (-beta / 2.0)
+                             * 2.0 ** (-j * alpha) for _, j, k in idxs])
+        if self.kind not in ("matern", "block"):
+            raise ValueError(f"unknown coloring kind {self.kind!r}")
+        ks = np.array(idxs, dtype=np.int64).reshape(count, -1 if count else 0)
+        if self.kind == "block":    # the dyadic block 2^N <= k_i <= 3 * 2^(N-1) per axis
+            return np.all((ks >= 2 ** p["N"]) & (ks <= 3 * 2 ** (p["N"] - 1)), axis=1) * 1.0
+        bases = 1.0 + 4.0 * np.pi**2 * (ks * ks).sum(axis=1).astype(float)
+        return np.array([b ** (-p["alpha"] / 2.0) for b in bases.tolist()])
 
 
 def frequency_block(N: int, dim: int) -> list:

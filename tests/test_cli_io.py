@@ -11,7 +11,8 @@ import pytest
 
 from gammanoise.cli import RUNNERS, dump_states, load_states, main
 from gammanoise.config import COMMANDS, ConfigError, command_sections, load_config
-from gammanoise.experiments import BLOCK_TERM_CELLS_MAX
+from gammanoise.conditions import ParamTuple, sharp_condition
+from gammanoise.experiments import BLOCK_TERM_CELLS_MAX, CONSTRUCTION_REGIMES
 from gammanoise.grid import Grid
 from gammanoise.output import (RunManifest, canonical_config, config_hash, csv_bytes,
                                format_value, write_csv)
@@ -474,6 +475,8 @@ class TestCliCommands:
         assert mpath.exists()
         doc = json.loads(mpath.read_text())
         assert doc["config_hash"] == chash and doc["seed"] == 5
+        # the hash takes the flag's integer and the default run.seed apart
+        assert chash == config_hash("dirichlet", load_config("dirichlet"), 5)
         assert doc["artifacts"] == ["d.csv"]
 
     def test_byte_identical_across_runs_and_workers(self, tmp_path):
@@ -494,6 +497,14 @@ class TestCliCommands:
         assert main(["series-norm", "--out", str(out), *flag]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and "run.workers" in err["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["two", "1.5", ""])
+    def test_bad_seed_flag_rejected(self, tmp_path, capsys, value):
+        out = tmp_path / "d.csv"
+        assert main(["dirichlet", "--out", str(out), "--seed", value]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and f"bad value for --seed: {value!r}" in err["detail"]
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["override", "ini"])
@@ -634,6 +645,19 @@ class TestCliCommands:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("zeta", ["0", "-1.5"])
+    def test_sweep_zeta_at_most_zero_means_infinity(self, tmp_path, zeta):
+        out = tmp_path / "sw.csv"
+        assert main(["sweep", "--out", str(out), "--override", f"sweep.zeta={zeta}",
+                     "--override", "sweep.scales=3,4",
+                     "--override", "sweep.s_values=0.3,0.8"]) == 0
+        rows = read_csv(out)
+        assert [r["zeta"] for r in rows] == [math.inf, math.inf]
+        regime = CONSTRUCTION_REGIMES[rows[0]["construction"]]
+        for r in rows:
+            params = ParamTuple(r["d"], r["s"], r["q"], r["eta"], math.inf)
+            assert r["slack"] == sharp_condition(params, regime).slack
 
 
 def _runner_must_not_start(*args):

@@ -48,3 +48,31 @@ def test_every_export_is_reached_outside_tests():
                | _reached(ROOT / "perfbench", by_lookup=True)
                | set(re.findall(r"\w+", (ROOT / "README.md").read_text())))
     assert sorted(name for name in _public_definitions() if name not in reached) == []
+
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A leading-underscore name is used only in the module that defines it.
+
+    Checked for ``from .module import _name`` and for ``module._name`` read
+    off a module brought in by ``from . import module``.
+    """
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        local_modules = set()
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom)
+                    and (node.level or (node.module or "").startswith("gammanoise"))):
+                continue
+            source = (node.module or "gammanoise").split(".")[-1]
+            for alias in node.names:
+                if source == "gammanoise" and alias.name in modules:
+                    local_modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append(f"{path.name} imports {source}.{alias.name}")
+        found += [f"{path.name} reads {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in local_modules and node.attr.startswith("_")]
+    assert found == []

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammanoise.grid import (Grid, SpectralField, constant_field, forward_transform, mode_field,
-                             spectral_band, upsampled_values)
-from gammanoise.norms import (_smooth_above, bessel_apply, bessel_kernel, bessel_multiplier,
-                              hsq_norm, lq_norm, lq_norms, sq_function_from_terms, weak_lp_norm)
+from gammanoise.grid import (Grid, SpectralField, constant_field, forward_coeffs,
+                             forward_transform, mode_field, spectral_band, upsampled_values)
+from gammanoise.norms import (_smooth_above, bessel_kernel, bessel_multiplier, hsq_norm,
+                              hsq_norms, lq_norm, lq_norms, sq_function_from_terms, weak_lp_norm)
 from gammanoise import norms
 from gammanoise.experiments import dirichlet_field
 from gammanoise.rng import standard_gaussians, stream
@@ -260,19 +260,44 @@ class TestWeakLp:
 
 
 class TestBessel:
+    """``hsq_norms`` smooths its stack in place by the symbol of ``(1 - Lap)^(sigma/2)``."""
+
     def test_sigma_zero_identity(self, grid1d, rng):
         f = forward_transform(grid1d, rng.standard_normal(grid1d.n))
-        assert bessel_apply(f, 0.0) is f
+        stack = f.coeffs[None].copy()
+        hsq_norms(grid1d, stack, 0.0, 3.0, 4)
+        assert np.array_equal(stack[0], f.coeffs)
 
     def test_single_mode_multiplier(self):
         g = Grid(1, 64)
-        f = bessel_apply(mode_field(g, 3), -1.2)
-        assert abs(f.coeff_at(3)) == pytest.approx((1 + 4 * np.pi**2 * 9) ** -0.6)
+        stack = mode_field(g, 3).coeffs[None].copy()
+        hsq_norms(g, stack, -1.2, 2.0, 4)
+        got = SpectralField(g, stack[0]).coeff_at(3)
+        assert abs(got) == pytest.approx((1 + 4 * np.pi**2 * 9) ** -0.6)
 
     def test_inverse(self, grid1d, rng):
         f = forward_transform(grid1d, rng.standard_normal(grid1d.n))
-        back = bessel_apply(bessel_apply(f, 1.7), -1.7)
-        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
+        stack = f.coeffs[None].copy()
+        hsq_norms(grid1d, stack, 1.7, 2.0, 4)
+        hsq_norms(grid1d, stack, -1.7, 2.0, 4)
+        assert np.max(np.abs(stack[0] - f.coeffs)) < 1e-12
+
+    @pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_rows_are_hsq_norm_bit_for_bit(self, q, real):
+        grid = Grid(1, 64, 1.5)
+        vals = stream(3, 0).standard_normal((5,) + grid.shape)
+        if not real:
+            vals = vals + 1j * stream(3, 1).standard_normal((5,) + grid.shape)
+        stack = forward_coeffs(grid, vals)
+        want = [hsq_norm(SpectralField(grid, c, real=real), -0.4, q, oversample=3) for c in stack]
+        assert hsq_norms(grid, stack, -0.4, q, 3, real=real).tolist() == want
+
+    def test_hsq_norm_leaves_its_field(self, grid1d, rng):
+        f = forward_transform(grid1d, rng.standard_normal(grid1d.n))
+        before = f.coeffs.copy()
+        hsq_norm(f, -0.5, 3.0)
+        assert np.array_equal(f.coeffs, before)
 
 
 class TestHsqNorm:
@@ -297,9 +322,10 @@ class TestHsqNorm:
         direct = sum((1 + 4 * np.pi**2 * kk**2) ** -s for kk in range(-K, K + 1))
         assert hsq_norm(f, -s, 2.0) ** 2 == pytest.approx(direct, rel=1e-10)
 
-    def test_q_range(self, grid1d):
-        with pytest.raises(ValueError):
-            hsq_norm(constant_field(grid1d, 0.0), -0.5, 1.0)
+    @pytest.mark.parametrize("q", [1.0, np.inf])
+    def test_q_range(self, grid1d, q):
+        with pytest.raises(ValueError, match="q must lie in"):
+            hsq_norm(constant_field(grid1d, 0.0), -0.5, q)
 
     def test_s_zero_equals_lq(self, grid1d, rng):
         f = forward_transform(grid1d, rng.standard_normal(grid1d.n))

@@ -45,7 +45,7 @@ class TestSampleSeries:
         N = 5
         spec = SeriesSpec(grid, FourierSystem(1), Coloring.power_law(0.5), N, 0.5, 2.0)
         idxs = spec.system.indices(N)
-        mus = np.array([spec.coloring.value(i, n + 1) for n, i in enumerate(idxs)])
+        mus = spec.coloring.weights(idxs)
         cells = [grid.index_of_freq(k) for k in idxs]
         draws = np.array([[c[cell] for cell in cells]
                           for c in (sample(spec, stream(6, i)) for i in range(10_000))])
@@ -419,6 +419,13 @@ class TestMcGammaNorm:
         slope, _ = linfit(np.log([p[0] for p in points]), np.log([p[1] for p in points]))
         assert abs(slope - (1 - 2 * s)) < 0.15
 
+    def test_grid_path_needs_q_above_one(self):
+        # the lattice paths need q = 2 or an even q; others smooth through hsq_norms
+        spec = SeriesSpec(Grid(1, 64), HaarSystem(1, 0, 3), Coloring.haar(0.5, 1.0, 1), 15,
+                          0.5, 1.0)
+        with pytest.raises(ValueError, match="q must lie in"):
+            mc_gamma_norm(spec, 4, seed=1)
+
     def test_needs_two_samples(self, fourier_spec):
         with pytest.raises(ValueError):
             mc_gamma_norm(fourier_spec, 1, seed=0)
@@ -574,6 +581,39 @@ class TestHsExact:
         gh = forward_transform(grid, g.values() * mode_field(grid, 0).values())
         ref = 0.6 * hsq_norm(gh, -0.5, 2.0)
         assert hs_gamma_norm_exact(spec) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("case", ["haar", "haar_g", "haar_2d_g", "shifted"])
+    def test_non_fourier_is_the_member_sum(self, case):
+        # the stack branch against each member rendered, multiplied by g on the
+        # grid, transformed, weighted and smoothed on its own, then summed by Plancherel
+        if case == "shifted":
+            grid, system, N = Grid(1, 64, 16.0), ShiftedBumpSystem(1, 4), 8
+            coloring = Coloring.power_law(0.5)
+        else:
+            dim = 2 if case == "haar_2d_g" else 1
+            grid, system, N = Grid(dim, 64 if dim == 1 else 16), HaarSystem(dim, 0, 3), 15
+            coloring = Coloring.haar(0.5, 1.5, dim)
+        g = None
+        if case.endswith("_g"):
+            g = forward_transform(grid, bump_values(grid.coords(), grid.length / 2.0,
+                                                    grid.length / 2.0))
+        s = 0.5
+        spec = SeriesSpec(grid, system, coloring, N, s, 2.0, g=g)
+        g_values = 1.0 if g is None else g.values()
+        idxs = system.indices(N)
+        members = []
+        for mu, idx in zip(coloring.weights(idxs), idxs):
+            c = forward_transform(grid, system.render(idx, grid).values() * g_values).coeffs
+            members.append(math.fsum((np.abs(c * mu * bessel_multiplier(grid, -s)) ** 2).ravel()))
+        got = hs_gamma_norm_exact(spec)
+        assert got == pytest.approx(math.sqrt(grid.length**grid.dim * math.fsum(members)),
+                                    rel=1e-12)
+        est = mc_gamma_norm(spec, 2000, seed=23)
+        assert abs(est.mean - got**2) <= 4 * est.stderr
+        # the square function's interpolant splits the Nyquist coefficient, which
+        # moves it off this value where g is set or the members are shifted bumps
+        if case == "haar":
+            assert sq_function_gamma_norm(spec) == pytest.approx(got, rel=1e-12)
 
     def test_requires_q2(self, fourier_spec):
         spec = SeriesSpec(fourier_spec.grid, fourier_spec.system,

@@ -9,44 +9,56 @@ from gammanoise.grid import Grid, forward_transform
 from gammanoise.systems import (Coloring, FourierSystem, HaarSystem, IndexRangeError,
                                 NonEvaluableError, ShiftedBumpSystem,
                                 SyntheticGrowthSystem, frequency_block, haar_lattice_sums,
-                                in_frequency_block, rank_one_mu_norm, weighted_sequence_norm)
+                                rank_one_mu_norm, weighted_sequence_norm)
 
 
 class TestColorings:
     def test_power_law(self):
         c = Coloring.power_law(0.7)
-        assert c.value(None, 3) == pytest.approx(3.0**-0.7)
+        assert c.weights([None] * 3)[2] == pytest.approx(3.0**-0.7)
 
     def test_matern(self):
         c = Coloring.matern(0.5)
-        assert c.value((2,), 1) == pytest.approx((1 + 16 * np.pi**2) ** -0.25)
-        assert c.value((1, 2), 1) == pytest.approx((1 + 20 * np.pi**2) ** -0.25)
+        assert c.weights([(2,)])[0] == pytest.approx((1 + 16 * np.pi**2) ** -0.25)
+        assert c.weights([(1, 2)])[0] == pytest.approx((1 + 20 * np.pi**2) ** -0.25)
 
     def test_block_indicator(self):
         c = Coloring.block_indicator(3)
-        assert c.value((8,), 1) == 1.0 and c.value((12,), 1) == 1.0
-        assert c.value((13,), 1) == 0.0 and c.value((7,), 1) == 0.0
+        assert c.weights([(8,), (12,), (13,), (7,)]).tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert c.weights([(8, 12), (8, 13)]).tolist() == [1.0, 0.0]
 
     def test_haar(self):
         c = Coloring.haar(0.5, 1.0, 1)
-        assert c.value(((1,), 2, (3,)), 1) == pytest.approx(10.0**-0.5 * 2.0**-1.0)
+        assert c.weights([((1,), 2, (3,))])[0] == pytest.approx(10.0**-0.5 * 2.0**-1.0)
         with pytest.raises(ValueError):
             Coloring.haar(0.5, 0.4, 1)  # beta must exceed d/2
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("coloring", [Coloring.matern(0.7), Coloring.power_law(0.7)],
                              ids=["matern", "power_law"])
-    def test_weights_are_the_values_bit_for_bit(self, dim, coloring):
+    def test_weights_take_the_scalar_power_bit_for_bit(self, dim, coloring):
         # numpy's array ** misses the scalar ** in the last bit for some of these bases
         idxs = FourierSystem(dim).indices(3000)
-        want = np.array([coloring.value(idx, i + 1) for i, idx in enumerate(idxs)])
-        assert np.array_equal(coloring.weights(idxs), want)
+        alpha = coloring.params["alpha"]
+        if coloring.kind == "power_law":
+            want = [float(i) ** -alpha for i in range(1, len(idxs) + 1)]
+        else:
+            want = [(1.0 + 4.0 * np.pi**2 * float(sum(k * k for k in idx))) ** (-alpha / 2.0)
+                    for idx in idxs]
+        assert coloring.weights(idxs).tolist() == want
+
+    def test_haar_weights_by_level(self):
+        c = Coloring.haar(0.5, 1.5, 2)
+        idxs = HaarSystem(2, 0, 3).indices(60)
+        want = [(1.0 + k[0] ** 2 + k[1] ** 2) ** -0.75 * 2.0 ** (-0.5 * j) for _, j, k in idxs]
+        assert c.weights(idxs).tolist() == want
+        assert c.weights([]).shape == (0,)
 
     def test_explicit(self):
         c = Coloring.explicit([1.0, 0.5])
-        assert c.value(None, 2) == 0.5
+        assert c.weights([None, None]).tolist() == [1.0, 0.5]
         with pytest.raises(IndexRangeError):
-            c.value(None, 3)
+            c.weights([None] * 3)
         with pytest.raises(ValueError):
             Coloring.explicit([-1.0])
 
@@ -205,7 +217,7 @@ class TestEllZetaNorm:
     def test_block_indicator_exact(self):
         # indicator coloring: the norm is the squared-sup-norm mass of the block
         idxs = FourierSystem(1).indices(32)
-        count = sum(in_frequency_block(i, 2) for i in idxs)
+        count = len(set(idxs) & set(frequency_block(2, 1)))
         weights = Coloring.block_indicator(2).weights(idxs)
         got = weighted_sequence_norm(weights, np.ones(len(idxs)), 4.0)
         assert got == pytest.approx(count ** (1 / 4.0), rel=1e-12)
