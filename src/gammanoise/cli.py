@@ -25,7 +25,7 @@ import numpy as np
 from .acceptance import selftest
 from .conditions import ParamTuple
 from .config import COMMANDS, ConfigError, load_config
-from .experiments import (BLOCK_TERM_CELLS_MAX, CONSTRUCTION_REGIMES, boundary_sweep,
+from .experiments import (BLOCK_TERM_CELLS_MAX, SWEEP_CONSTRUCTIONS, boundary_sweep,
                           dirichlet_norm_test, frequency_block_test, rescaled_bump_test,
                           shifted_bump_test)
 from .fit import linfit
@@ -159,10 +159,9 @@ def _check_series_members(cfg, system, coloring: Coloring) -> None:
                           f"coloring.values, fewer than series.n_terms={n}")
 
 
-def _check_sweep_regime(blk: dict) -> None:
+def _check_sweep_regime(blk: dict, regime: str) -> None:
     """Raise ``ConfigError`` naming the keys that take a sweep out of its construction's regime."""
     construction = blk["construction"]
-    regime = CONSTRUCTION_REGIMES.get(construction)
     if regime == "weighted" and blk["eta"] > blk["q"]:
         raise ConfigError(f"sweep.eta={blk['eta']:g} exceeds sweep.q={blk['q']:g}; "
                           f"sweep.construction={construction} probes the weighted regime, "
@@ -175,10 +174,10 @@ def _check_sweep_regime(blk: dict) -> None:
 
 def run_sweep(cfg, seed, timer):
     blk = cfg["sweep"]
-    _check_sweep_regime(blk)
+    _, regime = _pick(SWEEP_CONSTRUCTIONS, "sweep.construction", blk["construction"])
+    _check_sweep_regime(blk, regime)
     tuples = [_params_from({**blk, "s": s}) for s in blk["s_values"]]
-    with _named("sweep.construction", blk["construction"]):
-        cells = boundary_sweep(tuples, blk["construction"], blk["scales"])
+    cells = boundary_sweep(tuples, blk["construction"], blk["scales"])
     table = {**_attributes([c.params for c in cells], ("d", "s", "q", "eta", "zeta")),
              **_attributes(cells, ("construction", "slack", "classification", "label",
                                    "exponent", "r2", "status"))}
@@ -301,7 +300,8 @@ def _stacks(count: int, grid: Grid):
 
 def run_schatten_heat(cfg, seed, timer):
     blk = cfg["schatten"]
-    grid = Grid(blk["d"], blk["n"])
+    with _named("schatten.n", blk["n"]):     # schatten.d has a declared rule
+        grid = Grid(blk["d"], blk["n"])
     one = constant_field(grid, 1.0)
     ts = np.geomspace(blk["t_min"], blk["t_max"], blk["points"])
     times = ts.tolist()

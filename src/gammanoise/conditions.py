@@ -57,7 +57,6 @@ class ConditionReport:
     classification: str  # strict | equality | violated
     slack: float         # distance of the leading condition from equality
     side_slack: float    # distance of the secondary condition from its boundary
-    side_ok: bool
 
 
 def sharp_condition(params: ParamTuple, regime: str, alpha: float = None) -> ConditionReport:
@@ -73,19 +72,16 @@ def sharp_condition(params: ParamTuple, regime: str, alpha: float = None) -> Con
             raise ValueError("weighted regime requires eta <= q")
         slack = s / d + inv(q) - (inv(eta) + 0.5 - inv(zeta))
         side = 0.5 - (inv(eta) - inv(zeta))
-        side_ok = side > 0
     elif regime == "unweighted":
         if math.isinf(zeta):
             raise ValueError("unweighted regime requires finite zeta")
         slack = s / d + inv(q) - (inv(eta) + 0.5)
         side = inv(eta) + inv(zeta) - inv(q)
-        side_ok = side > 0
     elif regime == "matern":
         if alpha is None or alpha <= 0:
             raise ValueError("matern regime needs a positive alpha")
         slack = alpha / d - (inv(eta) + 0.5 - s / d - inv(q))
         side = alpha / d - (inv(eta) - 0.5)
-        side_ok = side > 0
     else:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
 
@@ -96,7 +92,7 @@ def sharp_condition(params: ParamTuple, regime: str, alpha: float = None) -> Con
         cls = "violated"
     else:
         cls = "equality"
-    return ConditionReport(cls, slack, side, side_ok)
+    return ConditionReport(cls, slack, side)
 
 
 def predicted_exponent(params: ParamTuple, construction: str, alpha: float = None) -> float:

@@ -123,7 +123,7 @@ COMMANDS = {
                        "levels": ("int", 6, ">= 1"), "width": ("float", 0.25, "> 0")},
     }, ("level", "s", "q", "eta", "gamma_norm", "g_eta_norm", "constant")),
     "schatten-heat": Command(None, {
-        "schatten": {"d": ("int", 1), "n": ("int", 512), "t_min": ("float", 1e-3, "> 0"),
+        "schatten": {"d": ("int", 1, ">= 1 and <= 3"), "n": ("int", 512), "t_min": ("float", 1e-3, "> 0"),
                      "t_max": ("float", 1e-1, "> t_min"), "points": ("int", 9, ">= 2")},
     }, ("d", "t", "norm_g1", "scaled_g1", "norm_witness")),
     "heat-sim": Command(None, {
@@ -137,8 +137,9 @@ COMMANDS = {
     }, ("trajectory", "time", "h_norm", "lp_spacetime", "max_in_time")),
     "scaling": Command(2, {
         "grid": _grid(8192),
-        "scaling": {"alpha": ("float", 0.5, "> 0"), "beta": ("float", 1.0), "levels": ("int", 3),
-                    "m_min": ("int", 0), "m_max": ("int", 5, "> m_min"), "s": ("float", 0.25),
+        "scaling": {"alpha": ("float", 0.5, "> 0"), "beta": ("float", 1.0),
+                    "levels": ("int", 3, ">= 1"), "m_min": ("int", 0, ">= 0"),
+                    "m_max": ("int", 5, "> m_min"), "s": ("float", 0.25),
                     "q": ("float", 4.0), "eta": ("float", 2.0)},
     }, TWO_SIDED_COLUMNS),
     "haar-divergence": Command(None, {

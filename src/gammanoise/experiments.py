@@ -3,8 +3,8 @@
 Each construction measures both sides of the mean-square bound along a
 dyadic scale sweep and fits the growth exponent of their ratio; quadrature
 constants land in the regression intercept, the exponents are what the
-theory pins down.  Fits carry R^2 and point counts, and anything with
-R^2 < 0.9 is reported inconclusive rather than classified.
+theory pins down.  Fits carry R^2, and anything with R^2 < 0.9 is reported
+inconclusive rather than classified.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import ParamTuple, predicted_exponent, sharp_condition
-from .fit import SweepRecord, fit_line, fit_ratio_exponent, growth_label
+from .fit import FitReport, SweepRecord, fit_ratio_exponent, growth_label, linfit
 from .grid import Grid, SpectralField, forward_transform
 from .norms import hsq_norm, lq_norm, sq_function_from_terms
 from .series import render_terms
@@ -180,7 +180,7 @@ def dirichlet_norm_test(eta: float, N_range, oversample: int = 4):
     for N, n_terms in zip(N_range, terms):
         grid = Grid(1, max(1024, 2 ** math.ceil(math.log2(8 * n_terms))))
         norms.append(lq_norm(dirichlet_field(grid, N), eta, oversample=oversample))
-    fit = fit_line(np.log2(terms), np.log2(norms), 1.0 - 1.0 / eta)
+    fit = FitReport(*linfit(np.log2(terms), np.log2(norms)), 1.0 - 1.0 / eta)
     return {"N": N_range, "terms": terms, "norm": norms}, fit
 
 
@@ -201,9 +201,10 @@ class SweepCell:
     error: str = ""   # exception type and message of a failed cell
 
 
-# the regime of conditions each construction probes
-CONSTRUCTION_REGIMES = {"freq_block": "weighted", "rescaled_bump": "weighted",
-                        "shifted_bump": "unweighted"}
+# each construction a sweep can run: its runner, and the regime of conditions it probes
+SWEEP_CONSTRUCTIONS = {"freq_block": (frequency_block_test, "weighted"),
+                       "rescaled_bump": (rescaled_bump_test, "weighted"),
+                       "shifted_bump": (shifted_bump_test, "unweighted")}
 
 
 def boundary_sweep(tuples, construction: str, scale_range) -> list:
@@ -213,20 +214,15 @@ def boundary_sweep(tuples, construction: str, scale_range) -> list:
     message, and the sweep continues; the label tracks the fitted ratio
     exponent (bounded / divergent / log-divergent / inconclusive).
     """
-    runners = {
-        "freq_block": frequency_block_test,
-        "rescaled_bump": rescaled_bump_test,
-        "shifted_bump": shifted_bump_test,
-    }
-    if construction not in runners:
+    if construction not in SWEEP_CONSTRUCTIONS:
         raise ValueError(f"unknown construction {construction!r}; "
-                         f"expected one of {', '.join(runners)}")
-    regime = CONSTRUCTION_REGIMES[construction]
+                         f"expected one of {', '.join(SWEEP_CONSTRUCTIONS)}")
+    runner, regime = SWEEP_CONSTRUCTIONS[construction]
     cells = []
     for params in tuples:
         cond = sharp_condition(params, regime)
         try:
-            _, fit = runners[construction](params, scale_range)
+            _, fit = runner(params, scale_range)
             cells.append(SweepCell(params, construction, growth_label(fit),
                                    fit.exponent, fit.r2, cond.slack,
                                    cond.classification, "ok"))

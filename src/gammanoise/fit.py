@@ -60,20 +60,11 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class FitReport:
+    """A fitted exponent and its R^2, next to the exponent the theory predicts."""
+
     exponent: float
-    intercept: float
     r2: float
-    npoints: int
     predicted: float
-
-
-def fit_line(xs, ys, predicted: float) -> FitReport:
-    """Fitted slope, intercept and R^2 of ys against xs, next to a prediction."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    slope, r2 = linfit(xs, ys)
-    intercept = float(np.mean(ys) - slope * np.mean(xs))
-    return FitReport(slope, intercept, r2, len(xs), predicted)
 
 
 def fit_ratio_exponent(records, predicted: float) -> FitReport:
@@ -82,7 +73,7 @@ def fit_ratio_exponent(records, predicted: float) -> FitReport:
     ys = np.array([r.ratio for r in records], dtype=float)
     if np.any(ys <= 0):
         raise ValueError("ratio sweep contains nonpositive values")
-    return fit_line(xs, np.log(ys) / math.log(2.0), predicted)
+    return FitReport(*linfit(xs, np.log(ys) / math.log(2.0)), predicted)
 
 
 def growth_label(fit: FitReport) -> str:
@@ -98,9 +89,6 @@ def growth_label(fit: FitReport) -> str:
 class GrowthReport:
     label: str      # bounded | divergent | log-divergent | inconclusive
     slope: float    # log-log slope
-    r2: float       # of the log-log fit
-    log_r2: float   # of the value-versus-log-N fit
-    npoints: int
 
 
 def classify_growth(points) -> GrowthReport:
@@ -120,23 +108,23 @@ def classify_growth(points) -> GrowthReport:
 
     scale = np.max(np.abs(vs))
     if scale == 0:
-        return GrowthReport("bounded", 0.0, 1.0, 1.0, len(pts))
+        return GrowthReport("bounded", 0.0)
 
     log_n = np.log(ns)
     with np.errstate(divide="ignore"):
         log_v = np.log(np.maximum(vs, 1e-300))
     slope, r2 = linfit(log_n, log_v)
-    _, log_r2 = linfit(log_n, vs)
+    _, affine_r2 = linfit(log_n, vs)
 
     if slope > MARGINAL_EXPONENT and r2 > FIT_R2_MIN:
-        return GrowthReport("divergent", slope, r2, log_r2, len(pts))
+        return GrowthReport("divergent", slope)
 
     inc = np.diff(vs)
     if np.all(np.abs(inc) <= 1e-12 * scale):
-        return GrowthReport("bounded", slope, r2, log_r2, len(pts))
+        return GrowthReport("bounded", slope)
     if np.all(inc > 0) and np.all(inc[1:] < INCREMENT_RATIO * inc[:-1]):
-        return GrowthReport("bounded", slope, r2, log_r2, len(pts))
+        return GrowthReport("bounded", slope)
 
-    if log_r2 > LOG_R2_MIN and slope <= MARGINAL_EXPONENT:
-        return GrowthReport("log-divergent", slope, r2, log_r2, len(pts))
-    return GrowthReport("inconclusive", slope, r2, log_r2, len(pts))
+    if affine_r2 > LOG_R2_MIN and slope <= MARGINAL_EXPONENT:
+        return GrowthReport("log-divergent", slope)
+    return GrowthReport("inconclusive", slope)

@@ -169,10 +169,10 @@ def constant_field(grid: Grid, c: complex) -> SpectralField:
     return SpectralField(grid, coeffs, real=bool(np.imag(c) == 0))
 
 
-def mode_field(grid: Grid, k, amplitude: complex = 1.0) -> SpectralField:
-    """Single Fourier mode ``amplitude * e_k``."""
+def mode_field(grid: Grid, k) -> SpectralField:
+    """Single Fourier mode ``e_k``."""
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    coeffs[grid.index_of_freq(k)] = amplitude
+    coeffs[grid.index_of_freq(k)] = 1.0
     return SpectralField(grid, coeffs)
 
 

@@ -145,7 +145,6 @@ class Trajectory:
     grid: Grid
     times: np.ndarray
     coeffs: np.ndarray
-    seed: int
 
     def final(self) -> SpectralField:
         return SpectralField(self.grid, self.coeffs[-1])
@@ -173,7 +172,7 @@ def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
     coeffs = np.zeros((len(times), grid.n**grid.dim), dtype=np.complex128)
     _integrate(config, [stream(seed, traj_index)], coeffs, keep_states)
     coeffs.flags.writeable = False
-    return Trajectory(grid, times, coeffs.reshape((len(times),) + grid.shape), seed)
+    return Trajectory(grid, times, coeffs.reshape((len(times),) + grid.shape))
 
 
 def ensemble_norms(config: SpdeConfig, seed: int, count: int, s: float,
@@ -375,6 +374,8 @@ def scaling_diagnostic(alpha: float, params: ParamTuple, m_range, grid: Grid = N
     if grid is None:
         grid = Grid(d, 2 ** (13 if d == 1 else 7))
     m_range = sorted(int(m) for m in m_range)
+    if min(m_range) < 0:
+        raise ValueError(f"compressions m must be >= 0, got m = {min(m_range)}")
     j_hi = levels - 1
     need = 2 ** (j_hi + max(m_range) + 3)
     if grid.n < need:

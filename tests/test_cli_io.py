@@ -12,7 +12,7 @@ import pytest
 from gammanoise.cli import RUNNERS, dump_states, load_states, main
 from gammanoise.config import COMMANDS, ConfigError, command_sections, load_config
 from gammanoise.conditions import ParamTuple, sharp_condition
-from gammanoise.experiments import BLOCK_TERM_CELLS_MAX, CONSTRUCTION_REGIMES
+from gammanoise.experiments import BLOCK_TERM_CELLS_MAX, SWEEP_CONSTRUCTIONS
 from gammanoise.grid import Grid
 from gammanoise.output import (RunManifest, canonical_config, config_hash, csv_bytes,
                                format_value, write_csv)
@@ -357,6 +357,10 @@ class TestCliCommands:
         ("freq-block", "params.d=0"),
         ("shifted-bump", "params.d=2"),
         ("scaling", "scaling.alpha=0.75"),
+        ("scaling", "scaling.m_min=-1"),
+        ("scaling", "scaling.levels=0"),
+        ("schatten-heat", "schatten.d=0"),
+        ("schatten-heat", "schatten.n=3"),
     ])
     def test_rejected_value_exit_code(self, tmp_path, capsys, command, override):
         # several space-separated overrides are passed in order; the first key is named
@@ -654,7 +658,7 @@ class TestCliCommands:
                      "--override", "sweep.s_values=0.3,0.8"]) == 0
         rows = read_csv(out)
         assert [r["zeta"] for r in rows] == [math.inf, math.inf]
-        regime = CONSTRUCTION_REGIMES[rows[0]["construction"]]
+        _, regime = SWEEP_CONSTRUCTIONS[rows[0]["construction"]]
         for r in rows:
             params = ParamTuple(r["d"], r["s"], r["q"], r["eta"], math.inf)
             assert r["slack"] == sharp_condition(params, regime).slack

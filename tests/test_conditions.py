@@ -43,7 +43,7 @@ class TestSharpCondition:
 
     def test_weighted_side_condition(self):
         rep = sharp_condition(ParamTuple(1, 0.9, 8.0, 1.5, 8.0), "weighted")
-        assert not rep.side_ok  # 1/eta - 1/zeta = 0.542 >= 1/2
+        assert rep.side_slack <= 0  # 1/eta - 1/zeta = 0.542 >= 1/2
 
     def test_weighted_rejects_eta_above_q(self):
         with pytest.raises(ValueError):

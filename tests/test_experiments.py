@@ -204,5 +204,5 @@ class TestBoundarySweep:
 
 
 def test_low_r2_trend_reported_inconclusive():
-    fit = FitReport(exponent=0.4, intercept=0.0, r2=0.5, npoints=5, predicted=0.3)
+    fit = FitReport(exponent=0.4, r2=0.5, predicted=0.3)
     assert growth_label(fit) == "inconclusive"

@@ -31,5 +31,5 @@ def test_every_construction_returns_records_and_fit(construction, run, params, a
     records, fit = run(params)
     assert len(records) == 2
     assert all(type(r) is SweepRecord and r.construction == construction for r in records)
-    assert type(fit) is FitReport and fit.npoints == len(records)
+    assert type(fit) is FitReport
     assert fit.predicted == predicted_exponent(params, construction, alpha=alpha)

@@ -505,9 +505,9 @@ class TestSpacetimeNorm:
     def test_constant_in_time_closed_form(self, small_grid):
         # a frozen single-mode state integrates to T^{1/p} times its norm
         from gammanoise.grid import mode_field
-        f = mode_field(small_grid, 2, 0.7)
+        f = SpectralField(small_grid, 0.7 * mode_field(small_grid, 2).coeffs)
         times = np.linspace(0.0, 0.5, 6)
-        traj = Trajectory(small_grid, times, np.stack([f.coeffs] * 6), seed=0)
+        traj = Trajectory(small_grid, times, np.stack([f.coeffs] * 6))
         p, s, q = 2.0, 0.6, 2.0
         lp, max_h = time_norms(trajectory_norms(traj, s, q), np.diff(times), p)
         ref = 0.5 ** (1 / p) * hsq_norm(f, 1 - s, q)
@@ -582,3 +582,9 @@ class TestScalingDiagnostic:
         params = ParamTuple(1, 0.25, 4.0, 2.0, 3.0)
         with pytest.raises(ValueError, match="d/alpha"):
             scaling_diagnostic(0.5, params, range(0, 4), grid=Grid(1, 8))
+
+    def test_negative_compression_rejected(self):
+        # m = -1 would color HaarSystem level -1, which renders as a constant, not a wavelet
+        params = ParamTuple(1, 0.25, 4.0, 2.0, 2.0)
+        with pytest.raises(ValueError, match="m = -1"):
+            scaling_diagnostic(0.5, params, range(-1, 3), grid=Grid(1, 2**10))
