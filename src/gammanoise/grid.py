@@ -8,6 +8,8 @@ positive bin ``+n/2`` so every multiplier is evaluated at a single signed
 frequency.  ``upsampled_values`` interpolates stacks of spectra only; a
 single field enters it as a stack of one.  ``forward_coeffs`` and
 ``inverse_values`` are the one transform pair, for one field or a stack.
+A ``Scratch`` holds the arrays that a loop over chunks of a stack would
+otherwise allocate anew for every chunk.
 """
 
 from __future__ import annotations
@@ -199,7 +201,29 @@ def spectral_band(grid: Grid, coeffs: np.ndarray) -> int:
     return band
 
 
-def upsampled_values(coeffs: np.ndarray, m: int, band: int) -> np.ndarray:
+class Scratch:
+    """Arrays handed out again and again by key, so a loop over chunks allocates once.
+
+    ``array(key, shape, dtype)`` returns the first ``shape[0]`` rows of the
+    one array held for that key, trailing shape and dtype, made on the first
+    call and made anew only when a call asks for more rows.  Its contents are
+    whatever its last user left.  Each computation, or thread, takes its own.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def array(self, key, shape, dtype=np.complex128) -> np.ndarray:
+        shape = tuple(shape)
+        slot = (key, shape[1:], np.dtype(dtype))
+        buf = self._arrays.get(slot)
+        if buf is None or buf.shape[0] < shape[0]:
+            buf = self._arrays[slot] = np.empty(shape, dtype)
+        return buf[:shape[0]]
+
+
+def upsampled_values(coeffs: np.ndarray, m: int, band: int, *,
+                     scratch: Scratch = None) -> np.ndarray:
     """Trigonometric interpolation on the grid of ``m`` points per axis.
 
     ``coeffs`` is a stack of spectra, shape ``(rows, s, ..., s)``: each row a
@@ -215,47 +239,53 @@ def upsampled_values(coeffs: np.ndarray, m: int, band: int) -> np.ndarray:
     the all-zero rows of the padded spectrum are never transformed; the
     result is bit-identical to one ``ifftn`` of the fully padded array.
     Returns complex ``(rows, m, ..., m)``; the real part is the values of a
-    real field.
+    real field.  The padded axes and the result are arrays of ``scratch``
+    when one is given, so the result holds until its next use.
     """
     n = coeffs.shape[-1]
     if m < 1 or int(m) != m:
         raise ValueError(f"points per axis must be a positive integer, got {m}")
     if m != n and m < (2 * band + 1 if 2 * band < n else n):
         raise ValueError(f"{m} points per axis cannot hold the band |k| <= {band} of n = {n}")
+    scratch = Scratch() if scratch is None else scratch
     axes = range(1, coeffs.ndim)
     if m == n:
-        v = np.fft.ifftn(coeffs, axes=tuple(axes))
+        v = np.fft.ifftn(coeffs, axes=tuple(axes), out=scratch.array("upsampled", coeffs.shape))
     else:
         v = coeffs
         if 2 * band + 1 < n:
             # the axes transformed last keep only their band rows until their turn
             for ax in axes[:-1]:
-                v = _pad_axis(v, ax, 2 * band + 1, band)
+                v = _pad_axis(v, ax, 2 * band + 1, band, scratch)
         for ax in reversed(axes):
-            v = _pad_axis(v, ax, m, band)
+            v = _pad_axis(v, ax, m, band, scratch)
             np.fft.ifftn(v, axes=(ax,), out=v)
     v *= m ** (coeffs.ndim - 1)
     return v
 
 
-def _pad_axis(c: np.ndarray, ax: int, m: int, band: int) -> np.ndarray:
+def _pad_axis(c: np.ndarray, ax: int, m: int, band: int, scratch: Scratch) -> np.ndarray:
     """The frequencies ``|k| <= band`` of ``c`` along ``ax``, laid into ``m`` bins.
 
-    When ``2 band`` is the axis length, its Nyquist bin is split over
-    ``+band`` and ``-band``.
+    The result is an array of ``scratch``: the copied bins are written over
+    and the bins between them zeroed.  When ``2 band`` is the axis length,
+    its Nyquist bin is split over ``+band`` and ``-band``.
     """
     size = c.shape[ax]
     split = 2 * band == size
     low, high = band + 1 - split, band - split   # bins 0..low-1 and the last `high`
     shape = list(c.shape)
     shape[ax] = m
-    out = np.zeros(shape, dtype=np.complex128)
+    out = scratch.array(("pad", ax), shape)     # one per axis: each pass reads the last
     src = [slice(None)] * c.ndim
 
     dst = list(src)
     src[ax] = slice(0, low)
     dst[ax] = slice(0, low)
     out[tuple(dst)] = c[tuple(src)]
+
+    dst[ax] = slice(low, m - high)
+    out[tuple(dst)] = 0.0
 
     src[ax] = slice(size - high, size)
     dst[ax] = slice(m - high, m)

@@ -13,7 +13,9 @@ approximation.  The L2 case is evaluated through Plancherel and is exact.
 ``lq_rule`` is the one rule: it takes a stack of rows a cache-sized chunk at
 a time, rows of one band together, and asks its caller for each chunk's
 spectra, so samples of a Fourier series at even q go from the lattice into
-the rule chunk by chunk, cropped to their band, with no full grid per sample.
+the rule chunk by chunk, cropped to their band, with no full grid per sample;
+every chunk's padded axes and ``|v|^q`` go into the same arrays of one
+``Scratch``.
 A single field enters it as a stack of one, and the square function sends
 its terms through the same interpolation in chunks of the same size.
 Negative-order smoothing is coefficient multiplication by
@@ -27,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, SpectralField, spectral_band, upsampled_values
+from .grid import Grid, Scratch, SpectralField, spectral_band, upsampled_values
 
 DEFAULT_OVERSAMPLE = 4
 QUADRATURE_CELLS = 2**15   # cells per chunk of the L^q rule: 512 KiB of complex values
@@ -91,23 +93,23 @@ def _band(grid: Grid, coeffs: np.ndarray, q: float) -> int:
     return spectral_band(grid, coeffs) if _is_even(q) else grid.n // 2
 
 
-def abs_power(v: np.ndarray, q: float) -> np.ndarray:
+def abs_power(v: np.ndarray, q: float, out: np.ndarray = None) -> np.ndarray:
     """``|v|^q``; at even q the integer power ``(re^2 + im^2)^(q/2)``, with no square root.
 
     At even q the float view of a C-contiguous complex ``v`` is squared in
     place, overwriting ``v``, and its halves added; at q = 2 that sum is the
-    result, with no power pass.
+    result, with no power pass.  The result goes into ``out`` when given.
     """
     if not _is_even(q):
-        p = np.abs(v)
+        p = np.abs(v, out=out)
         p **= q
         return p
     if np.iscomplexobj(v):
         pairs = v.view(np.float64).reshape(v.shape + (2,))
         np.square(pairs, out=pairs)
-        sq = pairs[..., 0] + pairs[..., 1]
+        sq = np.add(pairs[..., 0], pairs[..., 1], out=out)
     else:
-        sq = v * v
+        sq = np.multiply(v, v, out=out)
     if q != 2:
         sq **= q / 2
     return sq
@@ -126,23 +128,25 @@ def lq_norm(f: SpectralField, q: float, oversample: int = DEFAULT_OVERSAMPLE) ->
 
 
 def lq_norms(grid: Grid, coeffs: np.ndarray, q: float, oversample: int,
-             real: bool = False) -> np.ndarray:
+             real: bool = False, *, scratch: Scratch = None) -> np.ndarray:
     """``L^q`` norms of a stack of coefficient arrays (leading batch axis), row by row.
 
     At q = 2 the norms are Plancherel sums; otherwise each row's band
-    (``n/2`` where q is not even) sizes its rule in ``lq_rule``, and rows
-    flagged ``real`` are measured through the real part of their values.
+    (``n/2`` where q is not even) sizes its rule in ``lq_rule``, which takes
+    its buffers from ``scratch``, and rows flagged ``real`` are measured
+    through the real part of their values.
     """
     _check_q(q)
     if q == 2:
         axes = tuple(range(1, coeffs.ndim))
         return np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=axes) * grid.length**grid.dim)
     bands = [_band(grid, c, q) for c in coeffs]
-    return lq_rule(grid, q, oversample, bands, lambda rows, band: coeffs[rows], real=real)
+    return lq_rule(grid, q, oversample, bands, lambda rows, band: coeffs[rows], real=real,
+                   scratch=scratch)
 
 
 def lq_rule(grid: Grid, q: float, oversample: int, bands, spectra,
-            real: bool = False) -> np.ndarray:
+            real: bool = False, *, scratch: Scratch = None) -> np.ndarray:
     """``L^q`` norms by the rectangle rule of rows whose spectra are made a chunk at a time.
 
     The one ``L^q`` quadrature.  ``bands[i]`` is row i's band, ``n/2`` where
@@ -151,9 +155,13 @@ def lq_rule(grid: Grid, q: float, oversample: int, bands, spectra,
     band ``band``), full or cropped to ``2 band + 1`` points per axis; a
     single field is a stack of one.  Rows of one band share the rule's ``m``
     points per axis, found from the grid's own n, and go through it
-    ``chunk_rows`` at a time, so a chunk stays in cache; each row's ``|v|^q`` is then summed on its own, with
-    ``v`` the real part of the values when the rows are flagged ``real``.
+    ``chunk_rows`` at a time, so a chunk stays in cache; each row's ``|v|^q``
+    is then summed on its own, with ``v`` the real part of the values when
+    the rows are flagged ``real``.  A chunk's padded axes and its ``|v|^q``
+    are arrays of ``scratch`` (a new one when none is given), so every chunk
+    reuses the memory of the first.
     """
+    scratch = Scratch() if scratch is None else scratch
     bands = np.asarray(bands, dtype=int)
     out = np.empty(bands.size)
     for band in sorted(set(bands.tolist())):     # np.unique would import numpy.ma
@@ -163,8 +171,10 @@ def lq_rule(grid: Grid, q: float, oversample: int, bands, spectra,
         step = chunk_rows(m, grid.n, grid.dim)
         for lo in range(0, rows.size, step):
             chunk = rows[lo:lo + step]
-            v = upsampled_values(spectra(chunk, band), m, band).reshape(chunk.size, -1)
-            powers = abs_power(v.real if real else v, q)
+            v = upsampled_values(spectra(chunk, band), m, band, scratch=scratch)
+            v = v.reshape(chunk.size, -1)
+            powers = abs_power(v.real if real else v, q,
+                               out=scratch.array("powers", v.shape, np.float64))
             for i, row in enumerate(chunk.tolist()):
                 out[row] = (np.sum(powers[i]) * cell) ** (1.0 / q)
     return out
@@ -223,16 +233,16 @@ def _bessel_symbol(grid: Grid, sigma: float) -> np.ndarray:
 
 
 def hsq_norms(grid: Grid, coeffs: np.ndarray, sigma: float, q: float, oversample: int,
-              real: bool = False) -> np.ndarray:
+              real: bool = False, *, scratch: Scratch = None) -> np.ndarray:
     """Bessel-potential norms of smoothness ``sigma`` of a stack of coefficient arrays.
 
     The stack (leading batch axis) is multiplied in place by the cached
     symbol of ``(1 - Lap)^(sigma/2)``, so pass a copy to keep it, and its
-    rows are measured by ``lq_norms``.
+    rows are measured by ``lq_norms`` with the buffers of ``scratch``.
     """
     _check_norm_q(q)
     coeffs *= _bessel_symbol(grid, sigma)
-    return lq_norms(grid, coeffs, q, oversample, real=real)
+    return lq_norms(grid, coeffs, q, oversample, real=real, scratch=scratch)
 
 
 def hsq_norm(f: SpectralField, sigma: float, q: float,

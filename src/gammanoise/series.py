@@ -30,6 +30,13 @@ At even q != 2 a Fourier series without g goes from the lattice into the
 ``L^q`` rule chunk by chunk: the scaled draws ``gamma_n mu_n m_n`` of a few
 samples at a time are put into zeroed spectra cropped to the samples' band,
 ``(2 B + 1)^d`` coefficients each, with no (batch, *grid) array.
+
+The Monte Carlo estimator streams each block of ``MC_BLOCK`` samples: it
+draws the block's Gaussians from the block's one stream a chunk of rows at
+a time and measures each chunk before drawing the next, so its largest
+array is ``chunk rows x max(N, n^d)``, not ``MC_BLOCK x n^d``.  A chunk's
+coefficients, spectra, padded axes and powers live in a ``Scratch`` made
+once per block, and every chunk of the block reuses that memory.
 """
 
 from __future__ import annotations
@@ -41,9 +48,9 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import Grid, SpectralField
-from .norms import (DEFAULT_OVERSAMPLE, abs_power, bessel_multiplier, hsq_norms, lq_rule,
-                    sq_function_from_terms)
+from .grid import Grid, Scratch, SpectralField
+from .norms import (DEFAULT_OVERSAMPLE, QUADRATURE_CELLS, abs_power, bessel_multiplier, hsq_norms,
+                    lq_rule, sq_function_from_terms)
 from .rng import standard_gaussians, stream
 from .systems import Coloring, FourierSystem
 
@@ -118,6 +125,11 @@ class SeriesSpec:
         ks = np.where(ks > self.grid.n // 2, ks - self.grid.n, ks)
         return ks, np.abs(ks).max(axis=1)
 
+    @cached_property
+    def _band_puts(self) -> dict:
+        """Per band, the modes inside it and their put indices; filled by ``_band_scatter``."""
+        return {}
+
     @property
     def _on_lattice(self) -> bool:
         """Whether each term is one lattice coefficient: a Fourier system without g."""
@@ -181,25 +193,28 @@ def term_values(spec: SeriesSpec) -> np.ndarray:
     return spec._terms
 
 
-def series_coeffs(spec: SeriesSpec, gam: np.ndarray) -> np.ndarray:
+def series_coeffs(spec: SeriesSpec, gam: np.ndarray, *, scratch: Scratch = None) -> np.ndarray:
     """Coefficients of ``g sum_n gam[b, n] mu_n f_n`` for a batch of draws.
 
     ``gam`` has shape (batch, N); the result has shape (batch, *grid).  A
     Fourier term is one lattice coefficient, so the draws are scattered
     straight onto the lattice and g, if set, is applied by one batched
     transform pair; other systems multiply the draws into their coefficient
-    stack.
+    stack.  The result is an array of ``scratch`` when one is given.
     """
     grid = spec.grid
+    scratch = Scratch() if scratch is None else scratch
+    coeffs = scratch.array("coeffs", (gam.shape[0], grid.n**grid.dim))
     if isinstance(spec.system, FourierSystem):
         positions, mus = spec._lattice
-        coeffs = np.zeros((gam.shape[0], grid.n**grid.dim), dtype=np.complex128)
+        coeffs.fill(0)
         _scatter_rows(coeffs, positions, gam, mus)
         coeffs = coeffs.reshape((-1,) + grid.shape)
         if spec.g is None:
             return coeffs
         return multiply_on_grid(coeffs, spec._g_values, grid.dim)
-    return (gam @ term_values(spec).reshape(spec.N, -1)).reshape((-1,) + grid.shape)
+    return np.matmul(gam, term_values(spec).reshape(spec.N, -1), out=coeffs).reshape(
+        (-1,) + grid.shape)
 
 
 def _scatter_rows(out: np.ndarray, positions: np.ndarray, gam: np.ndarray,
@@ -228,13 +243,24 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
                   oversample: int = DEFAULT_OVERSAMPLE) -> MCEstimate:
     """Estimate ``E ||.||^2`` in the (-s, q) norm over M independent samples.
 
-    Block b of ``MC_BLOCK`` samples draws its (rows, N) Gaussians in one call
-    from the stream derived from (seed, b), and sample i is row
-    ``i % MC_BLOCK`` of block ``i // MC_BLOCK``.  Pool tasks are blocks, so
-    the estimate is independent of worker count, and the first samples are
-    the same whatever M is; the reduction uses exact summation.
+    Block b of ``MC_BLOCK`` samples draws its (rows, N) Gaussians from the
+    stream derived from (seed, b), and sample i is row ``i % MC_BLOCK`` of
+    block ``i // MC_BLOCK``.  A block is drawn and measured a chunk of rows
+    at a time, through buffers made once per block; the generator fills
+    draws in order, so the chunks' draws are the rows of one block draw.
+    Pool tasks are blocks, so the estimate is independent of worker count,
+    and the first samples are the same whatever M is; the reduction uses
+    exact summation.
 
-    At q = 2 a block's squared norms are one weighted squared-modulus sum.  A
+    A chunk holds the largest power of two of rows, from 8 to ``MC_BLOCK``,
+    whose cells fit in ``QUADRATURE_CELLS``: a row is N draws on the lattice
+    paths and ``n^d`` coefficients on the grid paths.  Every chunk but a
+    block's last is then a whole number of the 4-row groups in which BLAS
+    forms a matrix product, and a last chunk of one row, which BLAS would
+    take through another kernel, joins the one before; so every squared norm
+    has the bits of the whole-block product.
+
+    At q = 2 a chunk's squared norms are one weighted squared-modulus sum.  A
     Fourier spec without g stays on the lattice: ``|gam|^2 @ w`` with the
     weights ``w_n`` of ``_lattice_weights``, and no grid array is built.
     Otherwise the samples' coefficients c give ``|c|^2 @ (L^d m^2)``, with the
@@ -247,36 +273,44 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
     """
     if M < 2:
         raise ValueError("need at least M = 2 samples")
+    grid = spec.grid
     if spec.q == 2 and spec._on_lattice:
         weights = spec._lattice_weights
 
-        def squared_norms(gam: np.ndarray) -> np.ndarray:
-            return abs_power(gam, 2) @ weights
+        def squared_norms(gam: np.ndarray, scratch: Scratch) -> np.ndarray:
+            return abs_power(gam, 2, out=scratch.array("sq", gam.shape, np.float64)) @ weights
     elif spec.q == 2:
-        grid = spec.grid
         weights = grid.length**grid.dim * bessel_multiplier(grid, -spec.s).reshape(-1) ** 2
 
-        def squared_norms(gam: np.ndarray) -> np.ndarray:
-            return abs_power(series_coeffs(spec, gam).reshape(gam.shape[0], -1), 2) @ weights
+        def squared_norms(gam: np.ndarray, scratch: Scratch) -> np.ndarray:
+            coeffs = series_coeffs(spec, gam, scratch=scratch).reshape(gam.shape[0], -1)
+            return abs_power(coeffs, 2, out=scratch.array("sq", coeffs.shape, np.float64)) @ weights
     elif spec._on_lattice and spec.q % 2 == 0:
         positions, mus = spec._lattice
-        symbol = bessel_multiplier(spec.grid, -spec.s).reshape(-1)[positions]
+        symbol = bessel_multiplier(grid, -spec.s).reshape(-1)[positions]
 
-        def squared_norms(gam: np.ndarray) -> np.ndarray:
+        def squared_norms(gam: np.ndarray, scratch: Scratch) -> np.ndarray:
             gam *= mus
             gam *= symbol
-            return _lattice_lq_norms(spec, gam, oversample) ** 2
+            return _lattice_lq_norms(spec, gam, oversample, scratch) ** 2
     else:
-        def squared_norms(gam: np.ndarray) -> np.ndarray:
-            return hsq_norms(spec.grid, series_coeffs(spec, gam), -spec.s, spec.q,
-                             oversample) ** 2
+        def squared_norms(gam: np.ndarray, scratch: Scratch) -> np.ndarray:
+            coeffs = series_coeffs(spec, gam, scratch=scratch)
+            return hsq_norms(grid, coeffs, -spec.s, spec.q, oversample, scratch=scratch) ** 2
 
+    cells = spec.N if spec._on_lattice and spec.q % 2 == 0 else grid.n**grid.dim
+    step = min(MC_BLOCK, max(8, 1 << (max(1, QUADRATURE_CELLS // cells).bit_length() - 1)))
     norms_sq = np.empty(M)
 
     def run_block(b: int) -> None:
         lo, hi = b * MC_BLOCK, min((b + 1) * MC_BLOCK, M)
-        gam = standard_gaussians(stream(seed, b), (hi - lo, spec.N), spec.system.real)
-        norms_sq[lo:hi] = squared_norms(gam)
+        gen, scratch = stream(seed, b), Scratch()
+        starts = list(range(lo, hi, step))
+        if len(starts) > 1 and hi - starts[-1] == 1:
+            starts.pop()
+        for a, z in zip(starts, starts[1:] + [hi]):
+            gam = standard_gaussians(gen, (z - a, spec.N), spec.system.real)
+            norms_sq[a:z] = squared_norms(gam, scratch)
 
     blocks = range(-(-M // MC_BLOCK))
     if workers > 1:
@@ -289,36 +323,51 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
     return MCEstimate.from_squared_norms(norms_sq, seed)
 
 
-def _lattice_lq_norms(spec: SeriesSpec, amps: np.ndarray, oversample: int) -> np.ndarray:
+def _lattice_lq_norms(spec: SeriesSpec, amps: np.ndarray, oversample: int,
+                      scratch: Scratch) -> np.ndarray:
     """``L^q`` norms of the fields ``sum_n amps[b, n] f_n`` of a Fourier spec at even q.
 
     A row's band is the largest ``|k_i|`` at an exactly nonzero amplitude,
     below ``n/2``.  ``lq_rule`` asks for a chunk of rows at a time, and their
-    amplitudes are put into zeroed ``(rows, (2 band + 1)^d)`` spectra, so no
-    ``(rows, n^d)`` array is built.
+    amplitudes are put into ``(rows, (2 band + 1)^d)`` spectra of
+    ``scratch``, zeroed first, so no ``(rows, n^d)`` array is built.
     """
-    ks, kmax = spec._lattice_modes
+    kmax = spec._lattice_modes[1]
     if amps.all():
         bands = np.full(amps.shape[0], kmax.max())
     else:
         bands = np.where(amps != 0, kmax, 0).max(axis=1)
     dim = spec.grid.dim
-    puts = {}
 
     def spectra(rows: np.ndarray, band: int) -> np.ndarray:
-        size = 2 * band + 1
-        if band not in puts:
-            keep = kmax <= band     # the modes beyond a row's band are zero in it
-            flat = np.ravel_multi_index(tuple((ks[keep] % size).T), (size,) * dim)
-            puts[band] = (None if keep.all() else keep), flat
-        keep, flat = puts[band]
+        keep, puts = _band_scatter(spec, band, rows.size)
         vals = amps[rows] if keep is None else amps[np.ix_(rows, keep)]
-        out = np.zeros((rows.size, size**dim), dtype=np.complex128)
-        out.reshape(-1)[(np.arange(rows.size)[:, None] * size**dim + flat).reshape(-1)] = \
-            vals.reshape(-1)
-        return out.reshape((rows.size,) + (size,) * dim)
+        out = scratch.array("spectra", (rows.size,) + (2 * band + 1,) * dim)
+        out.fill(0)
+        out.reshape(-1)[puts.reshape(-1)] = vals.reshape(-1)
+        return out
 
-    return lq_rule(spec.grid, spec.q, oversample, bands, spectra)
+    return lq_rule(spec.grid, spec.q, oversample, bands, spectra, scratch=scratch)
+
+
+def _band_scatter(spec: SeriesSpec, band: int, rows: int) -> tuple:
+    """The modes of ``spec`` inside ``band`` and where ``rows`` rows of them go in cropped spectra.
+
+    Returns ``keep``, a mask of the modes with every ``|k_i| <= band`` (None
+    when that is all of them), and the ``(rows, kept modes)`` flat indices
+    of their coefficients in a stack of ``(2 band + 1)^d`` spectra.  Cached
+    per band on the spec, for the most rows asked so far.
+    """
+    keep, puts = spec._band_puts.get(band, (None, None))
+    if puts is None or puts.shape[0] < rows:
+        ks, kmax = spec._lattice_modes
+        size = 2 * band + 1
+        keep = kmax <= band     # the modes beyond a row's band are zero in it
+        flat = np.ravel_multi_index(tuple((ks[keep] % size).T), (size,) * spec.grid.dim)
+        keep = None if keep.all() else keep
+        puts = np.arange(rows)[:, None] * size**spec.grid.dim + flat
+        spec._band_puts[band] = keep, puts
+    return keep, puts[:rows]
 
 
 def hs_gamma_norm_exact(spec: SeriesSpec) -> float:

@@ -427,22 +427,31 @@ def _lattice_bessel_sum(exponent: float, dim: int) -> float:
 
     Direct summation over a centered box plus an integral estimate of the
     tail; relative accuracy is ample for the divergence diagnostics, which
-    only use this value as a J-independent constant.
+    only use this value as a J-independent constant.  The box's terms are
+    computed in place in one buffer (one per ``k_z`` plane in 3-d).
     """
     R = {1: 200_000, 2: 1_024, 3: 96}[dim]
-    k = np.arange(-R, R + 1, dtype=float)
+    k2 = np.arange(-R, R + 1, dtype=float)
+    np.square(k2, out=k2)
     if dim == 1:
-        core = float(np.sum((1.0 + k**2) ** (-exponent / 2.0)))
+        core = float(np.sum(_bessel_terms(k2, exponent)))
     elif dim == 2:
-        k2 = k[:, None] ** 2 + k[None, :] ** 2
-        core = float(np.sum((1.0 + k2) ** (-exponent / 2.0)))
+        core = float(np.sum(_bessel_terms(np.add.outer(k2, k2), exponent)))
     else:
+        plane, terms = np.add.outer(k2, k2), np.empty((k2.size, k2.size))
         core = 0.0
-        for kz in k:
-            k2 = k[:, None] ** 2 + k[None, :] ** 2 + kz**2
-            core += float(np.sum((1.0 + k2) ** (-exponent / 2.0)))
+        for kz2 in k2:
+            np.add(plane, kz2, out=terms)
+            core += float(np.sum(_bessel_terms(terms, exponent)))
     # tail beyond the box, by a radial integral with surface area of the sphere
     X = R + 0.5
     surface = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[dim]
     tail = surface * X ** (dim - exponent) / (exponent - dim)
     return core + tail
+
+
+def _bessel_terms(k2: np.ndarray, exponent: float) -> np.ndarray:
+    """``(1 + k2)^(-exponent/2)``, written over ``k2``."""
+    k2 += 1.0
+    k2 **= -exponent / 2.0
+    return k2

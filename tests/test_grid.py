@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammanoise.grid import (Grid, SpectralField, constant_field, forward_transform,
+from gammanoise.grid import (Grid, Scratch, SpectralField, constant_field, forward_transform,
                              mode_field, spectral_band, upsampled_values)
 from gammanoise.rng import stream
 
@@ -140,6 +140,18 @@ class TestUpsampling:
         got = upsampled_values(f.coeffs[None], m, n // 2)
         assert got.shape == (1,) + (m,) * dim
         assert np.array_equal(got[0], want)
+
+    @pytest.mark.parametrize("dim,n,band", [(1, 16, 3), (2, 16, 3), (3, 8, 2)])
+    def test_reused_scratch_keeps_the_bits(self, rng, dim, n, band):
+        # full and band-cropped spectra, m = 2 band + 1 included, and stacks of
+        # several sizes through one scratch give the values of fresh calls
+        scratch = Scratch()
+        for size in (n, 2 * band + 1):
+            for m in (2 * band + 1, n, n + 3, 2 * n):
+                for rows in (3, 1, 3):
+                    c = rng.standard_normal((rows,) + (size,) * dim) + 1j
+                    want = upsampled_values(c, m, band)
+                    assert np.array_equal(upsampled_values(c, m, band, scratch=scratch), want)
 
     @pytest.mark.parametrize("dim,n,band", [(1, 64, 5), (2, 16, 3), (3, 8, 1)])
     def test_band_copy_evaluates_the_polynomial(self, rng, dim, n, band):

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gammanoise.grid import Grid, SpectralField, constant_field, forward_transform, mode_field
+from gammanoise import series
+from gammanoise.grid import (Grid, Scratch, SpectralField, constant_field, forward_transform,
+                             mode_field)
 from gammanoise.norms import bessel_multiplier, hsq_norm, lq_norm
 from gammanoise.rng import standard_gaussians, stream
 from gammanoise.fit import classify_growth, linfit
@@ -304,7 +307,7 @@ class TestEvenQLatticePath:
         coeffs[:, spec._lattice[0]] = amps
         want = [lq_norm(SpectralField(spec.grid, c.reshape(spec.grid.shape)), 4.0, oversample=3)
                 for c in coeffs]
-        assert np.array_equal(_lattice_lq_norms(spec, amps, 3), want)
+        assert np.array_equal(_lattice_lq_norms(spec, amps, 3, Scratch()), want)
 
 
 def _random_g(grid, seed, complex_g=False):
@@ -445,6 +448,51 @@ class TestMcGammaNorm:
         two = mc_gamma_norm(spec, 600, seed=4, workers=2).values
         assert np.array_equal(one, two)
         assert np.array_equal(one[:300], mc_gamma_norm(spec, 300, seed=4).values)
+
+    @staticmethod
+    def chunked_spec(branch):
+        """A spec on each path of ``mc_gamma_norm`` whose blocks go in chunks of 8-32 rows."""
+        if branch == "haar":
+            return SeriesSpec(Grid(2, 32), HaarSystem(2, 0, 3), Coloring.haar(0.5, 1.5, 2), 255,
+                              0.3, 2.0)
+        grid = Grid(2, 64)
+        g = _random_g(grid, 8) if branch.startswith("g") else None
+        q = {"lattice_q4": 4.0, "lattice_q2": 2.0, "g_q2": 2.0, "g_q3": 3.0}[branch]
+        return SeriesSpec(grid, FourierSystem(2), Coloring.matern(0.6), 2048, 0.4, q, g=g)
+
+    @pytest.mark.parametrize("branch", ["lattice_q4", "lattice_q2", "g_q2", "g_q3", "haar"])
+    def test_chunks_keep_the_whole_block_bits(self, branch, monkeypatch):
+        # BLAS forms products in 4-row groups and takes a one-row product through
+        # another kernel; 37 and 33 rows leave a short and a one-row last chunk
+        spec = self.chunked_spec(branch)
+        ragged = [2 * MC_BLOCK + 37, MC_BLOCK + 1, MC_BLOCK + 33]
+        got = {(M, w): mc_gamma_norm(spec, M, seed=6, workers=w, oversample=2).values
+               for M in ragged for w in (1, 2)}
+        draws = []
+        monkeypatch.setattr(series, "standard_gaussians",
+                            lambda gen, shape, *a, **k: draws.append(shape[0])
+                            or standard_gaussians(gen, shape, *a, **k))
+        monkeypatch.setattr(series, "QUADRATURE_CELLS", 2**40)     # one chunk per block
+        for M in ragged:
+            draws.clear()
+            whole = mc_gamma_norm(spec, M, seed=6, oversample=2).values
+            assert draws == [min(MC_BLOCK, M - lo) for lo in range(0, M, MC_BLOCK)]
+            for w in (1, 2):
+                assert np.array_equal(got[M, w], whole), (M, w)
+
+    @pytest.mark.parametrize("branch", ["lattice_q4", "lattice_q2", "g_q2", "g_q3"])
+    def test_memory_flat_in_the_grid(self, branch):
+        # a block drawn and measured whole holds (256, N) draws and a (256, n^d)
+        # stack at once: 9 to 32 MB here
+        spec = self.chunked_spec(branch)
+        mc_gamma_norm(spec, 2, seed=1)      # the spec's cached lattice and g values
+        tracemalloc.start()
+        try:
+            mc_gamma_norm(spec, 512, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20, peak
 
     def test_truncation_monotone_exact(self):
         grid = Grid(1, 256)

@@ -8,8 +8,8 @@ from gammanoise.fit import linfit
 from gammanoise.grid import Grid, forward_transform
 from gammanoise.systems import (Coloring, FourierSystem, HaarSystem, IndexRangeError,
                                 NonEvaluableError, ShiftedBumpSystem,
-                                SyntheticGrowthSystem, frequency_block, haar_lattice_sums,
-                                rank_one_mu_norm, weighted_sequence_norm)
+                                SyntheticGrowthSystem, _lattice_bessel_sum, frequency_block,
+                                haar_lattice_sums, rank_one_mu_norm, weighted_sequence_norm)
 
 
 class TestColorings:
@@ -239,6 +239,26 @@ class TestHaarCriticality:
         inc = np.diff(sums)
         ratios = inc[1:] / inc[:-1]
         assert ratios[-1] > 1.03  # geometrically growing increments
+
+    @pytest.mark.parametrize("exponent,dim", [(1.8, 1), (2.0, 1), (2.5, 1), (3.3, 1), (2.5, 2),
+                                              (3.3, 2), (3.5, 3)])
+    def test_lattice_bessel_sum_is_the_broadcast_sum(self, exponent, dim):
+        # the in-place sum keeps the bits of the box summed as one broadcast expression
+        R = {1: 200_000, 2: 1_024, 3: 96}[dim]
+        k = np.arange(-R, R + 1, dtype=float)
+        if dim == 1:
+            core = float(np.sum((1.0 + k**2) ** (-exponent / 2.0)))
+        elif dim == 2:
+            k2 = k[:, None] ** 2 + k[None, :] ** 2
+            core = float(np.sum((1.0 + k2) ** (-exponent / 2.0)))
+        else:
+            core = 0.0
+            for kz in k:
+                k2 = k[:, None] ** 2 + k[None, :] ** 2 + kz**2
+                core += float(np.sum((1.0 + k2) ** (-exponent / 2.0)))
+        surface = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[dim]
+        tail = surface * (R + 0.5) ** (dim - exponent) / (exponent - dim)
+        assert _lattice_bessel_sum(exponent, dim) == core + tail
 
     def test_position_sum_must_converge(self):
         with pytest.raises(ValueError):
