@@ -25,12 +25,11 @@ import numpy as np
 from .acceptance import selftest
 from .conditions import ParamTuple
 from .config import COMMANDS, ConfigError, load_config
-from .experiments import (BLOCK_TERM_CELLS_MAX, SWEEP_CONSTRUCTIONS, boundary_sweep,
-                          dirichlet_norm_test, frequency_block_test, rescaled_bump_test,
-                          shifted_bump_test)
+from .experiments import (SWEEP_CONSTRUCTIONS, boundary_sweep, dirichlet_norm_test,
+                          frequency_block_test, rescaled_bump_test, shifted_bump_test)
 from .fit import linfit
 from .grid import Grid, constant_field, forward_coeffs, forward_transform
-from .norms import bessel_kernel, chunk_rows, lq_norms
+from .norms import CELLS_MAX, bessel_kernel, chunk_rows, lq_norms
 from .operators import (gamma_young_check, heat_witness, mg_sobolev_gamma_norm,
                         schatten_heat_norm)
 from .output import OpTimer, RunManifest, config_hash, write_csv
@@ -104,11 +103,15 @@ def _named(key: str, value):
         raise ConfigError(f"{key}={value}: {exc}") from None
 
 
-def _params_from(block: dict) -> ParamTuple:
-    zeta = block["zeta"]
-    if zeta <= 0:
-        zeta = math.inf
-    return ParamTuple(block["d"], block["s"], block["q"], block["eta"], zeta)
+def _params_from(section: str, block: dict, **keys) -> ParamTuple:
+    """``block``'s ``ParamTuple``, zeta <= 0 read as inf; a rejected field names its key."""
+    zeta = block["zeta"] if block["zeta"] > 0 else math.inf
+    try:
+        return ParamTuple(block["d"], block["s"], block["q"], block["eta"], zeta)
+    except ValueError as exc:
+        field = str(exc).split()[0]     # each of ParamTuple's messages opens with its field
+        key = keys.get(field, field)
+        raise ConfigError(f"{section}.{key}={block[key]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +179,7 @@ def run_sweep(cfg, seed, timer):
     blk = cfg["sweep"]
     _, regime = _pick(SWEEP_CONSTRUCTIONS, "sweep.construction", blk["construction"])
     _check_sweep_regime(blk, regime)
-    tuples = [_params_from({**blk, "s": s}) for s in blk["s_values"]]
+    tuples = [_params_from("sweep", {**blk, "s": s}, s="s_values") for s in blk["s_values"]]
     cells = boundary_sweep(tuples, blk["construction"], blk["scales"])
     table = {**_attributes([c.params for c in cells], ("d", "s", "q", "eta", "zeta")),
              **_attributes(cells, ("construction", "slack", "classification", "label",
@@ -203,15 +206,16 @@ def _two_sided_table(records, fit) -> dict:
 
 
 def run_freq_block(cfg, seed, timer):
-    params = _params_from(cfg["params"])
+    params = _params_from("params", cfg["params"])
     blk = cfg["freq_block"]
-    records, fit = frequency_block_test(params, range(blk["n_min"], blk["n_max"] + 1),
-                                        oversample=cfg["run"]["oversample"])
+    with _named("freq_block.n_max", blk["n_max"]):     # a valid tuple meets only the budget
+        records, fit = frequency_block_test(params, range(blk["n_min"], blk["n_max"] + 1),
+                                            oversample=cfg["run"]["oversample"])
     return _two_sided_table(records, fit), {"fitted_exponent": fit.exponent}, EXIT_OK
 
 
 def run_rescaled_bump(cfg, seed, timer):
-    params = _params_from(cfg["params"])
+    params = _params_from("params", cfg["params"])
     blk = cfg["rescaled_bump"]
     records, fit = rescaled_bump_test(params, range(blk["m_min"], blk["m_max"] + 1),
                                       n=blk["n"], width=blk["width"],
@@ -220,7 +224,7 @@ def run_rescaled_bump(cfg, seed, timer):
 
 
 def run_shifted_bump(cfg, seed, timer):
-    params = _params_from(cfg["params"])
+    params = _params_from("params", cfg["params"])
     blk = cfg["shifted_bump"]
     records, fit = shifted_bump_test(params, blk["extents"],
                                      resolution=blk["resolution"],
@@ -267,10 +271,10 @@ def run_mg_sobolev(cfg, seed, timer):
     blk = cfg["mg_sobolev"]
     oversample = cfg["run"]["oversample"]
     cells = (oversample * grid.n) ** grid.dim
-    if cells > BLOCK_TERM_CELLS_MAX:
+    if cells > CELLS_MAX:
         raise ConfigError(f"grid.dim={grid.dim} and grid.n={grid.n} give {cells} cells per "
                           f"bump on the L^q rule's grid at run.oversample={oversample}, "
-                          f"above the budget of {BLOCK_TERM_CELLS_MAX}")
+                          f"above the budget of {CELLS_MAX}")
     coords = grid.coords()
     gamma, g_eta = [], []
     for levels in _stacks(blk["levels"], grid):
@@ -283,8 +287,9 @@ def run_mg_sobolev(cfg, seed, timer):
                                   f"{blk['width']:g} give a level-{m} bump of width {w:g} "
                                   f"whose L^eta norm on grid.n={grid.n} is {norm:g}")
         g_eta += norms
-        gamma += mg_sobolev_gamma_norm(grid, g, blk["s"], blk["q"], oversample=oversample,
-                                       real=True).tolist()
+        with _named("mg_sobolev.s", blk["s"]):     # mg_sobolev.q has a declared rule
+            gamma += mg_sobolev_gamma_norm(grid, g, blk["s"], blk["q"], oversample=oversample,
+                                           real=True).tolist()
     consts = [val / norm for val, norm in zip(gamma, g_eta)]
     table = {"level": list(range(blk["levels"])),
              **_repeated(blk["levels"], s=blk["s"], q=blk["q"], eta=blk["eta"]),
@@ -349,10 +354,9 @@ def run_scaling(cfg, seed, timer):
     grid = build_grid(cfg["grid"])
     blk = cfg["scaling"]
     zeta = 1.0 / blk["alpha"] * grid.dim
-    if zeta < 2:
-        raise ConfigError(f"scaling.alpha={blk['alpha']:g} and grid.dim={grid.dim} give "
-                          f"zeta = grid.dim / scaling.alpha = {zeta:g}, which must be >= 2")
-    params = ParamTuple(grid.dim, blk["s"], blk["q"], blk["eta"], zeta)
+    params = _params_from("scaling", {**blk, "d": grid.dim, "zeta": zeta}, zeta="alpha")
+    with _named("scaling.beta", blk["beta"]):     # scaling.alpha > 0 is declared
+        Coloring.haar(blk["alpha"], blk["beta"], grid.dim)
     records, fit = scaling_diagnostic(blk["alpha"], params,
                                       range(blk["m_min"], blk["m_max"] + 1), grid=grid,
                                       levels=blk["levels"], beta=blk["beta"],
@@ -364,7 +368,9 @@ def run_haar_divergence(cfg, seed, timer):
     blk = cfg["haar"]
     js = list(range(2, blk["j_max"] + 1))
     zetas = blk["zeta_values"]
-    sums = [haar_lattice_sums(blk["alpha"], blk["beta"], z, blk["d"], js).tolist() for z in zetas]
+    with _named(f"haar.beta={blk['beta']}, haar.d={blk['d']} and haar.zeta_values", zetas):
+        sums = [haar_lattice_sums(blk["alpha"], blk["beta"], z, blk["d"], js).tolist()
+                for z in zetas]
     table = {"zeta": [z for z in zetas for _ in js], "J": js * len(zetas),
              "partial_sum": [val for row in sums for val in row],
              "critical": [abs(z - blk["d"] / blk["alpha"]) <= 1e-9 for z in zetas for _ in js]}

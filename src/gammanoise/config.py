@@ -51,8 +51,8 @@ class Command:
     has no ``run.oversample`` key.  Each section maps a key to
     ``(type, default)`` or ``(type, default, rule)``, or to a bare type name
     for a key without a default.  A rule joins clauses with ``" and "``, each
-    ``"<op> <bound>"`` (op ``>``, ``>=`` or ``<=``; bound a number or a key of
-    the same section) or ``"<k> distinct"`` (at least k distinct list entries).
+    ``"<op> <bound>"`` (op ``>``, ``>=``, ``<`` or ``<=``; bound a number or a
+    key of the same section) or ``"<k> distinct"`` (at least k distinct entries).
     """
 
     oversample: int | None
@@ -105,7 +105,7 @@ COMMANDS = {
     "shifted-bump": Command(2, {
         "params": _params(0.6, 2.0, 4.0, 1),
         "shifted_bump": {"extents": ("ints", [2, 4, 8, 16], "2 distinct"),
-                         "resolution": ("int", 64), "width": ("float", 0.5)},
+                         "resolution": ("int", 64), "width": ("float", 0.5, "> 0 and < 1")},
     }, TWO_SIDED_COLUMNS),
     "dirichlet": Command(4, {
         "dirichlet": {"eta": ("float", 4.0, "> 1"),
@@ -118,7 +118,7 @@ COMMANDS = {
     }, ("trial", "s", "q", "r", "eta", "lhs", "rhs", "ratio")),
     "mg-sobolev": Command(4, {
         "grid": _grid(8192),
-        "mg_sobolev": {"s": ("float", 0.75), "q": ("float", 4.0),
+        "mg_sobolev": {"s": ("float", 0.75), "q": ("float", 4.0, ">= 2"),
                        "eta": ("float", 8.0 / 3.0, ">= 1"),
                        "levels": ("int", 6, ">= 1"), "width": ("float", 0.25, "> 0")},
     }, ("level", "s", "q", "eta", "gamma_norm", "g_eta_norm", "constant")),
@@ -219,7 +219,8 @@ def _check_rule(block: dict, section: str, key: str, rule: str) -> None:
             ok, need = len(set(value)) >= int(op), f"have {op} or more distinct values"
         else:
             limit = block[bound] if bound in block else float(bound)
-            ok = {">": value > limit, ">=": value >= limit, "<=": value <= limit}[op]
+            ok = {">": value > limit, ">=": value >= limit, "<": value < limit,
+                  "<=": value <= limit}[op]
             need = f"be {op} {section}.{bound}={limit}" if bound in block else f"be {op} {bound}"
         if not ok:
             raise ConfigError(f"{section}.{key}={value} must {need}")

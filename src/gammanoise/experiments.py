@@ -17,14 +17,12 @@ import numpy as np
 from .conditions import ParamTuple, predicted_exponent, sharp_condition
 from .fit import FitReport, SweepRecord, fit_ratio_exponent, growth_label, linfit
 from .grid import Grid, SpectralField, forward_transform
-from .norms import hsq_norm, lq_norm, sq_function_from_terms
+from .norms import CELLS_MAX, hsq_norm, lq_norm, sq_function_from_terms
 from .series import render_terms
 from .systems import (FourierSystem, ShiftedBumpSystem, bump_values, frequency_block,
                       plateau_values, rank_one_mu_norm, weighted_sequence_norm)
 
 BLOCK_RESOLUTION_MARGIN = 3     # grid octaves above the top frequency block
-BLOCK_TERM_CELLS_MAX = 2**25    # cells of the largest block's term stack, |C_N| * n^d,
-                                # and of mg-sobolev's L^q rule grid per bump
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +50,9 @@ def frequency_block_test(params: ParamTuple, N_range, oversample: int = 2):
     N_range = sorted(int(N) for N in N_range)
     n = 2 ** (max(N_range) + BLOCK_RESOLUTION_MARGIN)
     cells = (2 ** (max(N_range) - 1) + 1) ** params.d * n**params.d
-    if cells > BLOCK_TERM_CELLS_MAX:
+    if cells > CELLS_MAX:
         raise ValueError(f"the N = {max(N_range)} block's term stack has {cells} cells, "
-                         f"above the budget of {BLOCK_TERM_CELLS_MAX}")
+                         f"above the budget of {CELLS_MAX}")
     grid = Grid(params.d, n)
     system = FourierSystem(params.d)
     records = []

@@ -33,6 +33,7 @@ from .grid import Grid, Scratch, SpectralField, spectral_band, upsampled_values
 
 DEFAULT_OVERSAMPLE = 4
 QUADRATURE_CELLS = 2**15   # cells per chunk of the L^q rule: 512 KiB of complex values
+CELLS_MAX = 2**25          # cells of the largest array the lab builds: 512 MiB of complex values
 
 
 def _check_norm_q(q: float) -> None:

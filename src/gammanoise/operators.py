@@ -23,14 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, SpectralField, forward_coeffs, forward_transform, inverse_values
-from .norms import (DEFAULT_OVERSAMPLE, bessel_kernel, heat_eigenvalues, lq_norm, lq_norms,
-                    weak_lp_norm)
-
-BRUTEFORCE_MAX_CELLS = 4096
-
-
-class ResourceError(RuntimeError):
-    """Raised when an oracle would exceed its declared memory budget."""
+from .norms import (CELLS_MAX, DEFAULT_OVERSAMPLE, bessel_kernel, heat_eigenvalues, lq_norm,
+                    lq_norms, weak_lp_norm)
 
 
 @dataclass(frozen=True)
@@ -76,15 +70,14 @@ def _afg_gamma_norms(f: SpectralField, g: np.ndarray, q: float, oversample: int,
 def afg_bruteforce_hs(pair: ConvPair) -> float:
     """Frobenius norm of the dense discretized operator, continuum-normalized.
 
-    Assembles ``K(x, y) = f(x - y) g(y)`` over all grid pairs; limited to
-    small grids by the quadratic memory footprint.
+    Assembles ``K(x, y) = f(x - y) g(y)`` over all grid pairs, ``(n^d)^2``
+    cells, so it takes grids of at most ``sqrt(CELLS_MAX)`` cells.
     """
     grid = pair.f.grid
     cells = grid.n**grid.dim
-    if cells > BRUTEFORCE_MAX_CELLS:
-        raise ResourceError(
-            f"grid has {cells} cells, brute-force oracle allows {BRUTEFORCE_MAX_CELLS}"
-        )
+    if cells**2 > CELLS_MAX:
+        raise ValueError(f"the dense operator on {grid.shape} has {cells**2} cells, "
+                         f"above the budget of {CELLS_MAX}")
     fv = pair.f.values().ravel()
     gv = pair.g.values().ravel()
     unravel = np.unravel_index(np.arange(cells), grid.shape)

@@ -249,8 +249,8 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
     at a time, through buffers made once per block; the generator fills
     draws in order, so the chunks' draws are the rows of one block draw.
     Pool tasks are blocks, so the estimate is independent of worker count,
-    and the first samples are the same whatever M is; the reduction uses
-    exact summation.
+    and the first ``4 floor(M/4)`` samples (whole 4-row groups of BLAS) are
+    the same whatever M is; the reduction uses exact summation.
 
     A chunk holds the largest power of two of rows, from 8 to ``MC_BLOCK``,
     whose cells fit in ``QUADRATURE_CELLS``: a row is N draws on the lattice

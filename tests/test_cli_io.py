@@ -12,8 +12,9 @@ import pytest
 from gammanoise.cli import RUNNERS, dump_states, load_states, main
 from gammanoise.config import COMMANDS, ConfigError, command_sections, load_config
 from gammanoise.conditions import ParamTuple, sharp_condition
-from gammanoise.experiments import BLOCK_TERM_CELLS_MAX, SWEEP_CONSTRUCTIONS
+from gammanoise.experiments import SWEEP_CONSTRUCTIONS
 from gammanoise.grid import Grid
+from gammanoise.norms import CELLS_MAX
 from gammanoise.output import (RunManifest, canonical_config, config_hash, csv_bytes,
                                format_value, write_csv)
 from gammanoise.rng import complex_standard_normal, derive_state, splitmix64, stream
@@ -361,6 +362,35 @@ class TestCliCommands:
         ("scaling", "scaling.levels=0"),
         ("schatten-heat", "schatten.d=0"),
         ("schatten-heat", "schatten.n=3"),
+        # ParamTuple's rejections, named by the section's key
+        ("freq-block", "params.s=0"),
+        ("freq-block", "params.q=-1"),
+        ("freq-block", "params.eta=0"),
+        ("freq-block", "params.zeta=1"),
+        ("rescaled-bump", "params.s=-1"),
+        ("rescaled-bump", "params.q=0"),
+        ("rescaled-bump", "params.eta=-1"),
+        ("shifted-bump", "params.s=0"),
+        ("shifted-bump", "params.q=0"),
+        ("shifted-bump", "params.eta=-1"),
+        ("sweep", "sweep.s_values=0"),
+        ("sweep", "sweep.s_values=0.5,1.5"),
+        ("sweep", "sweep.eta=0"),
+        ("sweep", "sweep.d=0"),
+        ("scaling", "scaling.s=0"),
+        ("scaling", "scaling.q=-1"),
+        ("scaling", "scaling.eta=0"),
+        # the library's rejections
+        ("mg-sobolev", "mg_sobolev.s=0"),
+        ("mg-sobolev", "mg_sobolev.q=0"),
+        ("shifted-bump", "shifted_bump.width=0"),
+        ("shifted-bump", "shifted_bump.width=1"),
+        ("scaling", "scaling.beta=0"),
+        ("haar-divergence", "haar.beta=-1"),
+        ("haar-divergence", "haar.zeta_values=0"),
+        ("haar-divergence", "haar.zeta_values=2.0,-1"),
+        ("haar-divergence", "haar.d=2"),
+        ("freq-block", "freq_block.n_max=12"),
     ])
     def test_rejected_value_exit_code(self, tmp_path, capsys, command, override):
         # several space-separated overrides are passed in order; the first key is named
@@ -384,7 +414,7 @@ class TestCliCommands:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["detail"] == (
             f"grid.dim=2 and grid.n=8192 give {2**30} cells per bump on the L^q rule's grid "
-            f"at run.oversample=4, above the budget of {BLOCK_TERM_CELLS_MAX}")
+            f"at run.oversample=4, above the budget of {CELLS_MAX}")
         assert peak < 2**20 and not out.exists()
 
     def test_mg_sobolev_names_the_first_flat_level(self, tmp_path, capsys):
@@ -683,7 +713,7 @@ def _rule_violations(command):
                     value = ",".join(map(str, list(dict.fromkeys(spec[1]))[:int(op) - 1]))
                 else:
                     limit = defaults[bound] if bound in defaults else float(bound)
-                    value = {">": limit, ">=": limit - 1, "<=": limit + 1}[op]
+                    value = {">": limit, ">=": limit - 1, "<": limit, "<=": limit + 1}[op]
                     value = int(value) if spec[0] == "int" else float(value)
                 out.append(f"{section}.{key}={value}")
     return out

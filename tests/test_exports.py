@@ -76,3 +76,18 @@ def test_no_module_imports_a_private_name_of_another():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in local_modules and node.attr.startswith("_")]
     assert found == []
+
+
+def test_one_cell_budget():
+    """Only ``norms`` defines a module-level cell budget; every size check reads ``norms.CELLS_MAX``."""
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "norms.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            found += [f"{path.name} defines {target.id}" for target in targets
+                      if isinstance(target, ast.Name)
+                      and ("CELLS_MAX" in target.id or "MAX_CELLS" in target.id)]
+    assert found == []

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gammanoise import operators
 from gammanoise.fit import linfit
 from gammanoise.grid import Grid, SpectralField, constant_field, forward_coeffs, forward_transform
 from gammanoise.norms import bessel_kernel, chunk_rows, lq_norm
-from gammanoise.operators import (ConvPair, ResourceError, afg_bruteforce_hs,
+from gammanoise.operators import (ConvPair, afg_bruteforce_hs,
                                   afg_gamma_norm, gamma_young_check,
                                   heat_kernel_field, mg_sobolev_gamma_norm,
                                   schatten_heat_norm)
@@ -128,8 +130,25 @@ class TestBruteForce:
     def test_resource_bound(self):
         g = Grid(1, 8192)
         pair = ConvPair(constant_field(g, 0.0), constant_field(g, 0.0), 2.0)
-        with pytest.raises(ResourceError):
+        with pytest.raises(ValueError, match="budget"):
             afg_bruteforce_hs(pair)
+
+    def test_budget_edge(self, monkeypatch):
+        # norms.CELLS_MAX lowered where the oracle reads it: a 64-cell grid's operator
+        # has exactly 64^2 cells; at 128 cells it is rejected before any array is
+        # built (building it peaks near 570 KiB)
+        monkeypatch.setattr(operators, "CELLS_MAX", 64**2)
+        pairs = {n: ConvPair(constant_field(Grid(1, n), 1.0), constant_field(Grid(1, n), 1.0), 2.0)
+                 for n in (64, 128)}
+        assert afg_bruteforce_hs(pairs[64]) == pytest.approx(1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"16384 cells, above the budget of {64**2}"):
+                afg_bruteforce_hs(pairs[128])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestGammaYoung:

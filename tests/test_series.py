@@ -449,6 +449,25 @@ class TestMcGammaNorm:
         assert np.array_equal(one, two)
         assert np.array_equal(one[:300], mc_gamma_norm(spec, 300, seed=4).values)
 
+    @pytest.mark.parametrize("branch", ["fourier_1d", "fourier_g", "haar_q2", "haar_q4",
+                                        "fourier_2d"])
+    def test_first_whole_groups_of_four_samples_fixed(self, branch):
+        # BLAS forms a product in 4-row groups, so a block cut short keeps the
+        # bits of its first 4 floor(rows / 4) rows; the rows after may move
+        grid = Grid(1, 256)
+        haar = SeriesSpec(Grid(1, 64), HaarSystem(1, 0, 3), Coloring.power_law(0.5), 15, 0.3, 2.0)
+        spec = {"fourier_1d": SeriesSpec(grid, FourierSystem(1), Coloring.matern(0.5), 128, 0.6,
+                                         2.0),
+                "fourier_g": SeriesSpec(grid, FourierSystem(1), Coloring.matern(0.5), 128, 0.6,
+                                        2.0, g=_random_g(grid, 5)),
+                "haar_q2": haar, "haar_q4": dataclasses.replace(haar, q=4.0),
+                "fourier_2d": SeriesSpec(Grid(2, 32), FourierSystem(2), Coloring.matern(0.6), 200,
+                                         0.4, 2.0)}[branch]
+        whole = mc_gamma_norm(spec, 1100, seed=1).values
+        for M in (2, 3, 5, 6, 7, 9, 14, 19, 257, 258, 262, 267, 513, 777, 1027):
+            head = 4 * (M // 4)
+            assert np.array_equal(mc_gamma_norm(spec, M, seed=1).values[:head], whole[:head]), M
+
     @staticmethod
     def chunked_spec(branch):
         """A spec on each path of ``mc_gamma_norm`` whose blocks go in chunks of 8-32 rows."""
