@@ -29,7 +29,7 @@ from .experiments import (SWEEP_CONSTRUCTIONS, boundary_sweep, dirichlet_norm_te
                           frequency_block_test, rescaled_bump_test, shifted_bump_test)
 from .fit import linfit
 from .grid import Grid, constant_field, forward_coeffs, forward_transform
-from .norms import CELLS_MAX, bessel_kernel, chunk_rows, lq_norms
+from .norms import CELLS_MAX, QUADRATURE_CELLS, bessel_kernel, chunk_rows, lq_norms
 from .operators import (gamma_young_check, heat_witness, mg_sobolev_gamma_norm,
                         schatten_heat_norm)
 from .output import OpTimer, RunManifest, config_hash, write_csv
@@ -299,7 +299,7 @@ def run_mg_sobolev(cfg, seed, timer):
 
 def _stacks(count: int, grid: Grid):
     """``range(count)`` in consecutive ranges of as many rows as one chunk of the ``L^q`` rule."""
-    step = chunk_rows(grid.n, grid.n, grid.dim)
+    step = chunk_rows(grid.n**grid.dim, QUADRATURE_CELLS)
     return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 

@@ -20,7 +20,7 @@ from .grid import Grid, SpectralField, forward_transform
 from .norms import CELLS_MAX, hsq_norm, lq_norm, sq_function_from_terms
 from .series import render_terms
 from .systems import (FourierSystem, ShiftedBumpSystem, bump_values, frequency_block,
-                      plateau_values, rank_one_mu_norm, weighted_sequence_norm)
+                      periodic_offset, plateau_values, rank_one_mu_norm, weighted_sequence_norm)
 
 BLOCK_RESOLUTION_MARGIN = 3     # grid octaves above the top frequency block
 
@@ -132,8 +132,7 @@ def shifted_bump_test(params: ParamTuple, N_range, resolution: int = 64,
         coords = grid.coords()
         gv = np.zeros(grid.shape)
         for k in idxs:
-            centered = np.mod(coords[0] - k[0] - 0.5, length)
-            centered = np.where(centered > length / 2, centered - length, centered)
+            centered = periodic_offset(coords[0] - k[0], 0.5, length)   # from the centre k + 1/2
             gv += plateau_values([centered], 0.0, width + 0.1, width + 0.3)
         g = forward_transform(grid, gv)
         weights = np.ones(len(idxs))

@@ -21,6 +21,8 @@ its terms through the same interpolation in chunks of the same size.
 Negative-order smoothing is coefficient multiplication by
 ``(1 + 4 pi^2 |k/L|^2)^(sigma/2)``; ``hsq_norms`` is the one place a stack
 is smoothed before ``lq_norms`` measures it.
+Every memory budget of the lab is declared here, in cells, and every chunked
+loop sizes its chunks with ``chunk_rows`` against one of them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import numpy as np
 from .grid import Grid, Scratch, SpectralField, spectral_band, upsampled_values
 
 DEFAULT_OVERSAMPLE = 4
-QUADRATURE_CELLS = 2**15   # cells per chunk of the L^q rule: 512 KiB of complex values
+QUADRATURE_CELLS = 2**15   # cells per chunk of the L^q rule and of Monte Carlo: 512 KiB complex
+STREAM_CELLS = 2**18       # cells per chunk of heat increments and of correlation windows: 4 MiB
 CELLS_MAX = 2**25          # cells of the largest array the lab builds: 512 MiB of complex values
 
 
@@ -80,13 +83,14 @@ def _points(q: float, oversample: int, n: int, band: int) -> int:
     return min(m, _smooth_above(int(q) * band)) if _is_even(q) else m
 
 
-def chunk_rows(m: int, n: int, dim: int) -> int:
-    """Rows per chunk of the ``L^q`` rule on ``m`` points from ``n``.
+def chunk_rows(row_cells: int, budget: int) -> int:
+    """Rows of ``row_cells`` cells per chunk: as many as ``budget`` cells hold, at least one.
 
-    A chunk's input spectra and its fine-grid values each hold at most
-    ``QUADRATURE_CELLS`` cells, or one row where a row alone holds more.
+    The one sizing rule of every chunked loop; ``budget`` is one of the
+    budgets above, passed by the caller, so a test can lower the name that
+    caller reads.
     """
-    return max(1, QUADRATURE_CELLS // max(m, n)**dim)
+    return max(1, budget // row_cells)
 
 
 def _band(grid: Grid, coeffs: np.ndarray, q: float) -> int:
@@ -156,11 +160,12 @@ def lq_rule(grid: Grid, q: float, oversample: int, bands, spectra,
     band ``band``), full or cropped to ``2 band + 1`` points per axis; a
     single field is a stack of one.  Rows of one band share the rule's ``m``
     points per axis, found from the grid's own n, and go through it
-    ``chunk_rows`` at a time, so a chunk stays in cache; each row's ``|v|^q``
-    is then summed on its own, with ``v`` the real part of the values when
-    the rows are flagged ``real``.  A chunk's padded axes and its ``|v|^q``
-    are arrays of ``scratch`` (a new one when none is given), so every chunk
-    reuses the memory of the first.
+    ``chunk_rows`` at a time, a chunk's input spectra and its fine-grid
+    values each of at most ``QUADRATURE_CELLS`` cells, so a chunk stays in
+    cache; each row's ``|v|^q`` is then summed on its own, with ``v`` the
+    real part of the values when the rows are flagged ``real``.  A chunk's
+    padded axes and its ``|v|^q`` are arrays of ``scratch`` (a new one when
+    none is given), so every chunk reuses the memory of the first.
     """
     scratch = Scratch() if scratch is None else scratch
     bands = np.asarray(bands, dtype=int)
@@ -169,7 +174,7 @@ def lq_rule(grid: Grid, q: float, oversample: int, bands, spectra,
         rows = np.flatnonzero(bands == band)
         m = _points(q, oversample, grid.n, band)
         cell = (grid.length / m) ** grid.dim
-        step = chunk_rows(m, grid.n, grid.dim)
+        step = chunk_rows(max(m, grid.n)**grid.dim, QUADRATURE_CELLS)
         for lo in range(0, rows.size, step):
             chunk = rows[lo:lo + step]
             v = upsampled_values(spectra(chunk, band), m, band, scratch=scratch)
@@ -194,7 +199,7 @@ def sq_function_from_terms(grid: Grid, terms: np.ndarray, s: float, q: float,
     band = _band(grid, terms, q)
     m = _points(q, oversample, grid.n, band)
     acc = np.zeros((m,) * grid.dim)
-    step = chunk_rows(m, grid.n, grid.dim)
+    step = chunk_rows(max(m, grid.n)**grid.dim, QUADRATURE_CELLS)
     for lo in range(0, len(terms), step):
         for power in abs_power(upsampled_values(terms[lo:lo + step] * mult, m, band), 2):
             acc += power

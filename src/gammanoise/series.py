@@ -49,8 +49,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid, Scratch, SpectralField
-from .norms import (DEFAULT_OVERSAMPLE, QUADRATURE_CELLS, abs_power, bessel_multiplier, hsq_norms,
-                    lq_rule, sq_function_from_terms)
+from .norms import (DEFAULT_OVERSAMPLE, QUADRATURE_CELLS, STREAM_CELLS, abs_power,
+                    bessel_multiplier, chunk_rows, hsq_norms, lq_rule, sq_function_from_terms)
 from .rng import standard_gaussians, stream
 from .systems import Coloring, FourierSystem
 
@@ -58,7 +58,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 MC_BLOCK = 256      # Monte Carlo samples per random stream; part of the stream layout
 SCATTER_ROWS = 32   # rows per flat lattice scatter; bounds its index array at 32 * N
-CORRELATION_CELLS = 2**18   # window cells gathered at once by _periodic_correlation
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ class SeriesSpec:
     def _lattice_modes(self) -> tuple:
         """Signed frequencies of the N modes, shape (N, d), and each one's largest ``|k_i|``."""
         ks = np.stack(np.unravel_index(self._lattice[0], self.grid.shape), axis=-1)
-        ks = np.where(ks > self.grid.n // 2, ks - self.grid.n, ks)
+        ks = self.grid.freq_axis()[ks]
         return ks, np.abs(ks).max(axis=1)
 
     @cached_property
@@ -299,7 +298,7 @@ def mc_gamma_norm(spec: SeriesSpec, M: int, seed: int, workers: int = 1,
             return hsq_norms(grid, coeffs, -spec.s, spec.q, oversample, scratch=scratch) ** 2
 
     cells = spec.N if spec._on_lattice and spec.q % 2 == 0 else grid.n**grid.dim
-    step = min(MC_BLOCK, max(8, 1 << (max(1, QUADRATURE_CELLS // cells).bit_length() - 1)))
+    step = min(MC_BLOCK, max(8, 1 << (chunk_rows(cells, QUADRATURE_CELLS).bit_length() - 1)))
     norms_sq = np.empty(M)
 
     def run_block(b: int) -> None:
@@ -402,7 +401,7 @@ def _periodic_correlation(a: np.ndarray, b: np.ndarray, positions: np.ndarray) -
     """``c(k) = sum_j a_j b_{j-k}`` on the periodic lattice, at the flat ``positions`` of k.
 
     Entry k reads b through the window of b tiled twice per axis that starts
-    at ``-k mod n``, ``CORRELATION_CELLS`` cells of windows at a time, and
+    at ``-k mod n``, ``STREAM_CELLS`` cells of windows at a time, and
     dots it with a.  Unlike a transform-based correlation, whose rounding
     error is absolute, a sum of nonnegative a and b is relatively exact
     wherever c is small.
@@ -411,7 +410,7 @@ def _periodic_correlation(a: np.ndarray, b: np.ndarray, positions: np.ndarray) -
     starts = tuple(-k % b.shape[0] for k in np.unravel_index(positions, b.shape))
     flat_a = a.reshape(-1)
     out = np.empty(len(positions))
-    rows = max(1, CORRELATION_CELLS // a.size)
+    rows = chunk_rows(a.size, STREAM_CELLS)
     for lo in range(0, len(positions), rows):
         block = windows[tuple(k[lo:lo + rows] for k in starts)]
         out[lo:lo + rows] = block.reshape(-1, a.size) @ flat_a

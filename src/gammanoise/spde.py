@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Grid, SpectralField, forward_transform
-from .norms import (bessel_multiplier, heat_eigenvalues, hsq_norms, lq_norm,
-                    sq_function_from_terms)
+from .norms import (STREAM_CELLS, bessel_multiplier, chunk_rows, heat_eigenvalues, hsq_norms,
+                    lq_norm, sq_function_from_terms)
 from .rng import complex_standard_normal, standard_gaussians, stream
 from .fit import SweepRecord, fit_ratio_exponent
 from .series import SeriesSpec, multiply_on_grid, render_terms, series_coeffs, term_values
@@ -150,15 +150,6 @@ class Trajectory:
         return SpectralField(self.grid, self.coeffs[-1])
 
 
-NOISE_CHUNK_BYTES = 4 * 2**20     # most increment bytes built at once
-_STEP_BYTES = np.dtype(np.complex128).itemsize     # bytes of one mode of one state
-
-
-def _chunk_steps(grid: Grid) -> int:
-    """Steps per chunk of increments: as many as ``NOISE_CHUNK_BYTES`` holds, at least one."""
-    return max(1, NOISE_CHUNK_BYTES // (_STEP_BYTES * grid.n**grid.dim))
-
-
 def simulate(config: SpdeConfig, seed: int, traj_index: int = 0,
              keep_states: bool = True) -> Trajectory:
     """Integrate one trajectory; its draws come in order from one (seed, traj) stream.
@@ -179,8 +170,8 @@ def ensemble_norms(config: SpdeConfig, seed: int, count: int, s: float,
                    q: float) -> tuple[np.ndarray, np.ndarray]:
     """``(times, norms)``: ``norms[i]`` is ``trajectory_norms(simulate(config, seed, i), s, q)``.
 
-    Trajectories are integrated side by side in batches of as many as one
-    ``NOISE_CHUNK_BYTES`` holds of their states and increments; the states
+    Trajectories are integrated side by side in batches of as many as
+    ``STREAM_CELLS`` cells hold of their states and increments; the states
     and increment buffers are made once and reused by every batch.  A
     batch's states are smoothed in place and measured in one ``hsq_norms``
     pass, whose rows are measured one by one, so the norms are those of one
@@ -188,8 +179,8 @@ def ensemble_norms(config: SpdeConfig, seed: int, count: int, s: float,
     """
     grid, steps = config.grid, config.steps
     size = grid.n**grid.dim
-    chunk = min(_chunk_steps(grid), steps)
-    batch = max(1, NOISE_CHUNK_BYTES // (_STEP_BYTES * size * (steps + 1 + chunk)))
+    chunk = min(chunk_rows(size, STREAM_CELLS), steps)
+    batch = chunk_rows(size * (steps + 1 + chunk), STREAM_CELLS)
     states = np.empty((steps + 1, batch * size), dtype=np.complex128)
     incs = np.empty((chunk, batch * size), dtype=np.complex128)
     norms = np.empty((count, steps + 1))
@@ -211,12 +202,13 @@ def _integrate(config: SpdeConfig, gens: list, states: np.ndarray, keep_states: 
     ``states`` has rows of ``B * n^d`` modes, trajectory b in the b-th run of
     ``n^d``, and one row per stored time (two without ``keep_states``: the
     zero start and the state, updated in place); row 0 must be zero.  Each
-    trajectory's increments come in chunks of ``_chunk_steps`` steps from
-    ``_increments`` on its own generator, so the noise's memory stays flat
-    in the step count and row m of the draws is step m's, as drawing step by
-    step would give.  The chunking depends on neither ``keep_states`` nor
-    the batch, so all give the same bits.  A batch of more than one copies
-    its increments into ``incs``, a ``(chunk, B * n^d)`` buffer.
+    trajectory's increments come in chunks of as many steps as
+    ``STREAM_CELLS`` holds (``chunk_rows``) from ``_increments`` on its own
+    generator, so the noise's memory stays flat in the step count and row m
+    of the draws is step m's, as drawing step by step would give.  The
+    chunking depends on neither ``keep_states`` nor the batch, so all give
+    the same bits.  A batch of more than one copies its increments into
+    ``incs``, a ``(chunk, B * n^d)`` buffer.
 
     exact_ou updates each mode with the exact Ornstein-Uhlenbeck transition;
     exp_euler damps the previous state and the increment by the semigroup.
@@ -231,7 +223,7 @@ def _integrate(config: SpdeConfig, gens: list, states: np.ndarray, keep_states: 
     if len(gens) > 1:   # a batch of one steps with the cached decay itself, allocating nothing
         decay = np.tile(decay, len(gens))
     exact_ou = config.integrator == "exact_ou"
-    chunk = _chunk_steps(grid)
+    chunk = chunk_rows(size, STREAM_CELLS)
     final = states[-1]
     mul, add = np.multiply, np.add      # a step is two short ufunc calls; keep their overhead low
     for lo in range(0, steps, chunk):
@@ -358,7 +350,7 @@ def time_norms(norms: np.ndarray, dts: np.ndarray, p: float) -> tuple:
 SCALING_G_WIDTH = 0.5       # width of the multiplier bump g at m = 0
 
 
-def scaling_diagnostic(alpha: float, params: ParamTuple, m_range, grid: Grid = None,
+def scaling_diagnostic(alpha: float, params: ParamTuple, m_range, grid: Grid,
                        levels: int = 3, beta: float = 1.0, oversample: int = 2):
     """Parabolic-scaling necessity sweep of the driving Haar series.
 
@@ -371,8 +363,6 @@ def scaling_diagnostic(alpha: float, params: ParamTuple, m_range, grid: Grid = N
     """
     predicted = predicted_exponent(params, "spde_scaling", alpha=alpha)
     d = params.d
-    if grid is None:
-        grid = Grid(d, 2 ** (13 if d == 1 else 7))
     m_range = sorted(int(m) for m in m_range)
     if min(m_range) < 0:
         raise ValueError(f"compressions m must be >= 0, got m = {min(m_range)}")

@@ -50,6 +50,12 @@ def bump_values(coords: list, center, width: float) -> np.ndarray:
     return out
 
 
+def periodic_offset(x: np.ndarray, shift, length: float) -> np.ndarray:
+    """``x - shift`` wrapped onto the circle of ``length``, in ``(-length/2, length/2]``."""
+    t = np.mod(x - shift, length)
+    return np.where(t > length / 2, t - length, t)
+
+
 def smoothstep(t: np.ndarray) -> np.ndarray:
     """C-infinity transition from 0 (t <= 0) to 1 (t >= 1)."""
     t = np.asarray(t, dtype=float)
@@ -276,9 +282,8 @@ class ShiftedBumpSystem:
 
         def fn(*coords):
             out = 1.0
-            for x, ki in zip(coords, idx):
-                t = np.mod(x - ki - 0.5, grid.length)
-                t = np.where(t > grid.length / 2, t - grid.length, t)
+            for x, ki in zip(coords, idx):     # offset from the cell centre ki + 1/2
+                t = periodic_offset(x - ki, 0.5, grid.length)
                 out = out * bump_profile(2.0 * t / self.width)
             return self._norm_const * out
 

@@ -283,6 +283,25 @@ class TestCliCommands:
         rows = read_csv(out)
         assert len(rows) == 1 and rows[0]["mean_sq"] == 0
 
+    def test_series_norm_bump_g(self, tmp_path):
+        # at q = 2 the square function is the Hilbert-Schmidt value, whose square the
+        # Monte Carlo mean estimates
+        out = tmp_path / "bump.csv"
+        assert main(["series-norm", "--out", str(out), "--override", "g.kind=bump"]) == 0
+        row = read_csv(out)[0]
+        assert row["sq_function"] == pytest.approx(row["hs_exact"], rel=1e-12)
+        assert abs(row["mean_sq"] - row["hs_exact"] ** 2) <= 4 * row["stderr"]
+
+    def test_series_norm_constant_g_scales(self, tmp_path):
+        # g = 2 doubles every term and every sample on the same draws
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert main(["series-norm", "--out", str(one)]) == 0
+        assert main(["series-norm", "--out", str(two), "--override", "g.kind=constant",
+                     "--override", "g.value=2"]) == 0
+        one, two = read_csv(one)[0], read_csv(two)[0]
+        for key, factor in (("hs_exact", 2), ("sq_function", 2), ("mean_sq", 4)):
+            assert two[key] == pytest.approx(factor * one[key], rel=1e-12), key
+
     def test_dirichlet_fitted_exponent_column(self, tmp_path):
         out = tmp_path / "d.csv"
         assert main(["dirichlet", "--out", str(out)]) == 0
@@ -490,6 +509,16 @@ class TestCliCommands:
         assert main(["haar-divergence", "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and err["detail"].startswith("haar-divergence: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_runner_exception_is_a_hard_failure(self, tmp_path, capsys, monkeypatch):
+        # an exception other than a ConfigError or ValueError is no config problem
+        def overflow(*args):
+            raise FloatingPointError("overflow encountered in multiply")
+        monkeypatch.setitem(RUNNERS, "haar-divergence", overflow)
+        assert main(["haar-divergence", "--out", str(tmp_path / "x.csv")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "FloatingPointError", "detail": "overflow encountered in multiply"}
         assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output_is_a_hard_failure(self, tmp_path, capsys):

@@ -79,7 +79,11 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_one_cell_budget():
-    """Only ``norms`` defines a module-level cell budget; every size check reads ``norms.CELLS_MAX``."""
+    """Only ``norms`` defines a module-level budget, of cells or of bytes, for an array or a chunk.
+
+    Every size check reads ``norms.CELLS_MAX``, and every chunk is sized by a
+    budget that ``norms`` declares.
+    """
     found = []
     for path in PACKAGE.glob("*.py"):
         if path.name == "norms.py":
@@ -89,5 +93,6 @@ def test_one_cell_budget():
                        else [node.target] if isinstance(node, ast.AnnAssign) else [])
             found += [f"{path.name} defines {target.id}" for target in targets
                       if isinstance(target, ast.Name)
-                      and ("CELLS_MAX" in target.id or "MAX_CELLS" in target.id)]
+                      and ("CELLS_MAX" in target.id or "MAX_CELLS" in target.id
+                           or target.id.endswith(("_CELLS", "_BYTES")))]
     assert found == []

@@ -7,7 +7,7 @@ import pytest
 from gammanoise import operators
 from gammanoise.fit import linfit
 from gammanoise.grid import Grid, SpectralField, constant_field, forward_coeffs, forward_transform
-from gammanoise.norms import bessel_kernel, chunk_rows, lq_norm
+from gammanoise.norms import QUADRATURE_CELLS, bessel_kernel, chunk_rows, lq_norm
 from gammanoise.operators import (ConvPair, afg_bruteforce_hs,
                                   afg_gamma_norm, gamma_young_check,
                                   heat_kernel_field, mg_sobolev_gamma_norm,
@@ -236,7 +236,7 @@ class TestStackMatchesStacksOfOne:
     def test_gamma_young_check(self, grid, real):
         kernel = bessel_kernel(grid, 0.75 * grid.dim)
         g = multiplier_stack(grid, self.rows, real, seed=44)
-        assert self.rows % chunk_rows(4 * grid.n, grid.n, grid.dim) != 0
+        assert self.rows % chunk_rows((4 * grid.n)**grid.dim, QUADRATURE_CELLS) != 0
         for q, r, eta in ((4.0, 8.0 / 3.0, 8.0 / 3.0), (8.0, 4.0, 8.0 / 3.0)):
             stacked = gamma_young_check(kernel, g, q, r, eta, real=real)
             ones = [gamma_young_check(kernel, g[i:i + 1], q, r, eta, real=real)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gammanoise.cli import main
 from gammanoise.conditions import ParamTuple
 from gammanoise.grid import Grid, SpectralField, forward_transform
 from gammanoise.norms import heat_eigenvalues, hsq_norm, lq_norm
@@ -316,7 +317,7 @@ class TestBatchedNoiseMatchesPerStepLoop:
 
 
 class TestNoiseChunks:
-    """The increments come in chunks of at most NOISE_CHUNK_BYTES, with or without stored states."""
+    """Increments come in chunks of at most STREAM_CELLS cells, with or without stored states."""
 
     @pytest.mark.parametrize("noise_kind,g_kind", [
         ("exact_ou", "none"), ("diagonal", "field"), ("fourier", "none"), ("fourier", "field"),
@@ -326,7 +327,7 @@ class TestNoiseChunks:
         cfg = _noise_config(grid, noise_kind, g_kind, steps=10)
         one = simulate(cfg, seed=5, traj_index=3).coeffs     # 10 steps are one chunk
         # 3 steps of increments per chunk: the 10 steps are 4 chunks
-        monkeypatch.setattr(spde, "NOISE_CHUNK_BYTES", 3 * 16 * grid.n**grid.dim + 5)
+        monkeypatch.setattr(spde, "STREAM_CELLS", 3 * grid.n**grid.dim + 1)
         chunks = []
         increments = spde._increments
         monkeypatch.setattr(spde, "_increments",
@@ -371,12 +372,11 @@ class TestEnsembleNorms:
     def test_matches_trajectory_norms(self, grid, noise_kind, g_kind, q, layout, batches,
                                       monkeypatch):
         cfg = _noise_config(grid, noise_kind, g_kind, self.STEPS)
-        step_bytes = 16 * grid.n**grid.dim
+        step_cells = grid.n**grid.dim
         if layout == "batches_of_3":    # states and one chunk of increments, 3 times
-            monkeypatch.setattr(spde, "NOISE_CHUNK_BYTES",
-                                3 * step_bytes * (2 * self.STEPS + 1))
+            monkeypatch.setattr(spde, "STREAM_CELLS", 3 * step_cells * (2 * self.STEPS + 1))
         elif layout == "chunked_steps":     # 2 steps of increments per chunk: 3 chunks
-            monkeypatch.setattr(spde, "NOISE_CHUNK_BYTES", 2 * step_bytes)
+            monkeypatch.setattr(spde, "STREAM_CELLS", 2 * step_cells)
         sizes, chunks = [], []
         integrate, increments = spde._integrate, spde._increments
         monkeypatch.setattr(spde, "_integrate",
@@ -392,6 +392,19 @@ class TestEnsembleNorms:
             traj = simulate(cfg, seed=9, traj_index=i)
             assert norms[i].tolist() == trajectory_norms(traj, 0.7, q).tolist()
             assert times.tolist() == traj.times.tolist()
+
+    def test_heat_sim_default_chunks(self, tmp_path, monkeypatch):
+        # 100 steps on 256 points: one chunk of increments, and 5 trajectories' states and
+        # increments, 5 * 256 * (101 + 100) cells, fit in STREAM_CELLS = 2^18
+        sizes, chunks = [], []
+        integrate, increments = spde._integrate, spde._increments
+        monkeypatch.setattr(spde, "_integrate",
+                            lambda c, gens, *a: sizes.append(len(gens)) or integrate(c, gens, *a))
+        monkeypatch.setattr(spde, "_increments",
+                            lambda *a: chunks.append(a[-2:]) or increments(*a))
+        assert main(["heat-sim", "--out", str(tmp_path / "heat.csv")]) == 0
+        assert sizes == [5] * 20
+        assert chunks == [(0, 100)] * 100
 
     def test_memory_flat_in_trajectory_count(self):
         # one states buffer and one increment buffer serve every batch of 5
@@ -562,25 +575,31 @@ class TestSpacetimeNorm:
 class TestScalingDiagnostic:
     def test_equality_tuple_flat(self):
         params = ParamTuple(1, 0.25, 4.0, 2.0, 2.0)
-        _, fit = scaling_diagnostic(0.5, params, range(0, 6))
+        _, fit = scaling_diagnostic(0.5, params, range(0, 6), grid=Grid(1, 2**13))
         assert abs(fit.exponent - fit.predicted) <= 0.2
         assert fit.predicted == pytest.approx(0.0, abs=1e-12)
 
     def test_off_equality_tuple(self):
         params = ParamTuple(1, 0.55, 4.0, 2.0, 2.0)
-        _, fit = scaling_diagnostic(0.5, params, range(0, 6))
+        _, fit = scaling_diagnostic(0.5, params, range(0, 6), grid=Grid(1, 2**13))
         assert fit.predicted == pytest.approx(-0.3)
         assert abs(fit.exponent - fit.predicted) <= 0.2
 
     def test_alpha_equal_d_rejected(self):
         params = ParamTuple(1, 0.25, 4.0, 2.0, 2.0)
         with pytest.raises(ValueError):
-            scaling_diagnostic(1.0, params, range(0, 4))
+            scaling_diagnostic(1.0, params, range(0, 4), grid=Grid(1, 2**13))
 
     def test_zeta_must_match(self):
         # zeta = 3 is not d/alpha = 2; the tuple fails before the too-coarse grid is checked
         params = ParamTuple(1, 0.25, 4.0, 2.0, 3.0)
         with pytest.raises(ValueError, match="d/alpha"):
+            scaling_diagnostic(0.5, params, range(0, 4), grid=Grid(1, 8))
+
+    def test_coarse_grid_rejected(self):
+        # levels 0..2 compressed up to m = 3 need 2^(2 + 3 + 3) = 256 points, not 8
+        params = ParamTuple(1, 0.25, 4.0, 2.0, 2.0)
+        with pytest.raises(ValueError, match="grid too coarse: need n >= 256"):
             scaling_diagnostic(0.5, params, range(0, 4), grid=Grid(1, 8))
 
     def test_negative_compression_rejected(self):
